@@ -19,6 +19,7 @@
 #include "net/mesh.hh"
 #include "sim/profiler.hh"
 #include "system/multicore.hh"
+#include "verify/enumerate.hh"
 #include "workload/suite.hh"
 
 namespace {
@@ -410,6 +411,55 @@ BM_RemoteWordRoundtripFaultArmed(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RemoteWordRoundtripFaultArmed);
+
+/**
+ * Drive @p m, on the enumerator's 3-core config, to a mid-depth
+ * state: an 11-access path (about the average replay depth of the
+ * 3-core/1-line BFS) over both pool lines and every access kind.
+ */
+void
+driveToMidDepth(Multicore &m)
+{
+    const struct
+    {
+        CoreId core;
+        std::uint32_t line;
+        int kind; // 0 read, 1 write, 2 ifetch
+    } path[] = {{0, 0, 0}, {1, 0, 0}, {2, 1, 1}, {0, 0, 1}, {1, 1, 2},
+                {2, 0, 0}, {0, 1, 0}, {1, 0, 1}, {2, 1, 0}, {0, 0, 2},
+                {1, 1, 1}};
+    for (const auto &a : path)
+        m.testAccess(a.core, verify::enumAddr(a.line), a.kind == 1,
+                     a.kind == 2);
+}
+
+void
+BM_MulticoreConstruct(benchmark::State &state)
+{
+    // What the enumerator paid per successor before restore: build
+    // (and destroy) a system on enumConfig(3, "lacc", "mesh").
+    const SystemConfig cfg = verify::enumConfig(3, "lacc", "mesh");
+    for (auto _ : state) {
+        Multicore m(cfg);
+        benchmark::DoNotOptimize(&m);
+    }
+}
+BENCHMARK(BM_MulticoreConstruct);
+
+void
+BM_MulticoreRestore(benchmark::State &state)
+{
+    // What it pays now: restore a built system from a mid-depth one.
+    const SystemConfig cfg = verify::enumConfig(3, "lacc", "mesh");
+    Multicore src(cfg);
+    driveToMidDepth(src);
+    Multicore dst(cfg);
+    for (auto _ : state) {
+        dst.restoreFrom(src);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MulticoreRestore);
 
 void
 BM_WorkloadNext(benchmark::State &state)

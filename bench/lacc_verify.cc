@@ -20,6 +20,7 @@
  * the space was exhausted), 2 usage error.
  */
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -83,7 +84,7 @@ usage(std::FILE *to)
         "  --cores N         cores, in [2, 4] (default 2)\n"
         "  --lines N         cache lines, in [1, 2] (default 2)\n"
         "  --max-states N    state cap, in [1, 100000000]"
-        " (default 500000)\n"
+        " (default 2000000)\n"
         "\n"
         "common options:\n"
         "  --protocol NAME   one protocol (default: fuzz = all,"
@@ -302,15 +303,21 @@ main(int argc, char **argv)
         eo.protocol = ov.protocol;
     if (!ov.network.empty())
         eo.network = ov.network;
+    const auto t0 = std::chrono::steady_clock::now();
     const EnumResult res = enumerate(eo);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
     std::printf("enumerate: %s x %s, %u cores, %u line(s): %" PRIu64
-                " states, %" PRIu64 " transitions, %s\n",
+                " states, %" PRIu64 " transitions, %s, %.2f s, %.0f"
+                " states/s\n",
                 eo.protocol.c_str(), eo.network.c_str(), eo.cores,
                 eo.lines, res.states, res.transitions,
                 res.exhaustive ? "exhaustive"
                                : (res.violations.empty()
                                       ? "STATE CAP REACHED"
-                                      : "VIOLATION"));
+                                      : "VIOLATION"),
+                secs, secs > 0.0 ? res.states / secs : 0.0);
     if (!res.violations.empty()) {
         for (const auto &v : res.violations)
             std::printf("violation: %s\n", v.c_str());

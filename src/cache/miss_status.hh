@@ -89,6 +89,13 @@ class MissStatusTracker
     /** Number of tracked lines (test helper). */
     std::size_t trackedLines() const { return last_.size(); }
 
+    /** Become an exact copy of @p o (Multicore::restoreFrom). */
+    void
+    restoreFrom(const MissStatusTracker &o)
+    {
+        last_.assignFrom(o.last_);
+    }
+
   private:
     // Flat open-addressing map: classify/record run on every L1 miss
     // and eviction, so per-node allocation and bucket-pointer chasing

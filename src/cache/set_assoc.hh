@@ -258,6 +258,51 @@ class SetAssocCache
         e.clearWords();
     }
 
+    /**
+     * restoreFrom's default meta copy: plain assignment. A member
+     * template, so instantiating the cache for a move-only meta (the
+     * L2 directory entry) does not instantiate the assignment.
+     */
+    struct AssignMeta
+    {
+        template <typename M>
+        void operator()(M &dst, const M &src) const { dst = src; }
+    };
+
+    /**
+     * Become an exact copy of @p o, a cache of the same geometry
+     * (snapshot restore, Multicore::restoreFrom). The tag arrays are
+     * copied whole; meta and line data only for slots valid on either
+     * side, so the cost scales with occupancy, not capacity. Nothing
+     * is lost by skipping a slot invalid on both sides: invalidate()
+     * zeroes its words and resets its meta. A slot valid in @p o gets
+     * @p copy_meta(dst, src) (plain assignment by default); a slot
+     * valid only here is reset with resetCacheMeta, exactly as
+     * invalidate() would.
+     */
+    template <typename CopyMeta = AssignMeta>
+    void
+    restoreFrom(const SetAssocCache &o, CopyMeta copy_meta = CopyMeta{})
+    {
+        if (o.valid_.size() != valid_.size() ||
+            o.wordsPerLine_ != wordsPerLine_)
+            panic("SetAssocCache::restoreFrom: geometry mismatch");
+        const std::size_t n = valid_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!valid_[i] && !o.valid_[i])
+                continue;
+            if (o.valid_[i])
+                copy_meta(meta_[i], o.meta_[i]);
+            else
+                resetCacheMeta(meta_[i]);
+            std::copy_n(o.words_.data() + i * wordsPerLine_,
+                        wordsPerLine_, words_.data() + i * wordsPerLine_);
+        }
+        valid_ = o.valid_;
+        tags_ = o.tags_;
+        lastAccess_ = o.lastAccess_;
+    }
+
     /** Apply @p fn to an Entry handle for every slot (valid or not). */
     template <typename F>
     void

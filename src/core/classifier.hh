@@ -97,6 +97,15 @@ class LocalityClassifier
     virtual void resetState(LineClassifierState &state) const = 0;
 
     /**
+     * Overwrite @p dst with @p src's contents; both were allocated by
+     * makeState() of this classifier's configuration. The snapshot
+     * restore (Multicore::restoreFrom) copies directory entries with
+     * this, reusing @p dst's allocation.
+     */
+    virtual void copyState(LineClassifierState &dst,
+                           const LineClassifierState &src) const = 0;
+
+    /**
      * Current mode of @p core for this line, applying any tracking
      * side effects (entry allocation / majority vote in Limited_k).
      * Called once per directory transaction before choosing the

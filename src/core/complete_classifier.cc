@@ -18,6 +18,14 @@ CompleteClassifier::resetState(LineClassifierState &state) const
     std::fill(s.touched.begin(), s.touched.end(), false);
 }
 
+void
+CompleteClassifier::copyState(LineClassifierState &dst,
+                              const LineClassifierState &src) const
+{
+    static_cast<CompleteLineState &>(dst) =
+        static_cast<const CompleteLineState &>(src);
+}
+
 Mode
 CompleteClassifier::majorityOfTouched(const CompleteLineState &s)
 {

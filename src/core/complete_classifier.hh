@@ -42,6 +42,8 @@ class CompleteClassifier : public LocalityClassifier
 
     std::unique_ptr<LineClassifierState> makeState() const override;
     void resetState(LineClassifierState &state) const override;
+    void copyState(LineClassifierState &dst,
+                   const LineClassifierState &src) const override;
 
     Mode classify(LineClassifierState &state, CoreId core) override;
 
@@ -83,6 +85,10 @@ class AlwaysPrivateClassifier : public LocalityClassifier
     }
 
     void resetState(LineClassifierState &) const override {}
+    void
+    copyState(LineClassifierState &,
+              const LineClassifierState &) const override
+    {}
 
     Mode
     classify(LineClassifierState &, CoreId) override

@@ -18,6 +18,14 @@ LimitedClassifier::resetState(LineClassifierState &state) const
               LimitedLineState::Slot{});
 }
 
+void
+LimitedClassifier::copyState(LineClassifierState &dst,
+                             const LineClassifierState &src) const
+{
+    static_cast<LimitedLineState &>(dst) =
+        static_cast<const LimitedLineState &>(src);
+}
+
 Mode
 LimitedClassifier::majorityVote(const LimitedLineState &s)
 {

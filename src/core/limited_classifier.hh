@@ -90,6 +90,8 @@ class LimitedClassifier : public LocalityClassifier
 
     std::unique_ptr<LineClassifierState> makeState() const override;
     void resetState(LineClassifierState &state) const override;
+    void copyState(LineClassifierState &dst,
+                   const LineClassifierState &src) const override;
 
     Mode classify(LineClassifierState &state, CoreId core) override;
 

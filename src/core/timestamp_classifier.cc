@@ -11,6 +11,14 @@ TimestampClassifier::resetState(LineClassifierState &state) const
     std::fill(s.records.begin(), s.records.end(), CoreLocality{});
 }
 
+void
+TimestampClassifier::copyState(LineClassifierState &dst,
+                               const LineClassifierState &src) const
+{
+    static_cast<TimestampLineState &>(dst) =
+        static_cast<const TimestampLineState &>(src);
+}
+
 std::unique_ptr<LineClassifierState>
 TimestampClassifier::makeState() const
 {

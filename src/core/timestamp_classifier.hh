@@ -43,6 +43,8 @@ class TimestampClassifier : public LocalityClassifier
 
     std::unique_ptr<LineClassifierState> makeState() const override;
     void resetState(LineClassifierState &state) const override;
+    void copyState(LineClassifierState &dst,
+                   const LineClassifierState &src) const override;
 
     Mode classify(LineClassifierState &state, CoreId core) override;
 

@@ -56,6 +56,16 @@ DramModel::access(LineAddr line, Cycle start)
 }
 
 void
+DramModel::restoreFrom(const DramModel &o)
+{
+    freeAt_ = o.freeAt_;
+    queueingCycles_ = o.queueingCycles_;
+    accesses_ = o.accesses_;
+    slot_.assignFrom(o.slot_);
+    pool_ = o.pool_;
+}
+
+void
 DramModel::readLine(LineAddr line, std::uint64_t *out) const
 {
     prof::Scope ps(prof::Dram);

@@ -67,6 +67,15 @@ class DramModel
     /** Total accesses (fetches + write-backs). */
     std::uint64_t accesses() const { return accesses_; }
 
+    /**
+     * Become an exact copy of @p o's mutable state — controller
+     * queues, counters, stored lines — for a model of the same config
+     * (Multicore::restoreFrom). An empty slab on both sides is
+     * skipped, so restoring a system that never wrote DRAM back is
+     * free.
+     */
+    void restoreFrom(const DramModel &o);
+
     /** Tiles hosting controllers, in controller order (test helper). */
     const std::vector<CoreId> &controllerTiles() const
     {

@@ -154,6 +154,9 @@ class EnergyModel
     /** Breakdown in pJ (counts x per-event params), all slots merged. */
     EnergyBreakdown breakdown() const;
 
+    /** Copy @p o's tallies, every slot (Multicore::restoreFrom). */
+    void restoreFrom(const EnergyModel &o) { slots_ = o.slots_; }
+
     /** Reset all accumulators (every slot). */
     void
     reset()

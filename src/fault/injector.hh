@@ -105,6 +105,13 @@ class FaultInjector
     // the zero-silent-corruption ledger would lose warm-up strikes.
     const FaultStats &stats() const { return stats_; }
 
+    /**
+     * Copy @p o's counters (Multicore::restoreFrom): the schedule is
+     * a pure hash of the config, so the counters are the injector's
+     * only mutable state.
+     */
+    void restoreFrom(const FaultInjector &o) { stats_ = o.stats_; }
+
   private:
     std::uint64_t roll(std::uint64_t stream, std::uint64_t a,
                        std::uint64_t b, std::uint64_t c) const;

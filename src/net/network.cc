@@ -227,6 +227,20 @@ NetworkModel::reset()
     stats_ = NetworkStats{};
 }
 
+void
+NetworkModel::restoreFrom(const NetworkModel &o)
+{
+    if (o.links_.size() != links_.size() || o.numCores_ != numCores_)
+        panic("NetworkModel::restoreFrom: %s and %s differ in shape",
+              name(), o.name());
+    links_ = o.links_;
+    linkQueueing_ = o.linkQueueing_;
+    linkFlits_ = o.linkFlits_;
+    stats_ = o.stats_;
+    faultPending_ = o.faultPending_;
+    faultDrop_ = o.faultDrop_;
+}
+
 std::vector<std::pair<std::uint32_t, std::uint64_t>>
 NetworkModel::topCongestedLinks(std::size_t n) const
 {

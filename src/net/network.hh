@@ -201,6 +201,22 @@ class NetworkModel
     void resetStats() { stats_ = NetworkStats{}; }
 
     /**
+     * Become an exact copy of @p o's mutable state — link backlogs,
+     * per-link diagnostics, traffic stats, the latched fault — for a
+     * network of the same config (Multicore::restoreFrom). The tables
+     * are config-derived and stay. Topologies keep no mutable state of
+     * their own; one that adds some must copy it here too.
+     */
+    void restoreFrom(const NetworkModel &o);
+
+    /** Directed links this topology models. */
+    std::uint32_t
+    numLinks() const
+    {
+        return static_cast<std::uint32_t>(links_.size());
+    }
+
+    /**
      * Diagnostic: (link id, queueing cycles) of the worst links,
      * ordered by (queueing desc, link id asc) — a deterministic total
      * order, so equal-queueing links never reorder across runs.

@@ -86,6 +86,34 @@ resetCacheMeta(L2Meta &m)
     m.dirty = false;
 }
 
+/**
+ * Snapshot-restore copy of a valid directory entry @p src into @p dst
+ * (SetAssocCache::restoreFrom, via Tile::restoreFrom). The classifier
+ * state and the sharer list move together: the refill path
+ * (l2FindOrFill) reads a non-null `cls` as "this slot's SharerList is
+ * already organized", so a kept `cls` beside a copied default
+ * SharerList would silently change later ACKwise behaviour. @p dst's
+ * classifier allocation is reused when it has one.
+ */
+inline void
+copyDirEntry(L2Meta &dst, const L2Meta &src,
+             const LocalityClassifier &classifier)
+{
+    dst.dstate = src.dstate;
+    dst.owner = src.owner;
+    dst.sharers = src.sharers;
+    dst.holders = src.holders;
+    if (src.cls) {
+        if (!dst.cls)
+            dst.cls = classifier.makeState();
+        classifier.copyState(*dst.cls, *src.cls);
+    } else {
+        dst.cls.reset();
+    }
+    dst.busyUntil = src.busyUntil;
+    dst.dirty = src.dirty;
+}
+
 /** L2 slice array: hashed set index (see SetAssocCache). */
 using L2Cache = SetAssocCache<L2Meta, true>;
 

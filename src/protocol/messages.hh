@@ -165,6 +165,9 @@ class MessageTransport
     /** Arm the lossy-link recovery path (Multicore wiring). */
     void setFaultInjector(FaultInjector *fi) { fault_ = fi; }
 
+    /** Copy @p o's sequence counter (Multicore::restoreFrom). */
+    void restoreFrom(const MessageTransport &o) { seq_ = o.seq_; }
+
     NetworkModel &network() { return net_; }
 
   private:

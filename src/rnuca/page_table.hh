@@ -96,6 +96,9 @@ class PageTable
     /** Count pages currently in a given class (test helper). */
     std::size_t countClass(PageClass c) const;
 
+    /** Become an exact copy of @p o (Multicore::restoreFrom). */
+    void restoreFrom(const PageTable &o) { table_.assignFrom(o.table_); }
+
   private:
     // Flat open-addressing map (sim/flat_map.hh): consulted on every
     // directory transaction (access + homeOf lookup).

@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <sstream>
+#include <tuple>
 
 #include "sim/log.hh"
 
@@ -118,6 +119,32 @@ SystemConfig::validate() const
         fatal("simThreads (%u) must be in [1, 1024]", simThreads);
     if (!(faultRate >= 0.0) || faultRate > 1.0)
         fatal("faultRate (%g) must be in [0, 1]", faultRate);
+}
+
+namespace {
+
+auto
+configFields(const SystemConfig &c)
+{
+    return std::tie(
+        c.numCores, c.meshWidth, c.clusterSize, c.lineSize, c.pageSize,
+        c.l1iSizeKB, c.l1iAssoc, c.l1dSizeKB, c.l1dAssoc, c.l1Latency,
+        c.l2SizeKB, c.l2Assoc, c.l2Latency, c.numMemControllers,
+        c.dramBandwidthGBps, c.dramLatency, c.networkKind, c.hopLatency,
+        c.flitWidthBits, c.headerFlits, c.wordFlits, c.lineFlits,
+        c.modelContention, c.directoryKind, c.ackwisePointers,
+        c.protocolKind, c.classifierKind, c.pct, c.ratMax, c.nRatLevels,
+        c.classifierK, c.completeLearningShortcut, c.rnucaEnabled,
+        c.engineKind, c.simThreads, c.faultKind, c.faultRate,
+        c.faultSeed, c.seed);
+}
+
+} // namespace
+
+bool
+SystemConfig::operator==(const SystemConfig &o) const
+{
+    return configFields(*this) == configFields(o);
 }
 
 std::string

@@ -203,6 +203,10 @@ struct SystemConfig
 
     /** @return a one-line summary, e.g. for bench headers. */
     std::string summary() const;
+
+    /** Field-by-field equality; a new field must join it (config.cc). */
+    bool operator==(const SystemConfig &o) const;
+    bool operator!=(const SystemConfig &o) const { return !(*this == o); }
 };
 
 } // namespace lacc

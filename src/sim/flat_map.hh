@@ -8,7 +8,9 @@
  * heap node per insert and chases a bucket pointer per lookup;
  * FlatAddrMap stores {key, value} cells in one contiguous array with
  * linear probing (mixAddrBits hash), so lookups touch a single cache
- * line in the common case and inserts allocate only on growth.
+ * line in the common case and inserts allocate only on growth. The
+ * functional reference memory uses it too, so that a snapshot restore
+ * (assignFrom) copies one array instead of allocating per word.
  *
  * Constraints (all satisfied by the simulator's users):
  *  - keys must never equal kInvalidAddr (the empty-cell sentinel);
@@ -102,6 +104,24 @@ class FlatAddrMap
             }
             rehash(cells_.size() * 2);
         }
+    }
+
+    /**
+     * Make this map hold exactly @p o's entries, in @p o's cell
+     * layout (snapshot restore, Multicore::restoreFrom). Two empty
+     * maps are left alone whatever their capacities, so a large
+     * pre-sized table that is unused on both sides costs nothing;
+     * otherwise the cell array is copied into the existing allocation
+     * when it is large enough.
+     */
+    void
+    assignFrom(const FlatAddrMap &o)
+    {
+        if (size_ == 0 && o.size_ == 0)
+            return;
+        cells_ = o.cells_;
+        mask_ = o.mask_;
+        size_ = o.size_;
     }
 
     /** Apply @p fn(key, value) to every entry (probe order). */

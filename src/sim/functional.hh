@@ -22,9 +22,9 @@
 
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/log.hh"
 #include "sim/types.hh"
 
@@ -99,8 +99,8 @@ class FunctionalMemory
         if (!checks_)
             return;
         std::lock_guard<std::mutex> g(mu_);
-        const auto it = mem_.find(wordAddr(addr));
-        const std::uint64_t expect = it == mem_.end() ? 0 : it->second;
+        const std::uint64_t *found = mem_.find(wordAddr(addr));
+        const std::uint64_t expect = found == nullptr ? 0 : *found;
         if (got != expect) {
             ++errors_;
             if (errors_ <= 10) {
@@ -125,10 +125,10 @@ class FunctionalMemory
     bool
     lookup(Addr addr, std::uint64_t &out) const
     {
-        const auto it = mem_.find(wordAddr(addr));
-        if (it == mem_.end())
+        const std::uint64_t *found = mem_.find(wordAddr(addr));
+        if (found == nullptr)
             return false;
-        out = it->second;
+        out = *found;
         return true;
     }
 
@@ -144,8 +144,22 @@ class FunctionalMemory
     void
     forEachWord(F &&fn) const
     {
-        for (const auto &[wa, v] : mem_)
-            fn(wa, v);
+        mem_.forEach(fn);
+    }
+
+    /**
+     * Become an exact copy of @p o: checking mode, mismatch count,
+     * per-core store counters and reference words
+     * (Multicore::restoreFrom). Sizes are equal between two systems
+     * of one config, so a warm copy does not allocate.
+     */
+    void
+    restoreFrom(const FunctionalMemory &o)
+    {
+        checks_ = o.checks_;
+        errors_ = o.errors_;
+        counters_ = o.counters_;
+        mem_.assignFrom(o.mem_);
     }
 
   private:
@@ -153,7 +167,9 @@ class FunctionalMemory
     std::uint64_t errors_ = 0;
     std::vector<std::uint64_t> counters_;
     std::mutex mu_;
-    std::unordered_map<Addr, std::uint64_t, MixAddrHash> mem_;
+    // Flat open-addressing map (sim/flat_map.hh): one contiguous cell
+    // array, so a restore copies it without a per-word allocation.
+    FlatAddrMap<std::uint64_t> mem_;
 };
 
 } // namespace lacc

@@ -45,7 +45,7 @@ constexpr Cycle kNeverCycle = std::numeric_limits<Cycle>::max();
  * the hashed L2 set index, so it is part of the simulated behavior —
  * never change it without regenerating the determinism goldens. For
  * hash *tables*, whose bucket choice is not modeled behavior, use
- * mixAddrBits/MixAddrHash below instead: the single-multiply variant
+ * mixAddrBits below instead: the single-multiply variant
  * leaves the low bits of small aligned keys (page addresses) heavily
  * correlated.
  */
@@ -74,20 +74,6 @@ mixAddrBits(std::uint64_t x)
     x ^= x >> 33;
     return x;
 }
-
-/**
- * unordered_map hasher for Addr/LineAddr/PageAddr keys, built on
- * mixAddrBits (the standard-library default hashes integers to
- * themselves, which clusters buckets for aligned addresses).
- */
-struct MixAddrHash
-{
-    std::size_t
-    operator()(std::uint64_t x) const noexcept
-    {
-        return static_cast<std::size_t>(mixAddrBits(x));
-    }
-};
 
 /**
  * Locality mode of a core with respect to one cache line (Section 3.2).

@@ -329,6 +329,35 @@ Multicore::testAccess(CoreId core, Addr addr, bool is_write,
 }
 
 void
+Multicore::restoreFrom(const Multicore &o)
+{
+    if (&o == this)
+        return;
+    if (cfg_ != o.cfg_)
+        fatal("Multicore::restoreFrom: configurations differ (%s vs %s)",
+              cfg_.summary().c_str(), o.cfg_.summary().c_str());
+    if (workload_ != nullptr || o.workload_ != nullptr)
+        fatal("Multicore::restoreFrom: a system that has run() can be"
+              " neither restored nor restored from");
+    energy_.restoreFrom(o.energy_);
+    network_->restoreFrom(*o.network_);
+    net_.restoreFrom(o.net_);
+    dram_.restoreFrom(o.dram_);
+    pageTable_.restoreFrom(o.pageTable_);
+    const LocalityClassifier &classifier = protocol_->classifier();
+    for (std::size_t c = 0; c < tiles_.size(); ++c)
+        tiles_[c]->restoreFrom(*o.tiles_[c], classifier);
+    stats_ = o.stats_;
+    mem_.restoreFrom(o.mem_);
+    if (fault_)
+        fault_->restoreFrom(*o.fault_);
+    barrier_ = o.barrier_;
+    locks_ = o.locks_;
+    barrierReleases_ = o.barrierReleases_;
+    statsStart_ = o.statsStart_;
+}
+
+void
 Multicore::finalizeStats(Workload &workload)
 {
     (void)workload;

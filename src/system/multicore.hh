@@ -142,6 +142,8 @@ class Multicore
     const FunctionalMemory &functionalMemory() const { return mem_; }
     /** The armed fault injector, or null under FaultPlan none. */
     FaultInjector *faultInjector() { return fault_.get(); }
+    /** The whole-system energy tallies. */
+    const EnergyModel &energy() const { return energy_; }
 
     /**
      * Test hook: perform one data access (or, with @p is_ifetch, one
@@ -152,6 +154,30 @@ class Multicore
      */
     Cycle testAccess(CoreId core, Addr addr, bool is_write,
                      bool is_ifetch = false);
+
+    /**
+     * Snapshot restore: make this system an exact copy of @p o, built
+     * from an equal SystemConfig (fatal() otherwise), so that every
+     * later access behaves as it would on @p o. Neither system may
+     * have run() (the event loop's state is not copied). The state
+     * enumerator (verify/enumerate.hh) explores each successor this
+     * way instead of rebuilding and replaying from reset.
+     *
+     * Copied: per tile the caches, miss tracker, clock, status,
+     * injected ops, ifetch walker and stats; the network's link state
+     * and stats and the transport's sequence counter; DRAM, the page
+     * table, energy tallies, the functional reference memory and its
+     * checking mode, SystemStats; barrier and lock state; and the
+     * fault counters when a plan is armed. Not copied: the watchdog
+     * setting, and controller scratch that every use overwrites.
+     * Cost scales with occupied state, not with pre-sized capacity.
+     *
+     * Restore contract: a new piece of mutable simulation state must
+     * join restoreFrom. The restore-equivalence test
+     * (tests/test_restore.cc) compares restore-then-access against a
+     * fresh replay and catches what is left out.
+     */
+    void restoreFrom(const Multicore &o);
 
   private:
     // Engines drive the event loop: they pop/dispatch ops via step()

@@ -1,10 +1,25 @@
 #include "system/tile.hh"
 
-// Tile is header-only; translation unit anchors the build and
-// instantiates the L2 template configuration.
-
 namespace lacc {
 
+// The L2 template configuration is instantiated once, here.
 template class SetAssocCache<L2Meta, true>;
+
+void
+Tile::restoreFrom(const Tile &o, const LocalityClassifier &classifier)
+{
+    l1i.restoreFrom(o.l1i);
+    l1d.restoreFrom(o.l1d);
+    l2.restoreFrom(o.l2, [&](L2Meta &dst, const L2Meta &src) {
+        copyDirEntry(dst, src, classifier);
+    });
+    missTracker.restoreFrom(o.missTracker);
+    now = o.now;
+    status = o.status;
+    pending = o.pending;
+    ifetchLine = o.ifetchLine;
+    instrInLine = o.instrInLine;
+    stats = o.stats;
+}
 
 } // namespace lacc

@@ -51,6 +51,14 @@ class Tile
                       4)
     {}
 
+    /**
+     * Become an exact copy of @p o, the same core's tile in a system
+     * of the same config (Multicore::restoreFrom): caches, miss
+     * tracker, clock, status, injected ops, ifetch walker, stats.
+     * @p classifier copies the directory entries' classifier state.
+     */
+    void restoreFrom(const Tile &o, const LocalityClassifier &classifier);
+
     const CoreId id;
 
     // ---- Memory hierarchy ------------------------------------------------

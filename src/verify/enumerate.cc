@@ -1,14 +1,13 @@
 #include "verify/enumerate.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <deque>
-#include <memory>
 #include <unordered_set>
 
 #include "net/factory.hh"
 #include "protocol/factory.hh"
+#include "sim/log.hh"
 #include "system/multicore.hh"
 #include "verify/invariants.hh"
 
@@ -30,140 +29,18 @@ struct Event
     std::uint8_t kind; //!< 0 = read, 1 = write, 2 = ifetch
 };
 
-Addr
-eventAddr(const Event &e)
-{
-    return kBase + static_cast<Addr>(e.line) * kLineStride;
-}
-
 void
 applyEvent(Multicore &m, const Event &e)
 {
-    m.testAccess(static_cast<CoreId>(e.core), eventAddr(e),
+    m.testAccess(static_cast<CoreId>(e.core), enumAddr(e.line),
                  e.kind == 1, e.kind == 2);
 }
 
-std::unique_ptr<Multicore>
-replay(const SystemConfig &cfg, const std::vector<Event> &path)
+/** One-byte encoding of a core id; kInvalidCore becomes 0xFF. */
+unsigned
+coreByte(CoreId c)
 {
-    auto m = std::make_unique<Multicore>(cfg);
-    for (const Event &e : path)
-        applyEvent(*m, e);
-    return m;
-}
-
-void
-appendNum(std::string &s, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%llx",
-                  static_cast<unsigned long long>(v));
-    s += buf;
-    s += ',';
-}
-
-/** Canonical (timing-free, threshold-capped) state encoding; see the
- * file header of enumerate.hh for the soundness argument. */
-std::string
-encodeState(Multicore &m)
-{
-    const SystemConfig &cfg = m.config();
-    std::string s;
-    s.reserve(256);
-
-    // L1 contents: per core, per cache, (tag, state, capped util)
-    // sorted by tag.
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        Tile &tl = m.tile(static_cast<CoreId>(c));
-        for (L1Cache *l1 : {&tl.l1d, &tl.l1i}) {
-            std::vector<std::array<std::uint64_t, 3>> lines;
-            l1->forEach([&](L1Cache::Entry e) {
-                if (!e.valid())
-                    return;
-                lines.push_back(
-                    {e.tag(),
-                     static_cast<std::uint64_t>(e.meta().state),
-                     std::min(e.meta().privateUtil, cfg.pct)});
-            });
-            std::sort(lines.begin(), lines.end());
-            s += l1 == &tl.l1d ? 'D' : 'I';
-            for (const auto &l : lines)
-                for (const std::uint64_t v : l)
-                    appendNum(s, v);
-        }
-        s += '|';
-    }
-
-    // Directory entries: per home, sorted by tag; protocol metadata
-    // plus the full per-core classifier records.
-    for (std::uint32_t h = 0; h < cfg.numCores; ++h) {
-        std::vector<L2Cache::Entry> entries;
-        m.tile(static_cast<CoreId>(h)).l2.forEach(
-            [&](L2Cache::Entry e) {
-                if (e.valid())
-                    entries.push_back(e);
-            });
-        std::sort(entries.begin(), entries.end(),
-                  [](const L2Cache::Entry &a, const L2Cache::Entry &b) {
-                      return a.tag() < b.tag();
-                  });
-        s += 'H';
-        for (const auto &e : entries) {
-            const L2Meta &meta = e.meta();
-            appendNum(s, e.tag());
-            appendNum(s, static_cast<std::uint64_t>(meta.dstate));
-            appendNum(s, meta.owner);
-            // dirty is deliberately excluded: it only gates the DRAM
-            // write-back on an L2 eviction, and the bounded config
-            // can never evict an L2 line (<= 2 distinct lines, 4
-            // sets x 8 ways), so it is decision-irrelevant here the
-            // same way data words are.
-            appendNum(s, meta.sharers.count());
-            appendNum(s, meta.sharers.overflowed() ? 1 : 0);
-            s += 't';
-            for (const CoreId t : meta.sharers.tracked())
-                appendNum(s, t);
-            s += 'h';
-            std::vector<CoreId> holders(meta.holders.begin(),
-                                        meta.holders.end());
-            std::sort(holders.begin(), holders.end());
-            for (const CoreId t : holders)
-                appendNum(s, t);
-            s += 'k';
-            for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-                const CoreLocality *loc =
-                    meta.cls ? m.classifier().peek(
-                                   *meta.cls, static_cast<CoreId>(c))
-                             : nullptr;
-                if (loc == nullptr) {
-                    s += '-';
-                    continue;
-                }
-                // `active` is deliberately excluded: the Complete
-                // classifier (which enumConfig pins, shortcut off)
-                // writes it but never reads it — only Limited_k
-                // consults it, for tracked-entry replacement — so
-                // like the timing fields it cannot influence any
-                // future decision here.
-                appendNum(s,
-                          static_cast<std::uint64_t>(loc->mode));
-                appendNum(s, std::min(loc->remoteUtil, cfg.ratMax));
-                appendNum(s, loc->ratLevel);
-            }
-            s += ';';
-        }
-        s += '|';
-    }
-
-    // R-NUCA page record of the (single) enumerated page: class and
-    // owner drive every future home lookup and rehome decision.
-    const PageAddr page = kBase / cfg.pageSize;
-    if (const PageTable::Record *rec = m.pageTable().lookup(page)) {
-        s += 'P';
-        appendNum(s, static_cast<std::uint64_t>(rec->cls));
-        appendNum(s, rec->owner);
-    }
-    return s;
+    return c == kInvalidCore ? 0xFFu : c;
 }
 
 std::string
@@ -174,13 +51,128 @@ renderPath(const std::vector<Event> &path)
         char buf[64];
         std::snprintf(buf, sizeof buf, "core %u %c %llx\n", e.core,
                       "rwf"[e.kind],
-                      static_cast<unsigned long long>(eventAddr(e)));
+                      static_cast<unsigned long long>(enumAddr(e.line)));
         s += buf;
     }
     return s;
 }
 
 } // namespace
+
+Addr
+enumAddr(std::uint32_t line)
+{
+    return kBase + static_cast<Addr>(line) * kLineStride;
+}
+
+void
+encodeState(Multicore &m, std::uint32_t lines, std::string &out)
+{
+    const SystemConfig &cfg = m.config();
+    if (cfg.numCores > 8 || cfg.pct > 0xFF || cfg.ratMax > 0xFF ||
+        cfg.nRatLevels > 0x100)
+        fatal("encodeState: %u cores, PCT %u, RATmax %u, %u RAT levels"
+              " overflow the one-byte fields",
+              cfg.numCores, cfg.pct, cfg.ratMax, cfg.nRatLevels);
+    out.clear();
+    const auto put = [&out](std::uint32_t v) {
+        out.push_back(static_cast<char>(v));
+    };
+    const auto tag = [&](std::uint32_t l) -> LineAddr {
+        return enumAddr(l) / cfg.lineSize;
+    };
+
+    // L1 contents: per core, per cache, per pool line (state + 1, or
+    // 0 when absent; capped utilization).
+    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+        const Tile &tl = m.tile(static_cast<CoreId>(c));
+        for (const L1Cache *l1 : {&tl.l1d, &tl.l1i}) {
+            std::uint32_t found = 0;
+            for (std::uint32_t l = 0; l < lines; ++l) {
+                const L1Cache::Entry e = l1->find(tag(l));
+                if (!e) {
+                    put(0);
+                    put(0);
+                    continue;
+                }
+                ++found;
+                put(1 + static_cast<std::uint32_t>(e.meta().state));
+                put(std::min(e.meta().privateUtil, cfg.pct));
+            }
+            if (found != l1->validCount())
+                panic("encodeState: core %u caches a line outside the"
+                      " %u-line pool", c, lines);
+        }
+    }
+
+    // Directory entries: per home, per pool line; protocol metadata
+    // plus the full per-core classifier records. An absent entry is
+    // all zero bytes, a present one starts with 1.
+    const std::size_t entry_bytes = 7 + 3 * cfg.numCores;
+    for (std::uint32_t h = 0; h < cfg.numCores; ++h) {
+        const L2Cache &l2 = m.tile(static_cast<CoreId>(h)).l2;
+        std::uint32_t found = 0;
+        for (std::uint32_t l = 0; l < lines; ++l) {
+            const L2Cache::Entry e = l2.find(tag(l));
+            if (!e) {
+                out.append(entry_bytes, '\0');
+                continue;
+            }
+            ++found;
+            const L2Meta &meta = e.meta();
+            put(1);
+            put(static_cast<std::uint32_t>(meta.dstate));
+            put(coreByte(meta.owner));
+            // dirty is deliberately excluded: it only gates the DRAM
+            // write-back on an L2 eviction, and the bounded config
+            // can never evict an L2 line (<= 2 distinct lines, 4
+            // sets x 8 ways), so it is decision-irrelevant here the
+            // same way data words are.
+            put(meta.sharers.count());
+            put(meta.sharers.overflowed() ? 1 : 0);
+            std::uint32_t tracked = 0;
+            meta.sharers.forEachTracked(
+                [&](CoreId t) { tracked |= 1u << t; });
+            put(tracked);
+            std::uint32_t holders = 0;
+            for (const CoreId t : meta.holders)
+                holders |= 1u << t;
+            put(holders);
+            for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+                const CoreLocality *loc =
+                    meta.cls ? m.classifier().peek(
+                                   *meta.cls, static_cast<CoreId>(c))
+                             : nullptr;
+                if (loc == nullptr) {
+                    put(0xFF); // untracked; modes are 0 and 1
+                    put(0);
+                    put(0);
+                    continue;
+                }
+                // `active` is deliberately excluded: the Complete
+                // classifier (which enumConfig pins, shortcut off)
+                // writes it but never reads it — only Limited_k
+                // consults it, for tracked-entry replacement — so
+                // like the timing fields it cannot influence any
+                // future decision here.
+                put(static_cast<std::uint32_t>(loc->mode));
+                put(std::min(loc->remoteUtil, cfg.ratMax));
+                put(loc->ratLevel);
+            }
+        }
+        if (found != l2.validCount())
+            panic("encodeState: home %u holds a line outside the"
+                  " %u-line pool", h, lines);
+    }
+
+    // R-NUCA page record of the (single) enumerated page: class and
+    // owner drive every future home lookup and rehome decision.
+    const PageTable::Record *rec =
+        m.pageTable().lookup(kBase / cfg.pageSize);
+    put(rec != nullptr ? 1 : 0);
+    put(rec != nullptr ? static_cast<std::uint32_t>(rec->cls) : 0);
+    put(rec != nullptr ? coreByte(rec->owner) : 0);
+}
 
 SystemConfig
 enumConfig(std::uint32_t cores, const std::string &protocol,
@@ -225,41 +217,53 @@ enumerate(const EnumOptions &opt)
                 events.push_back({static_cast<std::uint8_t>(c),
                                   static_cast<std::uint8_t>(l), k});
 
+    // Three systems, built once: `reset` never moves; `node` is the
+    // frontier node being expanded (restored to reset, then its path
+    // replayed once); `child` explores one successor at a time
+    // (restored from `node`, then one event).
+    const Multicore reset(cfg);
+    Multicore node(cfg);
+    Multicore child(cfg);
+
+    std::string code; // reused encoding buffer
     std::unordered_set<std::string> seen;
     std::deque<std::vector<Event>> frontier;
     bool capped = false;
 
-    {
-        auto m = std::make_unique<Multicore>(cfg);
-        seen.insert(encodeState(*m));
-        frontier.push_back({});
-    }
+    encodeState(node, opt.lines, code);
+    seen.insert(code);
+    frontier.push_back({});
 
-    while (!frontier.empty()) {
-        const std::vector<Event> path = std::move(frontier.front());
+    while (!frontier.empty() && !capped) {
+        std::vector<Event> path = std::move(frontier.front());
         frontier.pop_front();
+        node.restoreFrom(reset);
+        for (const Event &e : path)
+            applyEvent(node, e);
         for (const Event &e : events) {
-            std::vector<Event> next = path;
-            next.push_back(e);
-            auto m = replay(cfg, next);
+            child.restoreFrom(node);
+            applyEvent(child, e);
             ++res.transitions;
-            auto viol = checkAll(*m);
+            auto viol = checkAll(child);
             if (!viol.empty()) {
+                path.push_back(e);
                 res.states = seen.size();
                 res.violations = std::move(viol);
-                res.counterexample = renderPath(next);
+                res.counterexample = renderPath(path);
                 return res;
             }
-            if (!seen.insert(encodeState(*m)).second)
+            encodeState(child, opt.lines, code);
+            if (seen.find(code) != seen.end())
                 continue;
+            seen.insert(code);
             if (seen.size() >= opt.maxStates) {
                 capped = true;
                 break;
             }
+            std::vector<Event> next = path;
+            next.push_back(e);
             frontier.push_back(std::move(next));
         }
-        if (capped)
-            break;
     }
 
     res.states = seen.size();

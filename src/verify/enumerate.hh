@@ -6,13 +6,15 @@
  * (verify/invariants.hh) in every state, with canonical-state
  * deduplication and a reproducible counterexample path on failure.
  *
- * States are reached by *replay*: the simulator has no state
- * snapshotting, so each BFS node is its access sequence from reset,
- * and a successor is explored by replaying the sequence plus one
- * event on a fresh Multicore (Multicore::testAccess). Directory
- * transactions are atomic in this simulator, so the per-access
- * granularity really does visit every reachable protocol state —
- * there are no transient interleavings below it.
+ * States are reached by *restore*: each BFS node is its access
+ * sequence from reset. Expanding a node restores a scratch system to
+ * reset (Multicore::restoreFrom) and replays the node's path once;
+ * each successor is then explored on a second scratch system restored
+ * from the node plus one event (Multicore::testAccess). No system is
+ * built per successor, and restore copies only occupied state.
+ * Directory transactions are atomic in this simulator, so the
+ * per-access granularity really does visit every reachable protocol
+ * state — there are no transient interleavings below it.
  *
  * Canonicalization (what makes the search finite) deliberately
  * excludes pure-timing state — per-core clocks, per-line busyUntil,
@@ -28,6 +30,14 @@
  * R-NUCA page records — is part of the canonical state, stored in
  * full (no hashing), so deduplication can never merge genuinely
  * distinct states.
+ *
+ * The encoding (encodeState) is fixed-width binary, one byte per
+ * field, laid out per (core, L1, pool line) and per (home, pool line):
+ * only pool lines are ever accessed, so this layout holds exactly the
+ * information of a tag-sorted list of every valid line, and
+ * encodeState panics if a line outside the pool is resident. Sharer
+ * and holder sets are core bitmasks (holders in grant order matter
+ * only for timing, which is excluded).
  */
 
 #ifndef LACC_VERIFY_ENUMERATE_HH
@@ -40,6 +50,9 @@
 #include "sim/config.hh"
 
 namespace lacc {
+
+class Multicore;
+
 namespace verify {
 
 /** Bounds of one enumeration (CLI: bench/lacc_verify.cc). */
@@ -49,8 +62,9 @@ struct EnumOptions
     std::uint32_t lines = 2;        //!< [1, 2]
     std::string protocol = "lacc";  //!< factory key
     std::string network = "mesh";   //!< factory key
-    /** Safety cap on distinct states (0 is invalid). */
-    std::uint64_t maxStates = 500000;
+    /** Safety cap on distinct states (0 is invalid). The default
+     * covers the default 2-core/2-line space (1,036,931 states). */
+    std::uint64_t maxStates = 2000000;
 };
 
 /** Outcome of an enumeration. */
@@ -81,6 +95,18 @@ EnumResult enumerate(const EnumOptions &opt);
  */
 SystemConfig enumConfig(std::uint32_t cores, const std::string &protocol,
                         const std::string &network);
+
+/** Byte address of pool line @p line (0-based) the enumerator uses. */
+Addr enumAddr(std::uint32_t line);
+
+/**
+ * Write the canonical state of @p m (see file header) over a pool of
+ * @p lines lines into @p out, replacing its contents. The width
+ * depends only on the config and @p lines, so a reused buffer never
+ * allocates after its first use. fatal() when a field does not fit
+ * its byte (more than 8 cores, PCT or RATmax above 255).
+ */
+void encodeState(Multicore &m, std::uint32_t lines, std::string &out);
 
 } // namespace verify
 } // namespace lacc

@@ -116,14 +116,14 @@ TEST(FunctionalMemory, DisabledChecksRecordNothing)
     EXPECT_EQ(m.errors(), 0u);
 }
 
-TEST(MixAddrHash, MixesLowEntropyKeys)
+TEST(MixAddrBits, MixesLowEntropyKeys)
 {
     // Page-aligned keys must spread across low-order hash bits (the
     // identity hash would leave them all zero modulo a power of two).
     std::size_t distinct = 0;
     std::vector<bool> seen(256, false);
     for (std::uint64_t p = 0; p < 256; ++p) {
-        const auto h = MixAddrHash{}(p << 12) & 0xFF;
+        const auto h = mixAddrBits(p << 12) & 0xFF;
         distinct += !seen[h];
         seen[h] = true;
     }

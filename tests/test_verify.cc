@@ -3,10 +3,13 @@
  * Tests for the verification layer (src/verify/): the invariant
  * checkers themselves, the litmus regression corpus in tests/litmus/
  * replayed under every factory protocol, a fixed-seed fuzz smoke, and
- * the bounded-state enumerator's exhaustiveness on the 1-line config.
+ * the bounded-state enumerator's exact state and transition counts on
+ * the 1-line configs.
  */
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,22 +158,56 @@ TEST(Fuzz, ShrinkerPreservesLockBalance)
 // Enumerator (verify/enumerate.hh)
 // ---------------------------------------------------------------------------
 
+/** Exact reachable-space sizes: any drift in the protocol, the
+ * canonical encoding or the BFS changes them. */
+struct EnumGolden
+{
+    const char *protocol;
+    std::uint32_t cores;
+    std::uint64_t states;
+    std::uint64_t transitions;
+};
+
+const EnumGolden kOneLineGoldens[] = {
+    {"lacc", 2, 1299, 7794},
+    {"fullmap", 2, 815, 4890},
+    {"lacc", 3, 34815, 313335},
+};
+
+void
+expectGolden(const EnumGolden &g)
+{
+    verify::EnumOptions opt;
+    opt.cores = g.cores;
+    opt.lines = 1;
+    opt.protocol = g.protocol;
+    const verify::EnumResult res = verify::enumerate(opt);
+    EXPECT_TRUE(res.exhaustive) << g.protocol;
+    EXPECT_TRUE(res.violations.empty())
+        << g.protocol << ": " << res.violations.front() << "\npath:\n"
+        << res.counterexample;
+    EXPECT_EQ(res.states, g.states) << g.protocol << " x" << g.cores;
+    EXPECT_EQ(res.transitions, g.transitions)
+        << g.protocol << " x" << g.cores;
+}
+
 TEST(Enumerate, OneLineExhaustiveAndCleanUnderEveryProtocol)
 {
     for (const auto &proto : protocolNames()) {
-        verify::EnumOptions opt;
-        opt.cores = 2;
-        opt.lines = 1;
-        opt.protocol = proto;
-        const verify::EnumResult res = verify::enumerate(opt);
-        EXPECT_TRUE(res.exhaustive) << proto;
-        EXPECT_TRUE(res.violations.empty())
-            << proto << ": " << res.violations.front() << "\npath:\n"
-            << res.counterexample;
-        // The reachable space is non-trivial (hundreds of states even
-        // with one line) and deterministic.
-        EXPECT_GT(res.states, 100u) << proto;
+        const auto g = std::find_if(
+            std::begin(kOneLineGoldens), std::end(kOneLineGoldens),
+            [&](const EnumGolden &x) {
+                return x.cores == 2 && proto == x.protocol;
+            });
+        ASSERT_NE(g, std::end(kOneLineGoldens))
+            << "no 2-core golden for protocol " << proto;
+        expectGolden(*g);
     }
+}
+
+TEST(Enumerate, ThreeCoreOneLineGolden)
+{
+    expectGolden(kOneLineGoldens[2]);
 }
 
 TEST(Enumerate, StateCapReportsNonExhaustive)
