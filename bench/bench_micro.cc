@@ -2,9 +2,13 @@
  * @file
  * Library micro-benchmarks (google-benchmark): hot paths of the
  * simulator substrate — cache lookups/fills, mesh routing, broadcast,
- * sharer-list updates, classifier decisions, whole L1-hit and
- * L1-miss transactions, and workload generation throughput.
+ * sharer-list updates, classifier decisions, the serial engine's event
+ * queue, whole L1-hit, L1-miss and cold-fill transactions, and
+ * workload generation throughput.
  */
+
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -288,7 +292,8 @@ BENCHMARK(BM_ProfilerScopeEnabled);
 void
 BM_AckwiseAddRemove(benchmark::State &state)
 {
-    auto s = SharerList::makeAckwise(4);
+    SharerState st = SharerState::ackwise(4);
+    SharerList s(st, nullptr);
     for (auto _ : state) {
         for (CoreId c = 0; c < 8; ++c)
             s.add(c);
@@ -320,36 +325,77 @@ BM_HolderVecChurn(benchmark::State &state)
 BENCHMARK(BM_HolderVecChurn)->Arg(4)->Arg(8)->Arg(16);
 
 void
-BM_SortedCoreVecContains(benchmark::State &state)
-{
-    // SharerList's tracked-identity probe (binary search, inline).
-    SortedCoreVec v;
-    for (CoreId c = 0; c < 8; ++c)
-        v.insert(static_cast<CoreId>(c * 7));
-    CoreId probe = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(v.contains(probe));
-        probe = static_cast<CoreId>((probe + 3) & 63);
-    }
-}
-BENCHMARK(BM_SortedCoreVecContains);
-
-void
 BM_LimitedClassifierRemoteAccess(benchmark::State &state)
 {
     auto cfg = microCfg();
     LimitedClassifier cls(cfg, false);
-    auto st = cls.makeState();
-    cls.classify(*st, 0);
-    cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
+    std::vector<std::byte> rec(LimitedClassifier::recordBytes(cfg));
+    cls.resetRecord(rec.data());
+    cls.classify(rec.data(), 0);
+    cls.onPrivateRemoval(rec.data(), 0, 1, RemovalKind::Invalidation);
     RemoteAccessContext ctx{100, false, 50};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cls.onRemoteAccess(*st, 0, ctx));
+        benchmark::DoNotOptimize(cls.onRemoteAccess(rec.data(), 0, ctx));
         // Reset the counter so the benchmark stays on the hot path.
-        cls.onWriteByOther(*st, 5);
+        cls.onWriteByOther(rec.data(), 5);
     }
 }
 BENCHMARK(BM_LimitedClassifierRemoteAccess);
+
+void
+BM_SerialSchedulePop(benchmark::State &state)
+{
+    // The serial engine's per-step queue work with every core queued:
+    // pop the next event, reschedule the core a pseudo-random 1-64
+    // cycles later (an L1 hit to a short compute burst), end the step.
+    const auto cores = static_cast<std::uint32_t>(state.range(0));
+    EventQueue q(cores);
+    for (std::uint32_t c = 0; c < cores; ++c)
+        q.schedule(static_cast<CoreId>(c), c % 7);
+    std::uint64_t x = 88172645463325252ULL;
+    for (auto _ : state) {
+        const auto [t, c] = q.pop();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        q.schedule(c, t + 1 + (x & 63));
+        q.endStep();
+    }
+}
+BENCHMARK(BM_SerialSchedulePop)->Arg(64)->Arg(256);
+
+void
+BM_DirectoryColdFill(benchmark::State &state)
+{
+    // The warm-up sweep's cold fill: a core reads a line it never
+    // touched, so its L1 misses and the home L2 misses into a
+    // never-used slot (DRAM fetch, entry and classifier-record reset,
+    // private grant; once the core's L1 is full, one L1 eviction too).
+    // Each core reads its own private pages, homed on its own slice;
+    // the system is rebuilt, untimed, before any slot is reused.
+    const SystemConfig cfg = microCfg();
+    const std::uint64_t lines_per_slice =
+        static_cast<std::uint64_t>(cfg.l2Sets()) * cfg.l2Assoc;
+    std::unique_ptr<Multicore> m;
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        if (i % (lines_per_slice * cfg.numCores) == 0) {
+            state.PauseTiming();
+            m.reset();
+            m = std::make_unique<Multicore>(cfg);
+            m->setFunctionalChecks(false);
+            i = 0;
+            state.ResumeTiming();
+        }
+        const auto c = static_cast<CoreId>(i % cfg.numCores);
+        const Addr a = (Addr{1} << 32) +
+                       (static_cast<Addr>(c) << 26) +
+                       i / cfg.numCores * cfg.lineSize;
+        m->testAccess(c, a, false);
+        ++i;
+    }
+}
+BENCHMARK(BM_DirectoryColdFill);
 
 void
 BM_L1HitPath(benchmark::State &state)

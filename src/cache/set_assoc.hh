@@ -14,16 +14,21 @@
  * the contiguous words they need instead of striding over full
  * entries, and line data lives in one per-cache arena indexed by
  * (set, way), so constructing a cache performs a fixed handful of
- * allocations instead of one heap vector per line. Callers address an
- * individual line through the lightweight Entry handle (cache pointer
- * + slot index) returned by find()/victimFor().
+ * allocations instead of one heap vector per line. An optional second
+ * arena gives every slot a caller-sized block of auxiliary bytes (the
+ * L2 directory keeps config-sized sharer bits and classifier records
+ * there, protocol/dir_entry.hh). Callers address an individual line
+ * through the lightweight Entry handle (cache pointer + slot index)
+ * returned by find()/victimFor().
  */
 
 #ifndef LACC_CACHE_SET_ASSOC_HH
 #define LACC_CACHE_SET_ASSOC_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/log.hh"
@@ -37,7 +42,7 @@ enum class L1State : std::uint8_t { Invalid, Shared, Exclusive, Modified };
 /**
  * Meta reset applied by SetAssocCache::invalidate. The default is a
  * plain value reset; meta types that own reusable allocations (the L2
- * directory meta's classifier state, protocol/dir_entry.hh) provide
+ * directory meta's holder spill buffer, protocol/dir_entry.hh) provide
  * an overload found by ADL that clears protocol state while keeping
  * the allocations for the next fill.
  */
@@ -117,6 +122,17 @@ class SetAssocCache
 
         std::uint32_t wordsPerLine() const { return c_->wordsPerLine_; }
 
+        /**
+         * This line's auxiliary bytes (the constructor's
+         * aux_bytes_per_line, 8-byte aligned). Uninitialized until the
+         * owner first writes them; invalidate() leaves them as they are.
+         */
+        std::byte *
+        aux() const
+        {
+            return c_->aux_.get() + i_ * c_->auxBytesPerLine_;
+        }
+
         /** Copy one line of data (wordsPerLine() words) into the arena. */
         void
         fillWords(const std::uint64_t *src) const
@@ -143,19 +159,32 @@ class SetAssocCache
      * @param sets           number of sets (power of two)
      * @param assoc          ways per set
      * @param words_per_line 64-bit words stored per line
+     * @param aux_bytes_per_line auxiliary bytes per line (a multiple
+     *        of 8; 0 for none)
      */
     SetAssocCache(std::uint32_t sets, std::uint32_t assoc,
-                  std::uint32_t words_per_line)
+                  std::uint32_t words_per_line,
+                  std::uint32_t aux_bytes_per_line = 0)
         : sets_(sets), assoc_(assoc), wordsPerLine_(words_per_line),
+          auxBytesPerLine_(aux_bytes_per_line),
           valid_(static_cast<std::size_t>(sets) * assoc, 0),
           tags_(static_cast<std::size_t>(sets) * assoc, 0),
           lastAccess_(static_cast<std::size_t>(sets) * assoc, 0),
           meta_(static_cast<std::size_t>(sets) * assoc),
           words_(static_cast<std::size_t>(sets) * assoc * words_per_line,
-                 0)
+                 0),
+          // Default-initialized: pages stay untouched until a slot's
+          // owner first writes its block.
+          aux_(aux_bytes_per_line == 0
+                   ? nullptr
+                   : new std::byte[static_cast<std::size_t>(sets) *
+                                   assoc * aux_bytes_per_line])
     {
         if (sets == 0 || (sets & (sets - 1)) != 0)
             fatal("cache sets (%u) must be a power of two", sets);
+        if (aux_bytes_per_line % 8 != 0)
+            fatal("aux bytes per line (%u) must be a multiple of 8",
+                  aux_bytes_per_line);
     }
 
     std::uint32_t numSets() const { return sets_; }
@@ -259,42 +288,36 @@ class SetAssocCache
     }
 
     /**
-     * restoreFrom's default meta copy: plain assignment. A member
-     * template, so instantiating the cache for a move-only meta (the
-     * L2 directory entry) does not instantiate the assignment.
-     */
-    struct AssignMeta
-    {
-        template <typename M>
-        void operator()(M &dst, const M &src) const { dst = src; }
-    };
-
-    /**
      * Become an exact copy of @p o, a cache of the same geometry
      * (snapshot restore, Multicore::restoreFrom). The tag arrays are
-     * copied whole; meta and line data only for slots valid on either
-     * side, so the cost scales with occupancy, not capacity. Nothing
-     * is lost by skipping a slot invalid on both sides: invalidate()
-     * zeroes its words and resets its meta. A slot valid in @p o gets
-     * @p copy_meta(dst, src) (plain assignment by default); a slot
-     * valid only here is reset with resetCacheMeta, exactly as
-     * invalidate() would.
+     * copied whole; meta, line data and auxiliary bytes only for slots
+     * valid on either side, so the cost scales with occupancy, not
+     * capacity. Nothing is lost by skipping a slot invalid on both
+     * sides: invalidate() zeroes its words and resets its meta, and
+     * auxiliary bytes are rewritten by the owner on every fill. A slot
+     * valid in @p o gets its meta by plain assignment and its
+     * auxiliary bytes copied; a slot valid only here is reset with
+     * resetCacheMeta, exactly as invalidate() would.
      */
-    template <typename CopyMeta = AssignMeta>
     void
-    restoreFrom(const SetAssocCache &o, CopyMeta copy_meta = CopyMeta{})
+    restoreFrom(const SetAssocCache &o)
     {
         if (o.valid_.size() != valid_.size() ||
-            o.wordsPerLine_ != wordsPerLine_)
+            o.wordsPerLine_ != wordsPerLine_ ||
+            o.auxBytesPerLine_ != auxBytesPerLine_)
             panic("SetAssocCache::restoreFrom: geometry mismatch");
         const std::size_t n = valid_.size();
         for (std::size_t i = 0; i < n; ++i) {
             if (!valid_[i] && !o.valid_[i])
                 continue;
-            if (o.valid_[i])
-                copy_meta(meta_[i], o.meta_[i]);
-            else
+            if (o.valid_[i]) {
+                meta_[i] = o.meta_[i];
+                std::copy_n(o.aux_.get() + i * auxBytesPerLine_,
+                            auxBytesPerLine_,
+                            aux_.get() + i * auxBytesPerLine_);
+            } else {
                 resetCacheMeta(meta_[i]);
+            }
             std::copy_n(o.words_.data() + i * wordsPerLine_,
                         wordsPerLine_, words_.data() + i * wordsPerLine_);
         }
@@ -347,6 +370,7 @@ class SetAssocCache
     std::uint32_t sets_;
     std::uint32_t assoc_;
     std::uint32_t wordsPerLine_;
+    std::uint32_t auxBytesPerLine_;
 
     // Parallel tag-store arrays (index = set * assoc + way).
     std::vector<std::uint8_t> valid_;
@@ -355,6 +379,8 @@ class SetAssocCache
     std::vector<Meta> meta_;
     /** Line-data arena: slot i owns words [i*wpl, (i+1)*wpl). */
     std::vector<std::uint64_t> words_;
+    /** Auxiliary arena: slot i owns bytes [i*abpl, (i+1)*abpl). */
+    std::unique_ptr<std::byte[]> aux_;
 };
 
 /**

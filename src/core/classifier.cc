@@ -10,7 +10,7 @@
 namespace lacc {
 
 bool
-LocalityClassifier::remoteAccessDecision(CoreLocality &e,
+LocalityClassifier::remoteAccessDecision(CompactLocality &e,
                                          const RemoteAccessContext &ctx)
     const
 {
@@ -39,31 +39,21 @@ LocalityClassifier::remoteAccessDecision(CoreLocality &e,
     return false;
 }
 
-Mode
-LocalityClassifier::removalDecision(CoreLocality &e,
-                                    std::uint32_t private_util,
-                                    RemovalKind kind) const
+std::uint32_t
+LocalityClassifier::recordBytes(const SystemConfig &cfg)
 {
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(private_util) + e.remoteUtil;
-    e.active = false;
-    e.remoteUtil = 0; // the utilization epoch is consumed either way
-    if (total >= pct_) {
-        // Stays private; the core re-learns its classification from a
-        // fresh RAT level (§3.3).
-        e.mode = Mode::Private;
-        e.ratLevel = 0;
-        return Mode::Private;
+    switch (cfg.classifierKind) {
+      case ClassifierKind::Complete:
+        return CompleteClassifier::recordBytes(cfg);
+      case ClassifierKind::Limited:
+        return LimitedClassifier::recordBytes(cfg);
+      case ClassifierKind::Timestamp:
+        return TimestampClassifier::recordBytes(cfg);
+      case ClassifierKind::AlwaysPrivate:
+        return 0;
+      default:
+        panic("unknown classifier kind");
     }
-    e.mode = Mode::Remote;
-    if (kind == RemovalKind::Eviction) {
-        // Eviction signals cache-set pressure: raise RAT one level, up
-        // to RATmax (§3.3). Invalidations leave the level unchanged
-        // (the freed way relieves pressure).
-        if (nRatLevels_ > 0 && e.ratLevel + 1 < nRatLevels_)
-            ++e.ratLevel;
-    }
-    return Mode::Remote;
 }
 
 std::unique_ptr<LocalityClassifier>

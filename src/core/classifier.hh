@@ -2,10 +2,11 @@
  * @file
  * Locality classifier interface (Sections 3.2-3.4).
  *
- * The directory keeps, per cache line, a classifier state object that
- * decides for each core whether it is a *private* sharer (handed full
- * line copies) or a *remote* sharer (serviced by word accesses at the
- * shared L2 home). Three implementations are provided:
+ * The directory keeps, per cache line, a classifier record from which
+ * the classifier decides for each core whether it is a *private*
+ * sharer (handed full line copies) or a *remote* sharer (serviced by
+ * word accesses at the shared L2 home). Three implementations are
+ * provided:
  *
  *  - CompleteClassifier: mode / remote-utilization / RAT-level for
  *    every core (Fig 6 with RAT levels replacing timestamps, §3.3);
@@ -21,15 +22,18 @@
 #ifndef LACC_CORE_CLASSIFIER_HH
 #define LACC_CORE_CLASSIFIER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <type_traits>
 
 #include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace lacc {
 
-/** Per-core locality record kept at the directory (Figs 6-7). */
+/** A core's locality record as peek() reports it (Figs 6-7). */
 struct CoreLocality
 {
     Mode mode = Mode::Private;    //!< P/R bit
@@ -39,12 +43,29 @@ struct CoreLocality
     Cycle lastAccess = 0;         //!< Timestamp classifier only
 };
 
-/** Opaque per-line classifier state stored in the directory entry. */
-class LineClassifierState
+/**
+ * The stored per-core record of the Complete and Limited_k classifiers:
+ * remote utilization saturating at RATmax, the RAT level, and the mode
+ * and active bits. The field widths bound RATmax and nRATlevels
+ * (sim/config.hh, enforced by SystemConfig::validate).
+ */
+struct CompactLocality
 {
-  public:
-    virtual ~LineClassifierState() = default;
+    std::uint16_t remoteUtil = 0;
+    std::uint8_t ratLevel = 0;
+    Mode mode = Mode::Private;
+    bool active = true;
+
+    CoreLocality
+    view() const
+    {
+        return {mode, remoteUtil, ratLevel, active, 0};
+    }
 };
+static_assert(kMaxRatMax <= 0xFFFF && kMaxRatLevels <= 0x100,
+              "CompactLocality fields must hold every valid config");
+static_assert(std::is_trivially_copyable_v<CompactLocality>,
+              "records are copied as bytes (snapshot restore)");
 
 /** Context communicated with an L1 miss that reaches the directory. */
 struct RemoteAccessContext
@@ -68,8 +89,10 @@ enum class RemovalKind : std::uint8_t { Eviction, Invalidation };
 
 /**
  * Classifier policy object; one per system, stateless across lines
- * except for configuration. All per-line state lives in the
- * LineClassifierState instances it allocates.
+ * except for configuration. All per-line state lives in a fixed-size,
+ * trivially copyable *record* of recordBytes(cfg) bytes that the
+ * directory keeps in each L2 slot's arena (protocol/dir_entry.hh);
+ * every per-line call takes the line's record.
  */
 class LocalityClassifier
 {
@@ -85,25 +108,18 @@ class LocalityClassifier
 
     virtual ~LocalityClassifier() = default;
 
-    /** Allocate fresh per-line state (on L2 fill). */
-    virtual std::unique_ptr<LineClassifierState> makeState() const = 0;
+    /**
+     * Bytes of per-line record the classifier @p cfg selects keeps: a
+     * multiple of 8 (records sit 8-byte aligned), 0 for none. Each
+     * classifier derives its size from the config.
+     */
+    static std::uint32_t recordBytes(const SystemConfig &cfg);
 
     /**
-     * Reset @p state in place to exactly the value a fresh
-     * makeState() returns. The refill path (an L2 slot being reused
-     * for a new line) calls this instead of re-allocating, so
-     * steady-state fills perform no classifier-state heap traffic.
+     * Write the record of a line no core has touched yet at @p rec (on
+     * every L2 fill; the storage's previous contents are ignored).
      */
-    virtual void resetState(LineClassifierState &state) const = 0;
-
-    /**
-     * Overwrite @p dst with @p src's contents; both were allocated by
-     * makeState() of this classifier's configuration. The snapshot
-     * restore (Multicore::restoreFrom) copies directory entries with
-     * this, reusing @p dst's allocation.
-     */
-    virtual void copyState(LineClassifierState &dst,
-                           const LineClassifierState &src) const = 0;
+    virtual void resetRecord(std::byte *rec) const = 0;
 
     /**
      * Current mode of @p core for this line, applying any tracking
@@ -111,18 +127,18 @@ class LocalityClassifier
      * Called once per directory transaction before choosing the
      * private or remote service path.
      */
-    virtual Mode classify(LineClassifierState &state, CoreId core) = 0;
+    virtual Mode classify(std::byte *rec, CoreId core) = 0;
 
     /**
      * Account one remote (word) access by @p core and decide
-     * promotion. On promotion the state is updated to Private mode;
+     * promotion. On promotion the record is updated to Private mode;
      * the remote utilization is retained so the classification at the
      * next eviction/invalidation covers the whole utilization epoch
      * (§3.2, Evictions and Invalidations).
      *
      * @return true if the core is promoted to a private sharer.
      */
-    virtual bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    virtual bool onRemoteAccess(std::byte *rec, CoreId core,
                                 const RemoteAccessContext &ctx) = 0;
 
     /**
@@ -130,8 +146,7 @@ class LocalityClassifier
      * all remote sharers other than the writer and makes them
      * inactive (§3.2 Write Requests, §3.4).
      */
-    virtual void onWriteByOther(LineClassifierState &state,
-                                CoreId writer) = 0;
+    virtual void onWriteByOther(std::byte *rec, CoreId writer) = 0;
 
     /**
      * Classification when @p core's private copy leaves its L1
@@ -142,22 +157,21 @@ class LocalityClassifier
      *
      * @return the resulting mode for future requests.
      */
-    virtual Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    virtual Mode onPrivateRemoval(std::byte *rec, CoreId core,
                                   std::uint32_t private_util,
                                   RemovalKind kind) = 0;
 
     /**
      * Bookkeeping when a private copy is granted (initial grant or
-     * promotion): marks the core an active private sharer and stamps
-     * the access time.
+     * promotion): marks the core an active private sharer (and, for
+     * the Timestamp classifier, stamps the access time).
      */
-    virtual void onPrivateGrant(LineClassifierState &state, CoreId core,
+    virtual void onPrivateGrant(std::byte *rec, CoreId core,
                                 Cycle now) = 0;
 
-    /** Inspect a core's record (tests / reporting); may be null when
-     * untracked. */
-    virtual const CoreLocality *
-    peek(const LineClassifierState &state, CoreId core) const = 0;
+    /** A core's record (tests / reporting); empty when untracked. */
+    virtual std::optional<CoreLocality> peek(const std::byte *rec,
+                                             CoreId core) const = 0;
 
     /** True under the Adapt1-way ablation: demotion only (§3.7). */
     bool oneWay() const { return oneWay_; }
@@ -172,12 +186,39 @@ class LocalityClassifier
 
   protected:
     /** Shared RAT/PCT decision used by Complete and Limited (§3.3). */
-    bool remoteAccessDecision(CoreLocality &e,
+    bool remoteAccessDecision(CompactLocality &e,
                               const RemoteAccessContext &ctx) const;
 
-    /** Shared removal classification used by Complete and Limited. */
-    Mode removalDecision(CoreLocality &e, std::uint32_t private_util,
-                         RemovalKind kind) const;
+    /**
+     * Shared removal classification (every record type with mode,
+     * remoteUtil, ratLevel and active fields).
+     */
+    template <typename Record>
+    Mode
+    removalDecision(Record &e, std::uint32_t private_util,
+                    RemovalKind kind) const
+    {
+        const std::uint64_t total =
+            static_cast<std::uint64_t>(private_util) + e.remoteUtil;
+        e.active = false;
+        e.remoteUtil = 0; // the utilization epoch is consumed either way
+        if (total >= pct_) {
+            // Stays private; the core re-learns its classification
+            // from a fresh RAT level (§3.3).
+            e.mode = Mode::Private;
+            e.ratLevel = 0;
+            return Mode::Private;
+        }
+        e.mode = Mode::Remote;
+        if (kind == RemovalKind::Eviction) {
+            // Eviction signals cache-set pressure: raise RAT one level,
+            // up to RATmax (§3.3). Invalidations leave the level
+            // unchanged (the freed way relieves pressure).
+            if (e.ratLevel + 1u < nRatLevels_)
+                ++e.ratLevel;
+        }
+        return Mode::Remote;
+    }
 
     std::uint32_t numCores_;
     std::uint32_t pct_;

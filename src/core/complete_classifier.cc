@@ -1,40 +1,29 @@
 #include "core/complete_classifier.hh"
 
 #include <algorithm>
+#include <memory>
 
 namespace lacc {
 
-std::unique_ptr<LineClassifierState>
-CompleteClassifier::makeState() const
-{
-    return std::make_unique<CompleteLineState>(numCores_);
-}
-
 void
-CompleteClassifier::resetState(LineClassifierState &state) const
+CompleteClassifier::resetRecord(std::byte *rec) const
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    std::fill(s.records.begin(), s.records.end(), CoreLocality{});
-    std::fill(s.touched.begin(), s.touched.end(), false);
-}
-
-void
-CompleteClassifier::copyState(LineClassifierState &dst,
-                              const LineClassifierState &src) const
-{
-    static_cast<CompleteLineState &>(dst) =
-        static_cast<const CompleteLineState &>(src);
+    std::uninitialized_fill_n(touched(rec), touchedWords_,
+                              std::uint64_t{0});
+    std::uninitialized_fill_n(records(rec), numCores_, CompactLocality{});
 }
 
 Mode
-CompleteClassifier::majorityOfTouched(const CompleteLineState &s)
+CompleteClassifier::majorityOfTouched(std::byte *rec) const
 {
+    const std::uint64_t *t = touched(rec);
+    const CompactLocality *r = records(rec);
     std::uint32_t remote = 0, total = 0;
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        if (!s.touched[c])
+    for (CoreId c = 0; c < numCores_; ++c) {
+        if (!((t[c / 64] >> (c % 64)) & 1))
             continue;
         ++total;
-        if (s.records[c].mode == Mode::Remote)
+        if (r[c].mode == Mode::Remote)
             ++remote;
     }
     return (total > 0 && remote * 2 > total) ? Mode::Remote
@@ -42,35 +31,35 @@ CompleteClassifier::majorityOfTouched(const CompleteLineState &s)
 }
 
 Mode
-CompleteClassifier::classify(LineClassifierState &state, CoreId core)
+CompleteClassifier::classify(std::byte *rec, CoreId core)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    if (!s.touched[core]) {
+    std::uint64_t &word = touched(rec)[core / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (core % 64);
+    CompactLocality &e = records(rec)[core];
+    if (!(word & bit)) {
         // Learning short-cut (§5.3, evaluated as an extension): a new
         // sharer starts in the majority mode of the sharers already
         // seen, skipping its per-sharer classification phase.
         if (cfg_.completeLearningShortcut)
-            s.records[core].mode = majorityOfTouched(s);
-        s.touched[core] = true;
+            e.mode = majorityOfTouched(rec);
+        word |= bit;
     }
-    return s.records[core].mode;
+    return e.mode;
 }
 
 bool
-CompleteClassifier::onRemoteAccess(LineClassifierState &state, CoreId core,
+CompleteClassifier::onRemoteAccess(std::byte *rec, CoreId core,
                                    const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    return remoteAccessDecision(s.records[core], ctx);
+    return remoteAccessDecision(records(rec)[core], ctx);
 }
 
 void
-CompleteClassifier::onWriteByOther(LineClassifierState &state,
-                                   CoreId writer)
+CompleteClassifier::onWriteByOther(std::byte *rec, CoreId writer)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        auto &e = s.records[c];
+    CompactLocality *r = records(rec);
+    for (CoreId c = 0; c < numCores_; ++c) {
+        CompactLocality &e = r[c];
         if (c != writer && e.mode == Mode::Remote) {
             e.remoteUtil = 0;
             e.active = false;
@@ -79,32 +68,28 @@ CompleteClassifier::onWriteByOther(LineClassifierState &state,
 }
 
 Mode
-CompleteClassifier::onPrivateRemoval(LineClassifierState &state,
-                                     CoreId core,
+CompleteClassifier::onPrivateRemoval(std::byte *rec, CoreId core,
                                      std::uint32_t private_util,
                                      RemovalKind kind)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    return removalDecision(s.records[core], private_util, kind);
+    return removalDecision(records(rec)[core], private_util, kind);
 }
 
 void
-CompleteClassifier::onPrivateGrant(LineClassifierState &state, CoreId core,
-                                   Cycle now)
+CompleteClassifier::onPrivateGrant(std::byte *rec, CoreId core, Cycle now)
 {
-    auto &s = static_cast<CompleteLineState &>(state);
-    auto &e = s.records[core];
+    (void)now; // RAT levels replace timestamps (§3.3)
+    CompactLocality &e = records(rec)[core];
     e.mode = Mode::Private;
     e.active = true;
-    e.lastAccess = now;
 }
 
-const CoreLocality *
-CompleteClassifier::peek(const LineClassifierState &state,
-                         CoreId core) const
+std::optional<CoreLocality>
+CompleteClassifier::peek(const std::byte *rec, CoreId core) const
 {
-    const auto &s = static_cast<const CompleteLineState &>(state);
-    return &s.records[core];
+    return reinterpret_cast<const CompactLocality *>(
+               rec + touchedWords_ * 8)[core]
+        .view();
 }
 
 } // namespace lacc

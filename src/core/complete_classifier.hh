@@ -13,62 +13,72 @@
 #ifndef LACC_CORE_COMPLETE_CLASSIFIER_HH
 #define LACC_CORE_COMPLETE_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
-
-/** Per-line state of the Complete classifier: one record per core. */
-class CompleteLineState : public LineClassifierState
-{
-  public:
-    explicit CompleteLineState(std::uint32_t num_cores)
-        : records(num_cores), touched(num_cores, false)
-    {}
-
-    std::vector<CoreLocality> records;
-    /** Cores that have interacted with the line (learning short-cut). */
-    std::vector<bool> touched;
-};
 
 /** Tracks locality for all cores (the Complete classifier). */
 class CompleteClassifier : public LocalityClassifier
 {
   public:
     CompleteClassifier(const SystemConfig &cfg, bool one_way)
-        : LocalityClassifier(cfg, one_way)
+        : LocalityClassifier(cfg, one_way),
+          touchedWords_((cfg.numCores + 63) / 64)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
-    void copyState(LineClassifierState &dst,
-                   const LineClassifierState &src) const override;
+    /**
+     * Touched bits (cores that interacted with the line: the learning
+     * short-cut's electorate), then one CompactLocality per core.
+     */
+    static std::uint32_t
+    recordBytes(const SystemConfig &cfg)
+    {
+        const std::uint32_t bytes =
+            (cfg.numCores + 63) / 64 * 8 +
+            cfg.numCores *
+                static_cast<std::uint32_t>(sizeof(CompactLocality));
+        return (bytes + 7) / 8 * 8;
+    }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    void resetRecord(std::byte *rec) const override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    Mode classify(std::byte *rec, CoreId core) override;
+
+    bool onRemoteAccess(std::byte *rec, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(std::byte *rec, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(std::byte *rec, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(std::byte *rec, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
+    std::optional<CoreLocality> peek(const std::byte *rec,
+                                     CoreId core) const override;
 
   private:
+    std::uint64_t *
+    touched(std::byte *rec) const
+    {
+        return reinterpret_cast<std::uint64_t *>(rec);
+    }
+
+    CompactLocality *
+    records(std::byte *rec) const
+    {
+        return reinterpret_cast<CompactLocality *>(rec +
+                                                   touchedWords_ * 8);
+    }
+
     /** Majority mode over cores that already touched the line. */
-    static Mode majorityOfTouched(const CompleteLineState &s);
+    Mode majorityOfTouched(std::byte *rec) const;
+
+    std::uint32_t touchedWords_;
 };
 
-/** Baseline: every core is always a private sharer. */
+/** Baseline: every core is always a private sharer; no record. */
 class AlwaysPrivateClassifier : public LocalityClassifier
 {
   public:
@@ -76,48 +86,36 @@ class AlwaysPrivateClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, false)
     {}
 
-    std::unique_ptr<LineClassifierState>
-    makeState() const override
-    {
-        // No per-line state is required; an empty base object keeps
-        // the protocol free of null checks.
-        return std::make_unique<LineClassifierState>();
-    }
-
-    void resetState(LineClassifierState &) const override {}
-    void
-    copyState(LineClassifierState &,
-              const LineClassifierState &) const override
-    {}
+    void resetRecord(std::byte *) const override {}
 
     Mode
-    classify(LineClassifierState &, CoreId) override
+    classify(std::byte *, CoreId) override
     {
         return Mode::Private;
     }
 
     bool
-    onRemoteAccess(LineClassifierState &, CoreId,
+    onRemoteAccess(std::byte *, CoreId,
                    const RemoteAccessContext &) override
     {
         return true; // unreachable in practice: mode is always Private
     }
 
-    void onWriteByOther(LineClassifierState &, CoreId) override {}
+    void onWriteByOther(std::byte *, CoreId) override {}
 
     Mode
-    onPrivateRemoval(LineClassifierState &, CoreId, std::uint32_t,
+    onPrivateRemoval(std::byte *, CoreId, std::uint32_t,
                      RemovalKind) override
     {
         return Mode::Private;
     }
 
-    void onPrivateGrant(LineClassifierState &, CoreId, Cycle) override {}
+    void onPrivateGrant(std::byte *, CoreId, Cycle) override {}
 
-    const CoreLocality *
-    peek(const LineClassifierState &, CoreId) const override
+    std::optional<CoreLocality>
+    peek(const std::byte *, CoreId) const override
     {
-        return nullptr;
+        return std::nullopt;
     }
 };
 

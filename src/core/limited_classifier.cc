@@ -1,40 +1,24 @@
 #include "core/limited_classifier.hh"
 
-#include <algorithm>
+#include <memory>
 
 namespace lacc {
 
-std::unique_ptr<LineClassifierState>
-LimitedClassifier::makeState() const
-{
-    return std::make_unique<LimitedLineState>(k_);
-}
-
 void
-LimitedClassifier::resetState(LineClassifierState &state) const
+LimitedClassifier::resetRecord(std::byte *rec) const
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    std::fill(s.slots.begin(), s.slots.end(),
-              LimitedLineState::Slot{});
-}
-
-void
-LimitedClassifier::copyState(LineClassifierState &dst,
-                             const LineClassifierState &src) const
-{
-    static_cast<LimitedLineState &>(dst) =
-        static_cast<const LimitedLineState &>(src);
+    std::uninitialized_fill_n(slots(rec), k_, LimitedSlot{});
 }
 
 Mode
-LimitedClassifier::majorityVote(const LimitedLineState &s)
+LimitedClassifier::majorityVote(const LimitedSlot *s) const
 {
     std::uint32_t remote = 0, total = 0;
-    for (const auto &slot : s.slots) {
-        if (slot.core == kInvalidCore)
+    for (const LimitedSlot *slot = s; slot != s + k_; ++slot) {
+        if (slot->core == kInvalidCore)
             continue;
         ++total;
-        if (slot.rec.mode == Mode::Remote)
+        if (slot->rec.mode == Mode::Remote)
             ++remote;
     }
     // Ties (incl. the empty list) resolve to Private: the protocol's
@@ -43,46 +27,44 @@ LimitedClassifier::majorityVote(const LimitedLineState &s)
                                              : Mode::Private;
 }
 
-LimitedLineState::Slot *
-LimitedClassifier::findSlot(LimitedLineState &s, CoreId core)
+LimitedSlot *
+LimitedClassifier::findSlot(LimitedSlot *s, CoreId core) const
 {
-    for (auto &slot : s.slots)
-        if (slot.core == core)
-            return &slot;
+    for (LimitedSlot *slot = s; slot != s + k_; ++slot)
+        if (slot->core == core)
+            return slot;
     return nullptr;
 }
 
-LimitedLineState::Slot *
-LimitedClassifier::allocate(LimitedLineState &s, CoreId core)
+LimitedSlot *
+LimitedClassifier::allocate(LimitedSlot *s, CoreId core) const
 {
     // Free entry: the newcomer starts out Private like every core at
     // protocol start (§3.2).
-    for (auto &slot : s.slots) {
-        if (slot.core == kInvalidCore) {
-            slot.core = core;
-            slot.rec = CoreLocality{};
-            return &slot;
+    for (LimitedSlot *slot = s; slot != s + k_; ++slot) {
+        if (slot->core == kInvalidCore) {
+            *slot = LimitedSlot{core, CompactLocality{}};
+            return slot;
         }
     }
     // Replacement: an inactive sharer relinquishes its entry; the
     // newcomer is seeded with the majority mode of the tracked cores
     // (vote taken before the replacement, §3.4).
-    for (auto &slot : s.slots) {
-        if (!slot.rec.active) {
+    for (LimitedSlot *slot = s; slot != s + k_; ++slot) {
+        if (!slot->rec.active) {
             const Mode seed = majorityVote(s);
-            slot.core = core;
-            slot.rec = CoreLocality{};
-            slot.rec.mode = seed;
-            return &slot;
+            *slot = LimitedSlot{core, CompactLocality{}};
+            slot->rec.mode = seed;
+            return slot;
         }
     }
     return nullptr;
 }
 
 Mode
-LimitedClassifier::classify(LineClassifierState &state, CoreId core)
+LimitedClassifier::classify(std::byte *rec, CoreId core)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
+    LimitedSlot *s = slots(rec);
     if (auto *slot = findSlot(s, core))
         return slot->rec.mode;
     if (auto *slot = allocate(s, core))
@@ -91,10 +73,10 @@ LimitedClassifier::classify(LineClassifierState &state, CoreId core)
 }
 
 bool
-LimitedClassifier::onRemoteAccess(LineClassifierState &state, CoreId core,
+LimitedClassifier::onRemoteAccess(std::byte *rec, CoreId core,
                                   const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
+    LimitedSlot *s = slots(rec);
     auto *slot = findSlot(s, core);
     if (slot == nullptr)
         slot = allocate(s, core);
@@ -107,27 +89,25 @@ LimitedClassifier::onRemoteAccess(LineClassifierState &state, CoreId core,
 }
 
 void
-LimitedClassifier::onWriteByOther(LineClassifierState &state,
-                                  CoreId writer)
+LimitedClassifier::onWriteByOther(std::byte *rec, CoreId writer)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    for (auto &slot : s.slots) {
-        if (slot.core == kInvalidCore || slot.core == writer)
+    LimitedSlot *s = slots(rec);
+    for (LimitedSlot *slot = s; slot != s + k_; ++slot) {
+        if (slot->core == kInvalidCore || slot->core == writer)
             continue;
-        if (slot.rec.mode == Mode::Remote) {
-            slot.rec.remoteUtil = 0;
-            slot.rec.active = false;
+        if (slot->rec.mode == Mode::Remote) {
+            slot->rec.remoteUtil = 0;
+            slot->rec.active = false;
         }
     }
 }
 
 Mode
-LimitedClassifier::onPrivateRemoval(LineClassifierState &state,
-                                    CoreId core,
+LimitedClassifier::onPrivateRemoval(std::byte *rec, CoreId core,
                                     std::uint32_t private_util,
                                     RemovalKind kind)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
+    LimitedSlot *s = slots(rec);
     if (auto *slot = findSlot(s, core))
         return removalDecision(slot->rec, private_util, kind);
     // The core lost its entry while holding the line; no utilization
@@ -136,26 +116,23 @@ LimitedClassifier::onPrivateRemoval(LineClassifierState &state,
 }
 
 void
-LimitedClassifier::onPrivateGrant(LineClassifierState &state, CoreId core,
-                                  Cycle now)
+LimitedClassifier::onPrivateGrant(std::byte *rec, CoreId core, Cycle now)
 {
-    auto &s = static_cast<LimitedLineState &>(state);
-    if (auto *slot = findSlot(s, core)) {
+    (void)now; // Limited_k keeps no timestamps
+    if (auto *slot = findSlot(slots(rec), core)) {
         slot->rec.mode = Mode::Private;
         slot->rec.active = true;
-        slot->rec.lastAccess = now;
     }
 }
 
-const CoreLocality *
-LimitedClassifier::peek(const LineClassifierState &state,
-                        CoreId core) const
+std::optional<CoreLocality>
+LimitedClassifier::peek(const std::byte *rec, CoreId core) const
 {
-    const auto &s = static_cast<const LimitedLineState &>(state);
-    for (const auto &slot : s.slots)
-        if (slot.core == core)
-            return &slot.rec;
-    return nullptr;
+    const auto *s = reinterpret_cast<const LimitedSlot *>(rec);
+    for (const LimitedSlot *slot = s; slot != s + k_; ++slot)
+        if (slot->core == core)
+            return slot->rec.view();
+    return std::nullopt;
 }
 
 } // namespace lacc

@@ -24,61 +24,23 @@
 #ifndef LACC_CORE_LIMITED_CLASSIFIER_HH
 #define LACC_CORE_LIMITED_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
 
-/** Per-line state of the Limited_k classifier: k tracked cores. */
-class LimitedLineState : public LineClassifierState
+/**
+ * One tracked-core slot of a Limited_k record: 8 bytes holding the
+ * core id (kInvalidCore marks a free slot) and its compact locality
+ * record. A line's record is k consecutive slots.
+ */
+struct LimitedSlot
 {
-  public:
-    /** One tracked-core slot. */
-    struct Slot
-    {
-        CoreId core = kInvalidCore; //!< kInvalidCore marks a free slot
-        CoreLocality rec;
-    };
-
-    /**
-     * The k tracked slots, stored inline for k <= kInlineK (every
-     * in-repo configuration; Fig 13 sweeps k up to 7) so the hot
-     * classify/removal scans touch the state object's own cache
-     * lines instead of chasing a separate heap vector. Larger k
-     * spills to the heap.
-     */
-    class SlotArray
-    {
-      public:
-        static constexpr std::uint32_t kInlineK = 8;
-
-        explicit SlotArray(std::uint32_t k) : k_(k)
-        {
-            if (k_ > kInlineK)
-                spill_.resize(k_);
-        }
-
-        std::uint32_t size() const { return k_; }
-        Slot *begin() { return k_ <= kInlineK ? inline_ : spill_.data(); }
-        Slot *end() { return begin() + k_; }
-        const Slot *
-        begin() const
-        {
-            return k_ <= kInlineK ? inline_ : spill_.data();
-        }
-        const Slot *end() const { return begin() + k_; }
-
-      private:
-        std::uint32_t k_;
-        Slot inline_[kInlineK];
-        std::vector<Slot> spill_;
-    };
-
-    explicit LimitedLineState(std::uint32_t k) : slots(k) {}
-
-    SlotArray slots;
+    CoreId core = kInvalidCore;
+    CompactLocality rec;
 };
+static_assert(sizeof(LimitedSlot) == 8, "Limited_k slots are 8 bytes");
+static_assert(std::is_trivially_copyable_v<LimitedSlot>,
+              "records are copied as bytes (snapshot restore)");
 
 /** The Limited_k classifier. */
 class LimitedClassifier : public LocalityClassifier
@@ -88,41 +50,50 @@ class LimitedClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, one_way), k_(cfg.classifierK)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
-    void copyState(LineClassifierState &dst,
-                   const LineClassifierState &src) const override;
+    /** k slots of 8 bytes. */
+    static std::uint32_t
+    recordBytes(const SystemConfig &cfg)
+    {
+        return cfg.classifierK * static_cast<std::uint32_t>(
+                                     sizeof(LimitedSlot));
+    }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    void resetRecord(std::byte *rec) const override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    Mode classify(std::byte *rec, CoreId core) override;
+
+    bool onRemoteAccess(std::byte *rec, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(std::byte *rec, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(std::byte *rec, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(std::byte *rec, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
-
-    /** Majority mode over occupied slots; Private on ties/empty. */
-    static Mode majorityVote(const LimitedLineState &s);
+    std::optional<CoreLocality> peek(const std::byte *rec,
+                                     CoreId core) const override;
 
   private:
+    LimitedSlot *
+    slots(std::byte *rec) const
+    {
+        return reinterpret_cast<LimitedSlot *>(rec);
+    }
+
+    /** Majority mode over occupied slots; Private on ties/empty. */
+    Mode majorityVote(const LimitedSlot *s) const;
+
     /** Find the slot tracking @p core, or nullptr. */
-    LimitedLineState::Slot *findSlot(LimitedLineState &s, CoreId core);
+    LimitedSlot *findSlot(LimitedSlot *s, CoreId core) const;
 
     /**
      * Ensure @p core is tracked if possible (free slot or inactive
      * replacement). @return its slot or nullptr if untrackable.
      */
-    LimitedLineState::Slot *allocate(LimitedLineState &s, CoreId core);
+    LimitedSlot *allocate(LimitedSlot *s, CoreId core) const;
 
     std::uint32_t k_;
 };

@@ -1,44 +1,27 @@
 #include "core/timestamp_classifier.hh"
 
-#include <algorithm>
+#include <memory>
 
 namespace lacc {
 
 void
-TimestampClassifier::resetState(LineClassifierState &state) const
+TimestampClassifier::resetRecord(std::byte *rec) const
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    std::fill(s.records.begin(), s.records.end(), CoreLocality{});
-}
-
-void
-TimestampClassifier::copyState(LineClassifierState &dst,
-                               const LineClassifierState &src) const
-{
-    static_cast<TimestampLineState &>(dst) =
-        static_cast<const TimestampLineState &>(src);
-}
-
-std::unique_ptr<LineClassifierState>
-TimestampClassifier::makeState() const
-{
-    return std::make_unique<TimestampLineState>(numCores_);
+    std::uninitialized_fill_n(records(rec), numCores_,
+                              TimestampLocality{});
 }
 
 Mode
-TimestampClassifier::classify(LineClassifierState &state, CoreId core)
+TimestampClassifier::classify(std::byte *rec, CoreId core)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    return s.records[core].mode;
+    return records(rec)[core].mode;
 }
 
 bool
-TimestampClassifier::onRemoteAccess(LineClassifierState &state,
-                                    CoreId core,
+TimestampClassifier::onRemoteAccess(std::byte *rec, CoreId core,
                                     const RemoteAccessContext &ctx)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    auto &e = s.records[core];
+    TimestampLocality &e = records(rec)[core];
     e.active = true;
 
     // Timestamp check (§3.2): accrue utilization only if this line is
@@ -60,12 +43,11 @@ TimestampClassifier::onRemoteAccess(LineClassifierState &state,
 }
 
 void
-TimestampClassifier::onWriteByOther(LineClassifierState &state,
-                                    CoreId writer)
+TimestampClassifier::onWriteByOther(std::byte *rec, CoreId writer)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    for (CoreId c = 0; c < s.records.size(); ++c) {
-        auto &e = s.records[c];
+    TimestampLocality *r = records(rec);
+    for (CoreId c = 0; c < numCores_; ++c) {
+        TimestampLocality &e = r[c];
         if (c != writer && e.mode == Mode::Remote) {
             e.remoteUtil = 0;
             e.active = false;
@@ -74,35 +56,33 @@ TimestampClassifier::onWriteByOther(LineClassifierState &state,
 }
 
 Mode
-TimestampClassifier::onPrivateRemoval(LineClassifierState &state,
-                                      CoreId core,
+TimestampClassifier::onPrivateRemoval(std::byte *rec, CoreId core,
                                       std::uint32_t private_util,
                                       RemovalKind kind)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
     // The (private + remote) >= PCT rule is shared with the RAT-based
     // classifiers; RAT-level updates are harmless here because this
     // classifier never consults the level.
-    return removalDecision(s.records[core], private_util, kind);
+    return removalDecision(records(rec)[core], private_util, kind);
 }
 
 void
-TimestampClassifier::onPrivateGrant(LineClassifierState &state,
-                                    CoreId core, Cycle now)
+TimestampClassifier::onPrivateGrant(std::byte *rec, CoreId core,
+                                    Cycle now)
 {
-    auto &s = static_cast<TimestampLineState &>(state);
-    auto &e = s.records[core];
+    TimestampLocality &e = records(rec)[core];
     e.mode = Mode::Private;
     e.active = true;
     e.lastAccess = now;
 }
 
-const CoreLocality *
-TimestampClassifier::peek(const LineClassifierState &state,
-                          CoreId core) const
+std::optional<CoreLocality>
+TimestampClassifier::peek(const std::byte *rec, CoreId core) const
 {
-    const auto &s = static_cast<const TimestampLineState &>(state);
-    return &s.records[core];
+    const TimestampLocality &e =
+        reinterpret_cast<const TimestampLocality *>(rec)[core];
+    return CoreLocality{e.mode, e.remoteUtil, e.ratLevel, e.active,
+                        e.lastAccess};
 }
 
 } // namespace lacc

@@ -16,22 +16,25 @@
 #ifndef LACC_CORE_TIMESTAMP_CLASSIFIER_HH
 #define LACC_CORE_TIMESTAMP_CLASSIFIER_HH
 
-#include <vector>
-
 #include "core/classifier.hh"
 
 namespace lacc {
 
-/** Per-line state: full per-core records with timestamps (Fig 6). */
-class TimestampLineState : public LineClassifierState
+/**
+ * The Timestamp classifier's per-core record (Fig 6): the 64-bit
+ * last-access timestamp, and a remote utilization that is not
+ * saturated (the check resets it, PCT promotes).
+ */
+struct TimestampLocality
 {
-  public:
-    explicit TimestampLineState(std::uint32_t num_cores)
-        : records(num_cores)
-    {}
-
-    std::vector<CoreLocality> records;
+    Cycle lastAccess = 0;
+    std::uint32_t remoteUtil = 0;
+    std::uint8_t ratLevel = 0; //!< maintained, never consulted
+    Mode mode = Mode::Private;
+    bool active = true;
 };
+static_assert(std::is_trivially_copyable_v<TimestampLocality>,
+              "records are copied as bytes (snapshot restore)");
 
 /** The idealized Timestamp-based classifier. */
 class TimestampClassifier : public LocalityClassifier
@@ -41,28 +44,38 @@ class TimestampClassifier : public LocalityClassifier
         : LocalityClassifier(cfg, one_way)
     {}
 
-    std::unique_ptr<LineClassifierState> makeState() const override;
-    void resetState(LineClassifierState &state) const override;
-    void copyState(LineClassifierState &dst,
-                   const LineClassifierState &src) const override;
+    /** One TimestampLocality per core. */
+    static std::uint32_t
+    recordBytes(const SystemConfig &cfg)
+    {
+        return cfg.numCores *
+               static_cast<std::uint32_t>(sizeof(TimestampLocality));
+    }
 
-    Mode classify(LineClassifierState &state, CoreId core) override;
+    void resetRecord(std::byte *rec) const override;
 
-    bool onRemoteAccess(LineClassifierState &state, CoreId core,
+    Mode classify(std::byte *rec, CoreId core) override;
+
+    bool onRemoteAccess(std::byte *rec, CoreId core,
                         const RemoteAccessContext &ctx) override;
 
-    void onWriteByOther(LineClassifierState &state,
-                        CoreId writer) override;
+    void onWriteByOther(std::byte *rec, CoreId writer) override;
 
-    Mode onPrivateRemoval(LineClassifierState &state, CoreId core,
+    Mode onPrivateRemoval(std::byte *rec, CoreId core,
                           std::uint32_t private_util,
                           RemovalKind kind) override;
 
-    void onPrivateGrant(LineClassifierState &state, CoreId core,
-                        Cycle now) override;
+    void onPrivateGrant(std::byte *rec, CoreId core, Cycle now) override;
 
-    const CoreLocality *peek(const LineClassifierState &state,
-                             CoreId core) const override;
+    std::optional<CoreLocality> peek(const std::byte *rec,
+                                     CoreId core) const override;
+
+  private:
+    TimestampLocality *
+    records(std::byte *rec) const
+    {
+        return reinterpret_cast<TimestampLocality *>(rec);
+    }
 };
 
 } // namespace lacc

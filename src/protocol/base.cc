@@ -283,8 +283,9 @@ BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 // ---------------------------------------------------------------------------
 
 BaseDirectoryController::BaseDirectoryController(
-    const ProtocolContext &ctx)
-    : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg))
+    const ProtocolContext &ctx, const SharerState &fresh)
+    : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg)),
+      layout_(ctx.cfg), freshSharers_(fresh)
 {}
 
 CoreId
@@ -333,21 +334,17 @@ BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
     victim.setValid(true);
     victim.setTag(line);
     victim.setLastAccess(t_back);
-    victim.meta().dstate = DirState::Uncached;
-    victim.meta().owner = kInvalidCore;
-    victim.meta().holders.clear();
-    if (victim.meta().cls) {
-        // Refill of a previously used slot: reset the classifier
-        // state and sharer list in place — same values a fresh
-        // makeState()/makeSharers() would produce, no allocation.
-        classifier_->resetState(*victim.meta().cls);
-        victim.meta().sharers.clear();
-    } else {
-        victim.meta().sharers = makeSharers();
-        victim.meta().cls = classifier_->makeState();
-    }
-    victim.meta().busyUntil = t_back;
-    victim.meta().dirty = false;
+    // Every fill writes the whole entry — first use of the slot or a
+    // refill alike — and allocates nothing.
+    L2Meta &meta = victim.meta();
+    meta.holders.clear();
+    meta.busyUntil = t_back;
+    meta.sharers = freshSharers_;
+    meta.owner = kInvalidCore;
+    meta.dstate = DirState::Uncached;
+    meta.dirty = false;
+    sharersOf(victim).clear(); // zeroes full-map bits
+    classifier_->resetRecord(layout_.record(victim));
     ctx_.dram.readLine(line, victim.words());
     ctx_.energy.addL2Line(); // fill write
     ++ctx_.stats.l2.fills;
@@ -461,7 +458,7 @@ BaseDirectoryController::applySoftFaults(CoreId c, CoreId home,
             if (h.size() > 0) {
                 const CoreId victim =
                     h[inj.strikeBit(line, t, h.size())];
-                entry.meta().sharers.remove(victim);
+                sharersOf(entry).remove(victim);
                 inj.noteSilent();
             }
         }
@@ -522,7 +519,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
 
     const Mode mode = upgrade
                           ? Mode::Private
-                          : classifier_->classify(*entry.meta().cls, c);
+                          : classifier_->classify(layout_.record(entry), c);
     const RemoteAccessContext rctx{t_ready, hint.hasInvalidWay,
                                    hint.minLastAccess};
 
@@ -533,13 +530,13 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
         const std::uint64_t val = ctx_.mem.nextValue(c);
         // A write resets the remote utilization of all other remote
         // sharers (§3.2) and invalidates all private sharers.
-        classifier_->onWriteByOther(*entry.meta().cls, c);
+        classifier_->onWriteByOther(layout_.record(entry), c);
         t_shar = invalidateHolders(home, entry, c, t_ready);
 
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(*entry.meta().cls, c, rctx);
+                classifier_->onRemoteAccess(layout_.record(entry), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -564,11 +561,12 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             l1_->dropOtherCopy(c, is_ifetch, line);
             ctx_.mem.write(addr, val);
             entry.meta().holders.insert(c); // set semantics: no dup
-            entry.meta().sharers.clear();
-            entry.meta().sharers.add(c);
+            SharerList sharers = sharersOf(entry);
+            sharers.clear();
+            sharers.add(c);
             entry.meta().dstate = DirState::Exclusive;
             entry.meta().owner = c;
-            classifier_->onPrivateGrant(*entry.meta().cls, c, t_ready);
+            classifier_->onPrivateGrant(layout_.record(entry), c, t_ready);
         } else {
             // Remote word write: stored at the L2 home (§3.2).
             entry.words()[word] = val;
@@ -583,7 +581,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             // in the other L1 (dual-copy line) must go too.
             if (l1_->dropOtherCopy(c, is_ifetch, line)) {
                 if (entry.meta().holders.erase(c))
-                    entry.meta().sharers.remove(c);
+                    sharersOf(entry).remove(c);
                 if (entry.meta().holders.empty()) {
                     entry.meta().dstate = DirState::Uncached;
                     entry.meta().owner = kInvalidCore;
@@ -594,7 +592,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(*entry.meta().cls, c, rctx);
+                classifier_->onRemoteAccess(layout_.record(entry), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -623,7 +621,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             // list in overflow mode counts blindly, and a dual-copy
             // core is one sharer, not two.
             if (entry.meta().holders.insert(c))
-                entry.meta().sharers.add(c);
+                sharersOf(entry).add(c);
             if (st == L1State::Exclusive) {
                 entry.meta().dstate = DirState::Exclusive;
                 entry.meta().owner = c;
@@ -631,7 +629,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
                 entry.meta().dstate = DirState::Shared;
                 entry.meta().owner = kInvalidCore;
             }
-            classifier_->onPrivateGrant(*entry.meta().cls, c, t_ready);
+            classifier_->onPrivateGrant(layout_.record(entry), c, t_ready);
             ++ctx_.stats.protocol.privateReadGrants;
             ctx_.energy.addL2Line();
             ++ctx_.stats.l2.loads;
@@ -684,7 +682,7 @@ BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
         // The locality state dies with an L2 eviction, so only a
         // protocol invalidation classifies the removal (§3.2).
         const Mode m = classifier_->onPrivateRemoval(
-            *entry.meta().cls, s, dr.util, RemovalKind::Invalidation);
+            layout_.record(entry), s, dr.util, RemovalKind::Invalidation);
         if (m == Mode::Remote)
             ++ctx_.stats.protocol.demotions;
     }
@@ -725,8 +723,9 @@ BaseDirectoryController::invalidateHolders(CoreId home,
     const Cycle t_end = fanOutInvalidations(home, entry, invalTargets_,
                                             t);
 
+    SharerList sharers = sharersOf(entry);
     for (const CoreId s : invalTargets_)
-        entry.meta().sharers.remove(s);
+        sharers.remove(s);
     const bool except_held = entry.meta().holders.contains(except);
     entry.meta().holders.clear();
     if (except_held)
@@ -779,7 +778,7 @@ BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
 
     if (!still_holds) {
         he.meta().holders.erase(c);
-        he.meta().sharers.remove(c);
+        sharersOf(he).remove(c);
     }
     if (was_modified) {
         he.fillWords(words);
@@ -802,7 +801,7 @@ BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
     }
 
     const Mode m = classifier_->onPrivateRemoval(
-        *he.meta().cls, c, util, RemovalKind::Eviction);
+        layout_.record(he), c, util, RemovalKind::Eviction);
     if (m == Mode::Remote)
         ++ctx_.stats.protocol.demotions;
 }
@@ -823,7 +822,7 @@ BaseDirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
         dropAndAck(s, home, victim, true, t_arr);
     }
     victim.meta().holders.clear();
-    victim.meta().sharers.clear();
+    sharersOf(victim).clear();
 
     if (victim.meta().dirty) {
         ctx_.dram.writeLine(line, victim.words());

@@ -8,8 +8,8 @@
  * find-or-fill, sync write-backs, inclusive L2 evictions, R-NUCA
  * re-home flushes) and leaves two policy points to subclasses:
  *
- *  - makeSharers(): which SharerList organization a fresh directory
- *    entry gets (ACKwise_p pointers vs full-map bit vector);
+ *  - the fresh SharerState every fill installs, passed to the
+ *    constructor (ACKwise_p pointers vs full-map bit vector);
  *  - fanOutInvalidations(): how an exclusive request reaches the
  *    current holders (per-sharer unicasts vs the ACKwise overflow
  *    broadcast of §3.1).
@@ -65,7 +65,9 @@ class BaseL1Controller final : public L1Controller
 class BaseDirectoryController : public DirectoryController
 {
   public:
-    explicit BaseDirectoryController(const ProtocolContext &ctx);
+    /** @p fresh: the sharer list organization of a filled entry. */
+    BaseDirectoryController(const ProtocolContext &ctx,
+                            const SharerState &fresh);
 
     /** Wire the L1 side (factory responsibility). */
     void bind(L1Controller &l1) { l1_ = &l1; }
@@ -84,9 +86,6 @@ class BaseDirectoryController : public DirectoryController
     }
 
   protected:
-    /** SharerList organization of a fresh directory entry. */
-    virtual SharerList makeSharers() const = 0;
-
     /**
      * Deliver invalidations to @p targets and collect the acks.
      * The base implementation unicasts per sharer; ACKwise overrides
@@ -151,13 +150,15 @@ class BaseDirectoryController : public DirectoryController
     ProtocolContext ctx_;
     L1Controller *l1_ = nullptr;
     std::unique_ptr<LocalityClassifier> classifier_;
+    const DirLayout layout_;
+    const SharerState freshSharers_;
 
   private:
     /**
      * Reusable target-list scratch (invalidation fan-out / L2
      * eviction back-invalidation). Steady state is allocation-free:
-     * the inline SmallCoreVec capacity covers typical sharer sets,
-     * and a spilled copy reuses the spill vector's storage.
+     * the inline HolderVec capacity covers typical sharer sets, and
+     * a spilled copy reuses the spill buffer.
      * invalidateHolders and l2Evict never nest, but each gets its own
      * scratch so the snapshot survives holder-set mutation.
      */

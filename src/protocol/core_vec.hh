@@ -1,26 +1,18 @@
 /**
  * @file
- * Small-vector of core ids for directory metadata.
+ * HolderVec: the grant-ordered core-id set behind L2Meta::holders.
  *
- * Directory entries track tiny core sets (ACKwise_p pointer slots,
- * p = 4 by default; L1 holder oracles, typically <= the sharing
- * degree), but the seed kept them in heap-allocated std::vectors with
- * linear find/remove scans. SmallCoreVec stores up to kInlineCap ids
- * inline (no heap allocation per directory entry on the common path)
- * and spills to a heap vector only for genuinely large sets.
+ * A directory entry's holder oracle is typically a handful of cores
+ * (<= the sharing degree), so up to kInlineCap ids live inline and
+ * only a genuinely wide set spills to one heap buffer, which the
+ * vector keeps for reuse after it shrinks or is cleared — steady-state
+ * L2 slot churn performs no heap traffic.
  *
- * Two orderings, selected by template parameter:
- *
- *  - kSorted = true: ids kept sorted, membership by binary search.
- *    Used by SharerList's ACKwise pointer slots, whose order is
- *    architecturally meaningless (the protocol only asks "is this
- *    core tracked" / "how many").
- *  - kSorted = false: insertion order preserved, linear membership.
- *    Used for L2Meta::holders, where order is architecturally
- *    *visible*: invalidation fan-out unicasts holders in grant order,
- *    and with link contention the fan-out order shifts individual ack
- *    arrival times. Sorting holders would change modeled timing (and
- *    break the bench goldens), so the helper must not reorder them.
+ * Order is architecturally *visible*: invalidation fan-out unicasts
+ * holders in grant order, and with link contention the fan-out order
+ * shifts individual ack arrival times. Inserts append and erases
+ * shift, never reorder; sorting holders would change modeled timing
+ * (and break the golden digests).
  */
 
 #ifndef LACC_PROTOCOL_CORE_VEC_HH
@@ -28,21 +20,32 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "sim/types.hh"
 
 namespace lacc {
 
-/** Small-buffer core-id set; see file header for the two orderings. */
-template <bool kSorted>
-class SmallCoreVec
+/** Grant-ordered small-buffer core-id set; see file header. */
+class HolderVec
 {
   public:
     /** Ids stored without touching the heap. */
     static constexpr std::uint32_t kInlineCap = 8;
 
-    SmallCoreVec() = default;
+    HolderVec() = default;
+    HolderVec(const HolderVec &o) { *this = o; }
+    HolderVec &
+    operator=(const HolderVec &o)
+    {
+        if (this != &o) {
+            size_ = 0; // nothing of ours to preserve
+            reserve(o.size_);
+            size_ = o.size_;
+            std::copy(o.begin(), o.end(), data());
+        }
+        return *this;
+    }
 
     std::uint32_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
@@ -55,102 +58,76 @@ class SmallCoreVec
     bool
     contains(CoreId c) const
     {
-        if constexpr (kSorted)
-            return std::binary_search(begin(), end(), c);
-        else
-            return std::find(begin(), end(), c) != end();
+        const CoreId *const d = data();
+        return std::find(d, d + size_, c) != d + size_;
     }
 
-    /**
-     * Add @p c (sorted position or at the back, per ordering).
-     * @return false if it was already present (set semantics).
-     */
+    /** Append @p c. @return false if it was already present. */
     bool
     insert(CoreId c)
     {
-        std::uint32_t pos;
-        if constexpr (kSorted) {
-            const CoreId *it = std::lower_bound(begin(), end(), c);
-            if (it != end() && *it == c)
-                return false;
-            pos = static_cast<std::uint32_t>(it - begin());
-        } else {
-            if (contains(c))
-                return false;
-            pos = size_;
-        }
-        if (spilled_) {
-            spill_.insert(spill_.begin() + pos, c);
-            ++size_;
+        if (contains(c))
+            return false;
+        if (size_ < kInlineCap) {
+            inline_[size_++] = c;
             return true;
         }
-        if (size_ == kInlineCap) {
-            spill_.assign(inline_, inline_ + size_);
-            spill_.insert(spill_.begin() + pos, c);
-            spilled_ = true;
-            ++size_;
-            return true;
-        }
-        for (std::uint32_t i = size_; i > pos; --i)
-            inline_[i] = inline_[i - 1];
-        inline_[pos] = c;
-        ++size_;
+        reserve(size_ + 1);
+        if (size_ == kInlineCap)
+            std::copy(inline_, inline_ + size_, spill_.get());
+        spill_[size_++] = c;
         return true;
     }
 
-    /** Remove @p c. @return false if it was not present. */
+    /** Remove @p c, keeping the others' order. @return false if absent. */
     bool
     erase(CoreId c)
     {
-        const CoreId *it;
-        if constexpr (kSorted) {
-            it = std::lower_bound(begin(), end(), c);
-            if (it == end() || *it != c)
-                return false;
-        } else {
-            it = std::find(begin(), end(), c);
-            if (it == end())
-                return false;
-        }
-        const std::uint32_t pos =
-            static_cast<std::uint32_t>(it - begin());
-        if (spilled_) {
-            spill_.erase(spill_.begin() + pos);
-        } else {
-            for (std::uint32_t i = pos; i + 1 < size_; ++i)
-                inline_[i] = inline_[i + 1];
-        }
-        --size_;
+        CoreId *const d = data();
+        std::uint32_t i = static_cast<std::uint32_t>(
+            std::find(d, d + size_, c) - d);
+        if (i == size_)
+            return false;
+        // Short sets: a plain loop beats a memmove call.
+        for (; i + 1 < size_; ++i)
+            d[i] = d[i + 1];
+        if (--size_ == kInlineCap)
+            std::copy(d, d + size_, inline_);
         return true;
     }
 
-    /** Drop all ids (spill capacity is kept for reuse). */
-    void
-    clear()
-    {
-        size_ = 0;
-        spilled_ = false;
-        spill_.clear();
-    }
+    /** Drop all ids (the spill buffer is kept for reuse). */
+    void clear() { size_ = 0; }
 
   private:
+    /** Ids live inline up to kInlineCap, in the spill buffer beyond. */
+    CoreId *data() { return size_ > kInlineCap ? spill_.get() : inline_; }
     const CoreId *
     data() const
     {
-        return spilled_ ? spill_.data() : inline_;
+        return size_ > kInlineCap ? spill_.get() : inline_;
+    }
+
+    /** Make the spill buffer hold @p n ids when n exceeds kInlineCap;
+     * preserves the spilled ids (the caller copies inline ones). */
+    void
+    reserve(std::uint32_t n)
+    {
+        if (n <= kInlineCap || n <= spillCap_)
+            return;
+        const std::uint32_t cap = std::max(n, 2 * spillCap_);
+        std::unique_ptr<CoreId[]> grown(new CoreId[cap]);
+        if (size_ > kInlineCap)
+            std::copy(spill_.get(), spill_.get() + size_, grown.get());
+        spill_ = std::move(grown);
+        spillCap_ = cap;
     }
 
     CoreId inline_[kInlineCap] = {};
-    std::vector<CoreId> spill_; //!< holds *all* ids once spilled
+    std::unique_ptr<CoreId[]> spill_; //!< holds *all* ids once spilled
     std::uint32_t size_ = 0;
-    bool spilled_ = false;
+    std::uint32_t spillCap_ = 0;
 };
-
-/** Sorted flavor: SharerList pointer slots. */
-using SortedCoreVec = SmallCoreVec<true>;
-
-/** Grant-ordered flavor: L2Meta::holders (fan-out order matters). */
-using HolderVec = SmallCoreVec<false>;
 
 } // namespace lacc
 

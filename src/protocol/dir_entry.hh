@@ -1,19 +1,25 @@
 /**
  * @file
  * Directory-entry metadata of an L2 slice line (Fig 6/7): the
- * directory-visible MESI summary state, the protocol's SharerList,
+ * directory-visible MESI summary state, the protocol's sharer list,
  * the simulator's ground-truth holder oracle, and the per-line
- * locality-classifier state. Owned and mutated exclusively by the
+ * locality-classifier record. Owned and mutated exclusively by the
  * protocol layer's DirectoryController; system/Tile merely embeds the
  * L2Cache array.
+ *
+ * No directory entry owns a heap object. The fixed part (L2Meta) is a
+ * plain value; the parts whose size the config decides — a full-map
+ * list's bit vector and the classifier record — live in the L2 slot's
+ * block of the cache's auxiliary arena, laid out by DirLayout. A
+ * snapshot restore therefore copies an entry by assignment plus a
+ * byte copy of that block (SetAssocCache::restoreFrom).
  */
 
 #ifndef LACC_PROTOCOL_DIR_ENTRY_HH
 #define LACC_PROTOCOL_DIR_ENTRY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "cache/set_assoc.hh"
 #include "core/classifier.hh"
@@ -44,78 +50,83 @@ dirStateName(DirState s)
 
 /**
  * Per-line metadata of an L2 slice: directory entry (Fig 6/7) plus
- * simulator bookkeeping.
+ * simulator bookkeeping. Every fill rewrites all of it
+ * (BaseDirectoryController::l2FindOrFill).
  */
 struct L2Meta
 {
-    DirState dstate = DirState::Uncached;
-    CoreId owner = kInvalidCore;   //!< valid iff dstate == Exclusive
-    SharerList sharers;            //!< protocol sharer tracking
     /**
      * Ground-truth holder identities (which L1s hold a copy). The
-     * protocol's SharerList may hide identities in ACKwise overflow
+     * protocol's sharer list may hide identities in ACKwise overflow
      * mode; the simulator uses this oracle for invalidation *timing*
      * (acks physically come from the actual holders) while protocol
-     * decisions (unicast vs broadcast, ack counts) use the SharerList.
-     * Kept in grant order — invalidation fan-out order is part of the
-     * modeled timing (see protocol/core_vec.hh).
+     * decisions (unicast vs broadcast, ack counts) use the sharer
+     * list. Kept in grant order — invalidation fan-out order is part
+     * of the modeled timing (see protocol/core_vec.hh).
      */
     HolderVec holders;
-    std::unique_ptr<LineClassifierState> cls; //!< locality records
     Cycle busyUntil = 0;           //!< per-line serialization window
+    SharerState sharers;           //!< inline part of the sharer list
+    CoreId owner = kInvalidCore;   //!< valid iff dstate == Exclusive
+    DirState dstate = DirState::Uncached;
     bool dirty = false;            //!< L2 copy newer than DRAM
 };
 
 /**
  * invalidate() reset for the L2 directory meta (found by ADL from
  * SetAssocCache::invalidate): protocol state is cleared, but the
- * classifier-state allocation and the sharer-list organization
- * survive — the refill path (l2FindOrFill) resets their contents in
- * place, so steady-state L2 slot churn performs no heap traffic.
- * The stale classifier contents are never read: every consumer goes
- * through a valid entry, and a refill resets before use.
+ * holder set keeps its spill buffer for the slot's next line.
  */
 inline void
 resetCacheMeta(L2Meta &m)
 {
-    m.dstate = DirState::Uncached;
-    m.owner = kInvalidCore;
-    m.sharers.clear();
     m.holders.clear();
     m.busyUntil = 0;
+    m.sharers = SharerState{};
+    m.owner = kInvalidCore;
+    m.dstate = DirState::Uncached;
     m.dirty = false;
-}
-
-/**
- * Snapshot-restore copy of a valid directory entry @p src into @p dst
- * (SetAssocCache::restoreFrom, via Tile::restoreFrom). The classifier
- * state and the sharer list move together: the refill path
- * (l2FindOrFill) reads a non-null `cls` as "this slot's SharerList is
- * already organized", so a kept `cls` beside a copied default
- * SharerList would silently change later ACKwise behaviour. @p dst's
- * classifier allocation is reused when it has one.
- */
-inline void
-copyDirEntry(L2Meta &dst, const L2Meta &src,
-             const LocalityClassifier &classifier)
-{
-    dst.dstate = src.dstate;
-    dst.owner = src.owner;
-    dst.sharers = src.sharers;
-    dst.holders = src.holders;
-    if (src.cls) {
-        if (!dst.cls)
-            dst.cls = classifier.makeState();
-        classifier.copyState(*dst.cls, *src.cls);
-    } else {
-        dst.cls.reset();
-    }
-    dst.busyUntil = src.busyUntil;
-    dst.dirty = src.dirty;
 }
 
 /** L2 slice array: hashed set index (see SetAssocCache). */
 using L2Cache = SetAssocCache<L2Meta, true>;
+
+/**
+ * Layout of an L2 slot's auxiliary block, derived from the config:
+ * the full-map bit words first (none under ACKwise), then the
+ * classifier record (LocalityClassifier::recordBytes). Each region
+ * holds one type for the life of the cache, so its bytes are never
+ * read through two different types.
+ */
+struct DirLayout
+{
+    explicit DirLayout(const SystemConfig &cfg)
+        : sharerBytes(cfg.directoryKind == DirectoryKind::FullMap
+                          ? SharerState::fullMapWords(cfg.numCores) * 8
+                          : 0),
+          recordBytes(LocalityClassifier::recordBytes(cfg))
+    {}
+
+    /** Auxiliary bytes per L2 slot. */
+    std::uint32_t bytes() const { return sharerBytes + recordBytes; }
+
+    /** @p e's classifier record. */
+    std::byte *record(L2Cache::Entry e) const
+    {
+        return e.aux() + sharerBytes;
+    }
+
+    std::uint32_t sharerBytes;
+    std::uint32_t recordBytes;
+};
+
+/** @p e's sharer list: its SharerState bound to its full-map bits. */
+inline SharerList
+sharersOf(L2Cache::Entry e)
+{
+    return SharerList(e.meta().sharers,
+                      reinterpret_cast<std::uint64_t *>(e.aux()));
+}
 
 } // namespace lacc
 

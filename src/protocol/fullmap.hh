@@ -20,14 +20,10 @@ namespace lacc {
 class FullMapDirectory final : public BaseDirectoryController
 {
   public:
-    using BaseDirectoryController::BaseDirectoryController;
-
-  protected:
-    SharerList
-    makeSharers() const override
-    {
-        return SharerList::makeFullMap(ctx_.cfg.numCores);
-    }
+    explicit FullMapDirectory(const ProtocolContext &ctx)
+        : BaseDirectoryController(ctx,
+                                  SharerState::fullMap(ctx.cfg.numCores))
+    {}
 };
 
 /** The full-map-directory baseline protocol. */

@@ -11,7 +11,7 @@ AckwiseDirectory::fanOutInvalidations(CoreId home, L2Cache::Entry entry,
                                       const HolderVec &targets,
                                       Cycle t)
 {
-    if (!entry.meta().sharers.overflowed())
+    if (!entry.meta().sharers.overflowed)
         return BaseDirectoryController::fanOutInvalidations(home, entry,
                                                             targets, t);
 

@@ -23,15 +23,12 @@ namespace lacc {
 class AckwiseDirectory final : public BaseDirectoryController
 {
   public:
-    using BaseDirectoryController::BaseDirectoryController;
+    explicit AckwiseDirectory(const ProtocolContext &ctx)
+        : BaseDirectoryController(
+              ctx, SharerState::ackwise(ctx.cfg.ackwisePointers))
+    {}
 
   protected:
-    SharerList
-    makeSharers() const override
-    {
-        return SharerList::makeAckwise(ctx_.cfg.ackwisePointers);
-    }
-
     Cycle fanOutInvalidations(CoreId home, L2Cache::Entry entry,
                               const HolderVec &targets,
                               Cycle t) override;

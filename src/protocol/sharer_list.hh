@@ -10,6 +10,12 @@
  * invalidation, but acknowledgements are expected only from the actual
  * sharers (the tracked count). Identities cannot be recovered until
  * the line is fully invalidated.
+ *
+ * Storage is allocation-free and split in two. SharerState, embedded
+ * in every directory entry (protocol/dir_entry.hh), holds the count,
+ * the overflow bit and the ACKwise pointers inline. A full-map list's
+ * bit vector is sized from the core count and lives in the L2 slot's
+ * auxiliary block; SharerList binds the two into the protocol's view.
  */
 
 #ifndef LACC_PROTOCOL_SHARER_LIST_HH
@@ -18,36 +24,46 @@
 #include <cstdint>
 #include <vector>
 
-#include "protocol/core_vec.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace lacc {
 
-/** Sharer-tracking metadata of one directory entry. */
+/** The inline part of one directory entry's sharer list. */
+struct SharerState
+{
+    /** A fresh ACKwise list with @p pointers (<= kMaxAckwisePointers). */
+    static SharerState ackwise(std::uint32_t pointers);
+
+    /** A fresh full-map list over @p num_cores cores. */
+    static SharerState fullMap(std::uint32_t num_cores);
+
+    /** 64-bit words of full-map bits a list over @p num_cores needs. */
+    static std::uint32_t
+    fullMapWords(std::uint32_t num_cores)
+    {
+        return (num_cores + 63) / 64;
+    }
+
+    std::uint16_t count = 0;
+    std::uint16_t capacity = 0; //!< ACKwise p, or full-map bit words
+    bool isFullMap = false;
+    bool overflowed = false;
+    std::uint8_t numPointers = 0;
+    CoreId pointers[kMaxAckwisePointers] = {}; //!< sorted identities
+};
+
+/**
+ * A directory entry's sharer list: its SharerState bound to its
+ * full-map bit words (unused, and may be null, under ACKwise). A
+ * cheap handle like L2Cache::Entry; see protocol/dir_entry.hh
+ * sharersOf().
+ */
 class SharerList
 {
   public:
-    /** Construct an ACKwise list with @p pointers slots. */
-    static SharerList
-    makeAckwise(std::uint32_t pointers)
-    {
-        SharerList s;
-        s.fullMap_ = false;
-        s.capacity_ = pointers;
-        return s;
-    }
-
-    /** Construct a full-map list over @p num_cores cores. */
-    static SharerList
-    makeFullMap(std::uint32_t num_cores)
-    {
-        SharerList s;
-        s.fullMap_ = true;
-        s.bits_.assign((num_cores + 63) / 64, 0);
-        return s;
-    }
-
-    SharerList() = default;
+    SharerList(SharerState &s, std::uint64_t *bits) : s_(&s), bits_(bits)
+    {}
 
     /** Add a sharer (idempotent). */
     void add(CoreId core);
@@ -62,14 +78,14 @@ class SharerList
     void clear();
 
     /** Number of sharers. */
-    std::uint32_t count() const { return count_; }
+    std::uint32_t count() const { return s_->count; }
 
     /**
      * True when identities are no longer tracked and an exclusive
      * request requires a broadcast invalidation. Always false for a
      * full-map list.
      */
-    bool overflowed() const { return overflowed_; }
+    bool overflowed() const { return s_->overflowed; }
 
     /**
      * True if @p core is known to be a sharer. In ACKwise overflow
@@ -83,8 +99,8 @@ class SharerList
     void
     forEachTracked(F &&fn) const
     {
-        if (fullMap_) {
-            for (std::size_t w = 0; w < bits_.size(); ++w) {
+        if (s_->isFullMap) {
+            for (std::uint32_t w = 0; w < s_->capacity; ++w) {
                 std::uint64_t word = bits_[w];
                 while (word) {
                     const int b = __builtin_ctzll(word);
@@ -93,24 +109,20 @@ class SharerList
                 }
             }
         } else {
-            for (const CoreId p : pointers_)
-                fn(p);
+            for (std::uint32_t i = 0; i < s_->numPointers; ++i)
+                fn(s_->pointers[i]);
         }
     }
 
     /** Tracked identities as a vector (test helper). */
     std::vector<CoreId> tracked() const;
 
-    /** True if constructed as full-map. */
-    bool isFullMap() const { return fullMap_; }
+    /** True if organized as full-map. */
+    bool isFullMap() const { return s_->isFullMap; }
 
   private:
-    bool fullMap_ = false;
-    bool overflowed_ = false;
-    std::uint32_t count_ = 0;
-    std::uint32_t capacity_ = 0;   //!< ACKwise slot count (the "p")
-    SortedCoreVec pointers_;       //!< ACKwise-tracked identities
-    std::vector<std::uint64_t> bits_; //!< full-map bit vector
+    SharerState *s_;
+    std::uint64_t *bits_; //!< s_->capacity full-map words
 };
 
 } // namespace lacc

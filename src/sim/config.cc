@@ -91,6 +91,8 @@ SystemConfig::validate() const
     if (numCores == 0 || meshWidth == 0 || numCores % meshWidth != 0)
         fatal("numCores (%u) must be a positive multiple of meshWidth (%u)",
               numCores, meshWidth);
+    if (numCores > kMaxCores)
+        fatal("numCores (%u) must be in [1, %u]", numCores, kMaxCores);
     if (lineSize == 0 || (lineSize & (lineSize - 1)) != 0)
         fatal("lineSize (%u) must be a power of two", lineSize);
     if (pageSize < lineSize || (pageSize & (pageSize - 1)) != 0)
@@ -103,12 +105,18 @@ SystemConfig::validate() const
         fatal("PCT must be >= 1");
     if (ratMax < pct)
         fatal("RATmax (%u) must be >= PCT (%u)", ratMax, pct);
-    if (nRatLevels == 0)
-        fatal("nRATlevels must be >= 1");
+    if (ratMax > kMaxRatMax)
+        fatal("RATmax (%u) must be in [PCT, %u]: the remote-utilization"
+              " counter is 16 bits", ratMax, kMaxRatMax);
+    if (nRatLevels == 0 || nRatLevels > kMaxRatLevels)
+        fatal("nRATlevels (%u) must be in [1, %u]: the RAT level is 8"
+              " bits", nRatLevels, kMaxRatLevels);
     if (classifierKind == ClassifierKind::Limited && classifierK == 0)
         fatal("Limited classifier needs k >= 1");
-    if (directoryKind == DirectoryKind::Ackwise && ackwisePointers == 0)
-        fatal("ACKwise needs at least one hardware pointer");
+    if (directoryKind == DirectoryKind::Ackwise &&
+        (ackwisePointers == 0 || ackwisePointers > kMaxAckwisePointers))
+        fatal("ACKwise pointers (%u) must be in [1, %u]", ackwisePointers,
+              kMaxAckwisePointers);
     if (numMemControllers == 0 || numMemControllers > numCores)
         fatal("numMemControllers (%u) must be in [1, numCores]",
               numMemControllers);

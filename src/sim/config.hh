@@ -74,6 +74,19 @@ enum class FaultKind : std::uint8_t {
     Storm,
 };
 
+/**
+ * Ranges the packed per-step state can hold; SystemConfig::validate
+ * rejects configurations outside them. Core ids are 16 bits wide with
+ * kInvalidCore reserved (also the core field of an event-queue key);
+ * a classifier record keeps remote utilization (saturating at RATmax)
+ * in 16 bits and the RAT level in 8 (core/classifier.hh); a directory
+ * entry holds its ACKwise pointers inline (protocol/sharer_list.hh).
+ */
+constexpr std::uint32_t kMaxCores = 0xFFFF;
+constexpr std::uint32_t kMaxRatMax = 0xFFFF;
+constexpr std::uint32_t kMaxRatLevels = 0x100;
+constexpr std::uint32_t kMaxAckwisePointers = 8;
+
 /** Human-readable names for the enums above. */
 const char *classifierKindName(ClassifierKind k);
 const char *protocolKindName(ProtocolKind k);

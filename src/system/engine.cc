@@ -13,6 +13,33 @@
 
 namespace lacc {
 
+EventQueue::EventQueue(std::uint32_t num_cores) : leaves_(1)
+{
+    if (num_cores == 0 || num_cores > kCoreMask)
+        panic("EventQueue: %u cores outside [1, %llu]", num_cores,
+              static_cast<unsigned long long>(kCoreMask));
+    while (leaves_ < num_cores)
+        leaves_ *= 2;
+    tree_.assign(2 * leaves_, kIdle);
+}
+
+void
+EventQueue::schedule(CoreId c, Cycle t)
+{
+    if (t >> (64 - kCoreBits) != 0)
+        panic("core %u scheduled at cycle %llu, beyond the event key's"
+              " 48-bit time field", c, static_cast<unsigned long long>(t));
+    if (c == stepping_ && !rescheduled_)
+        rescheduled_ = true; // the popped core rewrites its own leaf
+    else if (tree_[leaves_ + c] != kIdle)
+        panic("core %u scheduled while already queued", c);
+    setLeaf(c, (t << kCoreBits) | c);
+}
+
+SerialEngine::SerialEngine(Multicore &m)
+    : m_(m), queue_(m.cfg_.numCores)
+{}
+
 void
 SerialEngine::run(Workload &workload)
 {
@@ -22,8 +49,7 @@ SerialEngine::run(Workload &workload)
     while (!queue_.empty()) {
         if (m_.watchdogExpired())
             return; // Multicore::run turns this into RunAbort(Timeout)
-        const auto [t, c] = queue_.top();
-        queue_.pop();
+        const auto [t, c] = queue_.pop();
         Tile &tl = *m_.tiles_[c];
         if (tl.status != CoreStatus::Runnable)
             panic("scheduled core %u is not runnable", c);
@@ -34,9 +60,10 @@ SerialEngine::run(Workload &workload)
             tl.pending.pop_front();
         } else {
             prof::Scope ps(prof::Workload);
-            op = workload.next(static_cast<CoreId>(c));
+            op = workload.next(c);
         }
-        m_.step(static_cast<CoreId>(c), op);
+        m_.step(c, op);
+        queue_.endStep();
     }
 }
 

@@ -344,9 +344,8 @@ Multicore::restoreFrom(const Multicore &o)
     net_.restoreFrom(o.net_);
     dram_.restoreFrom(o.dram_);
     pageTable_.restoreFrom(o.pageTable_);
-    const LocalityClassifier &classifier = protocol_->classifier();
     for (std::size_t c = 0; c < tiles_.size(); ++c)
-        tiles_[c]->restoreFrom(*o.tiles_[c], classifier);
+        tiles_[c]->restoreFrom(*o.tiles_[c]);
     stats_ = o.stats_;
     mem_.restoreFrom(o.mem_);
     if (fault_)

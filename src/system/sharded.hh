@@ -27,7 +27,7 @@
  *
  *  3. Drain (serial): globals execute one at a time in exact
  *     event-queue order — (time, core) lexicographic, matching the
- *     serial engine's priority-queue pops — interleaved with inline
+ *     serial engine's EventQueue pops — interleaved with inline
  *     rescans of cores whose scan frontier orders before the next
  *     global. When a transaction reaches into another core's L1
  *     (invalidation / downgrade), the protocol's CoreTouchObserver

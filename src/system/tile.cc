@@ -6,13 +6,11 @@ namespace lacc {
 template class SetAssocCache<L2Meta, true>;
 
 void
-Tile::restoreFrom(const Tile &o, const LocalityClassifier &classifier)
+Tile::restoreFrom(const Tile &o)
 {
     l1i.restoreFrom(o.l1i);
     l1d.restoreFrom(o.l1d);
-    l2.restoreFrom(o.l2, [&](L2Meta &dst, const L2Meta &src) {
-        copyDirEntry(dst, src, classifier);
-    });
+    l2.restoreFrom(o.l2);
     missTracker.restoreFrom(o.missTracker);
     now = o.now;
     status = o.status;

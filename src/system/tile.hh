@@ -40,7 +40,8 @@ class Tile
         : id(id),
           l1i(cfg.l1iSets(), cfg.l1iAssoc, cfg.wordsPerLine()),
           l1d(cfg.l1dSets(), cfg.l1dAssoc, cfg.wordsPerLine()),
-          l2(cfg.l2Sets(), cfg.l2Assoc, cfg.wordsPerLine()),
+          l2(cfg.l2Sets(), cfg.l2Assoc, cfg.wordsPerLine(),
+             DirLayout(cfg).bytes()),
           // Pre-size the miss-taxonomy map: a small multiple of this
           // core's L1 capacity bounds the lines it loses and
           // re-misses in steady state.
@@ -55,9 +56,8 @@ class Tile
      * Become an exact copy of @p o, the same core's tile in a system
      * of the same config (Multicore::restoreFrom): caches, miss
      * tracker, clock, status, injected ops, ifetch walker, stats.
-     * @p classifier copies the directory entries' classifier state.
      */
-    void restoreFrom(const Tile &o, const LocalityClassifier &classifier);
+    void restoreFrom(const Tile &o);
 
     const CoreId id;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <optional>
 #include <unordered_set>
 
 #include "net/factory.hh"
@@ -109,6 +110,7 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
     // plus the full per-core classifier records. An absent entry is
     // all zero bytes, a present one starts with 1.
     const std::size_t entry_bytes = 7 + 3 * cfg.numCores;
+    const DirLayout layout(cfg);
     for (std::uint32_t h = 0; h < cfg.numCores; ++h) {
         const L2Cache &l2 = m.tile(static_cast<CoreId>(h)).l2;
         std::uint32_t found = 0;
@@ -128,22 +130,21 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
             // can never evict an L2 line (<= 2 distinct lines, 4
             // sets x 8 ways), so it is decision-irrelevant here the
             // same way data words are.
-            put(meta.sharers.count());
-            put(meta.sharers.overflowed() ? 1 : 0);
+            const SharerList sharers = sharersOf(e);
+            put(sharers.count());
+            put(sharers.overflowed() ? 1 : 0);
             std::uint32_t tracked = 0;
-            meta.sharers.forEachTracked(
-                [&](CoreId t) { tracked |= 1u << t; });
+            sharers.forEachTracked([&](CoreId t) { tracked |= 1u << t; });
             put(tracked);
             std::uint32_t holders = 0;
             for (const CoreId t : meta.holders)
                 holders |= 1u << t;
             put(holders);
             for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-                const CoreLocality *loc =
-                    meta.cls ? m.classifier().peek(
-                                   *meta.cls, static_cast<CoreId>(c))
-                             : nullptr;
-                if (loc == nullptr) {
+                const std::optional<CoreLocality> loc =
+                    m.classifier().peek(layout.record(e),
+                                        static_cast<CoreId>(c));
+                if (!loc) {
                     put(0xFF); // untracked; modes are 0 and 1
                     put(0);
                     put(0);

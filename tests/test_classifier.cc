@@ -6,6 +6,8 @@
  * (§3.2), and the one-way restriction (§3.7).
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/classifier.hh"
@@ -31,6 +33,19 @@ cfg4()
     return c;
 }
 
+/** Storage for one line's record, reset by @p cls; `*st` is the record. */
+struct Record
+{
+    explicit Record(const LocalityClassifier &cls) : bytes(1024)
+    {
+        cls.resetRecord(bytes.data());
+    }
+
+    std::byte *operator*() { return bytes.data(); }
+
+    std::vector<std::byte> bytes; //!< covers every classifier at 8 cores
+};
+
 RemoteAccessContext
 ctxWithInvalidWay(Cycle now = 100)
 {
@@ -50,7 +65,7 @@ ctxFullSet(Cycle now = 100, Cycle min_last = 50)
 TEST(Complete, AllCoresStartPrivate)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 8; ++c)
         EXPECT_EQ(cls.classify(*st, c), Mode::Private);
 }
@@ -58,7 +73,7 @@ TEST(Complete, AllCoresStartPrivate)
 TEST(Complete, DemotionNeedsLowUtilization)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     // privateUtil 4 >= PCT: stays private.
     EXPECT_EQ(cls.onPrivateRemoval(*st, 0, 4, RemovalKind::Eviction),
               Mode::Private);
@@ -72,7 +87,7 @@ TEST(Complete, RemoteUtilCountsTowardRemovalClassification)
 {
     // §3.2: classification at removal uses private + remote util.
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     // Demote core 0 first.
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     // Three remote accesses, then promotion on the 4th (PCT=4, invalid
@@ -89,7 +104,7 @@ TEST(Complete, RemoteUtilCountsTowardRemovalClassification)
 TEST(Complete, EpochConsumedAfterRemoval)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation); // demote
     for (int i = 0; i < 4; ++i)
         cls.onRemoteAccess(*st, 0, ctxWithInvalidWay());
@@ -104,10 +119,10 @@ TEST(Complete, EvictionDemotionRaisesRat)
 {
     auto cfg = cfg4(); // RAT levels: 4, 16
     CompleteClassifier cls(cfg, false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Eviction); // -> level 1
-    const auto *rec = cls.peek(*st, 0);
-    ASSERT_NE(rec, nullptr);
+    const auto rec = cls.peek(*st, 0);
+    ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->ratLevel, 1u);
     // Promotion now needs RATmax = 16 accesses (no invalid way).
     for (int i = 0; i < 15; ++i)
@@ -118,7 +133,7 @@ TEST(Complete, EvictionDemotionRaisesRat)
 TEST(Complete, InvalidationDemotionKeepsRat)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     EXPECT_EQ(cls.peek(*st, 0)->ratLevel, 0u);
     // Promotion at PCT = 4.
@@ -130,7 +145,7 @@ TEST(Complete, InvalidationDemotionKeepsRat)
 TEST(Complete, ShortCutPromotesAtPctDespiteRat)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Eviction); // RAT -> 16
     // With an invalid way in the requester's set, PCT applies (§3.3).
     for (int i = 0; i < 3; ++i)
@@ -141,7 +156,7 @@ TEST(Complete, ShortCutPromotesAtPctDespiteRat)
 TEST(Complete, RatResetsWhenClassifiedPrivate)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Eviction); // level 1
     EXPECT_EQ(cls.peek(*st, 0)->ratLevel, 1u);
     // Earn promotion, then classify private at the next removal.
@@ -157,7 +172,7 @@ TEST(Complete, RatSaturatesAtMaxLevel)
     auto cfg = cfg4();
     cfg.nRatLevels = 4; // levels 4, 8, 12, 16
     CompleteClassifier cls(cfg, false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (int i = 0; i < 10; ++i)
         cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Eviction);
     EXPECT_EQ(cls.peek(*st, 0)->ratLevel, 3u);
@@ -166,7 +181,7 @@ TEST(Complete, RatSaturatesAtMaxLevel)
 TEST(Complete, WriteByOtherResetsRemoteUtil)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation); // demote
     cls.onRemoteAccess(*st, 0, ctxWithInvalidWay());
     cls.onRemoteAccess(*st, 0, ctxWithInvalidWay());
@@ -179,7 +194,7 @@ TEST(Complete, WriteByOtherResetsRemoteUtil)
 TEST(Complete, WriterKeepsOwnUtil)
 {
     CompleteClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 3, 1, RemovalKind::Invalidation);
     cls.onRemoteAccess(*st, 3, ctxWithInvalidWay());
     cls.onWriteByOther(*st, 3); // 3 is the writer itself
@@ -189,7 +204,7 @@ TEST(Complete, WriterKeepsOwnUtil)
 TEST(Complete, OneWayNeverPromotes)
 {
     CompleteClassifier cls(cfg4(), true);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     for (int i = 0; i < 100; ++i)
         EXPECT_FALSE(cls.onRemoteAccess(*st, 0, ctxWithInvalidWay()));
@@ -201,7 +216,7 @@ TEST(Complete, LearningShortcutSeedsFromMajority)
     auto cfg = cfg4();
     cfg.completeLearningShortcut = true;
     CompleteClassifier cls(cfg, false);
-    auto st = cls.makeState();
+    Record st(cls);
     // Cores 0-2 touch the line and end up remote.
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
@@ -220,7 +235,7 @@ TEST(Complete, LearningShortcutSeedsFromMajority)
 TEST(Complete, ShortcutDisabledKeepsPaperBehavior)
 {
     CompleteClassifier cls(cfg4(), false); // default: no short-cut
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
         cls.onPrivateGrant(*st, c, 10);
@@ -237,18 +252,18 @@ TEST(Complete, ShortcutDisabledKeepsPaperBehavior)
 TEST(Limited, FreeEntriesAllocatePrivate)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     EXPECT_EQ(cls.classify(*st, 0), Mode::Private);
     EXPECT_EQ(cls.classify(*st, 1), Mode::Private);
     EXPECT_EQ(cls.classify(*st, 2), Mode::Private);
-    EXPECT_NE(cls.peek(*st, 0), nullptr);
-    EXPECT_NE(cls.peek(*st, 2), nullptr);
+    EXPECT_TRUE(cls.peek(*st, 0).has_value());
+    EXPECT_TRUE(cls.peek(*st, 2).has_value());
 }
 
 TEST(Limited, UntrackedUsesMajorityVote)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     // Track 0,1,2 as active private sharers.
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
@@ -256,13 +271,13 @@ TEST(Limited, UntrackedUsesMajorityVote)
     }
     // Core 7 untracked, no free/inactive entry: majority P -> Private.
     EXPECT_EQ(cls.classify(*st, 7), Mode::Private);
-    EXPECT_EQ(cls.peek(*st, 7), nullptr) << "list unchanged (§3.4)";
+    EXPECT_FALSE(cls.peek(*st, 7).has_value()) << "list unchanged (§3.4)";
 }
 
 TEST(Limited, MajorityRemoteSeedsRemote)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     // Track 0,1,2; demote all three (invalidation, low util), which
     // also makes them inactive.
     for (CoreId c = 0; c < 3; ++c) {
@@ -273,29 +288,29 @@ TEST(Limited, MajorityRemoteSeedsRemote)
     // Core 7 replaces an inactive entry and inherits the majority
     // (Remote) mode.
     EXPECT_EQ(cls.classify(*st, 7), Mode::Remote);
-    ASSERT_NE(cls.peek(*st, 7), nullptr);
+    ASSERT_TRUE(cls.peek(*st, 7).has_value());
     EXPECT_EQ(cls.peek(*st, 7)->mode, Mode::Remote);
 }
 
 TEST(Limited, ActiveSharersNotReplaced)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
         cls.onPrivateGrant(*st, c, 10); // active private sharers
     }
     cls.classify(*st, 7);
-    EXPECT_EQ(cls.peek(*st, 7), nullptr);
+    EXPECT_FALSE(cls.peek(*st, 7).has_value());
     // The original three are still tracked.
     for (CoreId c = 0; c < 3; ++c)
-        EXPECT_NE(cls.peek(*st, c), nullptr);
+        EXPECT_TRUE(cls.peek(*st, c).has_value());
 }
 
 TEST(Limited, InactivePrivateReplaced)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
         cls.onPrivateGrant(*st, c, 10);
@@ -304,14 +319,14 @@ TEST(Limited, InactivePrivateReplaced)
     // inactive -> replacement candidate.
     cls.onPrivateRemoval(*st, 1, 8, RemovalKind::Eviction);
     EXPECT_EQ(cls.classify(*st, 7), Mode::Private); // majority P
-    EXPECT_NE(cls.peek(*st, 7), nullptr);
-    EXPECT_EQ(cls.peek(*st, 1), nullptr) << "core 1 relinquished entry";
+    EXPECT_TRUE(cls.peek(*st, 7).has_value());
+    EXPECT_FALSE(cls.peek(*st, 1).has_value()) << "core 1 relinquished entry";
 }
 
 TEST(Limited, RemoteSharerInactiveAfterWriteByOther)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
         cls.onPrivateGrant(*st, c, 10);
@@ -323,14 +338,14 @@ TEST(Limited, RemoteSharerInactiveAfterWriteByOther)
     cls.onWriteByOther(*st, 0);
     // Now core 7 can take core 2's entry.
     cls.classify(*st, 7);
-    EXPECT_NE(cls.peek(*st, 7), nullptr);
-    EXPECT_EQ(cls.peek(*st, 2), nullptr);
+    EXPECT_TRUE(cls.peek(*st, 7).has_value());
+    EXPECT_FALSE(cls.peek(*st, 2).has_value());
 }
 
 TEST(Limited, UntrackedRemovalFallsBackToVote)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     for (CoreId c = 0; c < 3; ++c) {
         cls.classify(*st, c);
         cls.onPrivateGrant(*st, c, 10);
@@ -346,7 +361,7 @@ TEST(Limited, MajorityVoteTieIsPrivate)
     auto cfg = cfg4();
     cfg.classifierK = 2;
     LimitedClassifier cls(cfg, false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.classify(*st, 0);
     cls.onPrivateGrant(*st, 0, 5);
     cls.classify(*st, 1);
@@ -359,7 +374,7 @@ TEST(Limited, MajorityVoteTieIsPrivate)
 TEST(Limited, UntrackedRemoteCannotEarnPromotion)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     // Fill all 3 entries with *active remote* sharers so there is no
     // replacement candidate but the majority is Remote.
     for (CoreId c = 0; c < 3; ++c) {
@@ -376,10 +391,10 @@ TEST(Limited, UntrackedRemoteCannotEarnPromotion)
 TEST(Limited, PeekFindsOnlyTracked)
 {
     LimitedClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.classify(*st, 4);
-    EXPECT_NE(cls.peek(*st, 4), nullptr);
-    EXPECT_EQ(cls.peek(*st, 5), nullptr);
+    EXPECT_TRUE(cls.peek(*st, 4).has_value());
+    EXPECT_FALSE(cls.peek(*st, 5).has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -389,7 +404,7 @@ TEST(Limited, PeekFindsOnlyTracked)
 TEST(Timestamp, PromotionAtPctWhenCheckPasses)
 {
     TimestampClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     // Invalid way: check passes trivially; promote on the 4th access.
     for (int i = 0; i < 3; ++i)
@@ -400,7 +415,7 @@ TEST(Timestamp, PromotionAtPctWhenCheckPasses)
 TEST(Timestamp, FailedCheckResetsUtilToOne)
 {
     TimestampClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
 
     // Accesses at times 10, 20, 30 but the L1 set is always hotter
@@ -417,7 +432,7 @@ TEST(Timestamp, FailedCheckResetsUtilToOne)
 TEST(Timestamp, PassingCheckAccrues)
 {
     TimestampClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     // The line is re-accessed more recently than the L1 set's LRU
     // line: check passes (lastAccess > minLast).
@@ -434,7 +449,7 @@ TEST(Timestamp, PassingCheckAccrues)
 TEST(Timestamp, FirstAccessWithColdLineFailsCheck)
 {
     TimestampClassifier cls(cfg4(), false);
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     // Never accessed before (lastAccess 0) and a fully valid hot set:
     // the check fails; util resets to 1 (not 0).
@@ -480,7 +495,7 @@ TEST(Factory, OneWayFlagFollowsProtocolKind)
 TEST(AlwaysPrivate, NeverDemotes)
 {
     AlwaysPrivateClassifier cls(cfg4());
-    auto st = cls.makeState();
+    Record st(cls);
     EXPECT_EQ(cls.classify(*st, 0), Mode::Private);
     EXPECT_EQ(cls.onPrivateRemoval(*st, 0, 0, RemovalKind::Eviction),
               Mode::Private);
@@ -490,7 +505,7 @@ TEST(AlwaysPrivate, NeverDemotes)
 TEST(RemoteUtil, SaturatesAtRatMax)
 {
     CompleteClassifier cls(cfg4(), true); // one-way: never promotes
-    auto st = cls.makeState();
+    Record st(cls);
     cls.onPrivateRemoval(*st, 0, 1, RemovalKind::Invalidation);
     for (int i = 0; i < 100; ++i)
         cls.onRemoteAccess(*st, 0, ctxFullSet());

@@ -1,22 +1,94 @@
 /**
  * @file
- * Unit tests for sharer tracking: ACKwise_p exact/overflow semantics
- * and the full-map baseline.
+ * Unit tests for directory entries: ACKwise_p exact/overflow
+ * semantics, the full-map baseline, the grant-ordered holder set, and
+ * the entry footprint — bytes per L2 slot and no heap allocation on
+ * fills, for every protocol and classifier.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/limited_classifier.hh"
 #include "protocol/core_vec.hh"
+#include "protocol/factory.hh"
 #include "protocol/sharer_list.hh"
+#include "system/multicore.hh"
+
+namespace {
+/** Heap allocations made by this test binary (see the Footprint tests). */
+std::atomic<std::uint64_t> gAllocations{0};
+} // namespace
+
+// A malloc-backed replacement pair that counts every allocation; the
+// library's array and sized forms forward to these two.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void *
+operator new(std::size_t n)
+{
+    ++gAllocations;
+    if (void *p = std::malloc(n != 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace lacc {
 namespace {
 
+/** A standalone sharer list: the inline state plus its bit words. */
+struct OwnedList
+{
+    SharerState state;
+    std::vector<std::uint64_t> bits;
+
+    SharerList list() { return SharerList(state, bits.data()); }
+};
+
+SharerList
+makeAckwise(OwnedList &o, std::uint32_t pointers)
+{
+    o.state = SharerState::ackwise(pointers);
+    return o.list();
+}
+
+SharerList
+makeFullMap(OwnedList &o, std::uint32_t num_cores)
+{
+    o.state = SharerState::fullMap(num_cores);
+    o.bits.assign(SharerState::fullMapWords(num_cores), 0);
+    return o.list();
+}
+
 TEST(Ackwise, ExactTrackingBelowP)
 {
-    auto s = SharerList::makeAckwise(4);
+    OwnedList o;
+    auto s = makeAckwise(o, 4);
     s.add(3);
     s.add(7);
     s.add(11);
@@ -30,7 +102,8 @@ TEST(Ackwise, ExactTrackingBelowP)
 
 TEST(Ackwise, AddIdempotent)
 {
-    auto s = SharerList::makeAckwise(4);
+    OwnedList o;
+    auto s = makeAckwise(o, 4);
     s.add(3);
     s.add(3);
     EXPECT_EQ(s.count(), 1u);
@@ -38,7 +111,8 @@ TEST(Ackwise, AddIdempotent)
 
 TEST(Ackwise, OverflowAtPPlusOne)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     s.add(0);
     s.add(1);
     EXPECT_FALSE(s.overflowed());
@@ -53,7 +127,8 @@ TEST(Ackwise, OverflowAtPPlusOne)
 
 TEST(Ackwise, OverflowCountsFurtherAdds)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     for (CoreId c = 0; c < 10; ++c)
         s.add(c);
     EXPECT_EQ(s.count(), 10u);
@@ -62,7 +137,8 @@ TEST(Ackwise, OverflowCountsFurtherAdds)
 
 TEST(Ackwise, RemoveTrackedInExactMode)
 {
-    auto s = SharerList::makeAckwise(4);
+    OwnedList o;
+    auto s = makeAckwise(o, 4);
     s.add(1);
     s.add(2);
     s.remove(1);
@@ -73,7 +149,8 @@ TEST(Ackwise, RemoveTrackedInExactMode)
 
 TEST(Ackwise, RemoveUntrackedInOverflowDecrements)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     s.add(0);
     s.add(1);
     s.add(2); // overflow; core 2 untracked
@@ -84,7 +161,8 @@ TEST(Ackwise, RemoveUntrackedInOverflowDecrements)
 
 TEST(Ackwise, OverflowClearsWhenEmpty)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     s.add(0);
     s.add(1);
     s.add(2);
@@ -101,7 +179,8 @@ TEST(Ackwise, OverflowClearsWhenEmpty)
 
 TEST(Ackwise, ClearResets)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     s.add(0);
     s.add(1);
     s.add(2);
@@ -113,7 +192,8 @@ TEST(Ackwise, ClearResets)
 
 TEST(Ackwise, ForEachTrackedVisitsPointerResidents)
 {
-    auto s = SharerList::makeAckwise(3);
+    OwnedList o;
+    auto s = makeAckwise(o, 3);
     s.add(5);
     s.add(9);
     auto t = s.tracked();
@@ -124,7 +204,8 @@ TEST(Ackwise, ForEachTrackedVisitsPointerResidents)
 
 TEST(Ackwise, ReusesFreedSlot)
 {
-    auto s = SharerList::makeAckwise(2);
+    OwnedList o;
+    auto s = makeAckwise(o, 2);
     s.add(0);
     s.add(1);
     s.remove(0);
@@ -136,7 +217,8 @@ TEST(Ackwise, ReusesFreedSlot)
 
 TEST(FullMap, NeverOverflows)
 {
-    auto s = SharerList::makeFullMap(128);
+    OwnedList o;
+    auto s = makeFullMap(o, 128);
     for (CoreId c = 0; c < 128; ++c)
         s.add(c);
     EXPECT_EQ(s.count(), 128u);
@@ -147,7 +229,8 @@ TEST(FullMap, NeverOverflows)
 
 TEST(FullMap, AddRemove)
 {
-    auto s = SharerList::makeFullMap(64);
+    OwnedList o;
+    auto s = makeFullMap(o, 64);
     s.add(63);
     s.add(0);
     s.add(63);
@@ -160,7 +243,8 @@ TEST(FullMap, AddRemove)
 
 TEST(FullMap, TrackedListsAllSharers)
 {
-    auto s = SharerList::makeFullMap(70);
+    OwnedList o;
+    auto s = makeFullMap(o, 70);
     s.add(0);
     s.add(64);
     s.add(69);
@@ -173,42 +257,36 @@ TEST(FullMap, TrackedListsAllSharers)
 
 TEST(FullMap, IsFullMapFlag)
 {
-    EXPECT_TRUE(SharerList::makeFullMap(4).isFullMap());
-    EXPECT_FALSE(SharerList::makeAckwise(4).isFullMap());
+    OwnedList a, b;
+    EXPECT_TRUE(makeFullMap(a, 4).isFullMap());
+    EXPECT_FALSE(makeAckwise(b, 4).isFullMap());
 }
 
 
-// ---------------------------------------------------------------------------
-// SmallCoreVec: the small-buffer core-id helper behind SharerList's
-// ACKwise slots (sorted) and L2Meta::holders (grant-ordered).
-// ---------------------------------------------------------------------------
-
-TEST(SmallCoreVec, SortedInsertEraseContains)
+TEST(Ackwise, TrackedInIdOrder)
 {
-    SortedCoreVec v;
-    EXPECT_TRUE(v.empty());
-    EXPECT_TRUE(v.insert(9));
-    EXPECT_TRUE(v.insert(3));
-    EXPECT_TRUE(v.insert(6));
-    EXPECT_FALSE(v.insert(6)); // set semantics
-    EXPECT_EQ(v.size(), 3u);
-    // Sorted iteration order regardless of insertion order.
-    EXPECT_EQ(v[0], 3);
-    EXPECT_EQ(v[1], 6);
-    EXPECT_EQ(v[2], 9);
-    EXPECT_TRUE(v.contains(6));
-    EXPECT_FALSE(v.contains(5));
-    EXPECT_TRUE(v.erase(6));
-    EXPECT_FALSE(v.erase(6));
-    EXPECT_EQ(v.size(), 2u);
-    EXPECT_EQ(v[1], 9);
+    // The pointer slots stay sorted whatever the grant order, so
+    // forEachTracked visits identities in id order, as a full-map
+    // list does.
+    OwnedList o;
+    auto s = makeAckwise(o, 4);
+    for (const CoreId c : {9, 3, 6})
+        s.add(c);
+    EXPECT_EQ(s.tracked(), (std::vector<CoreId>{3, 6, 9}));
+    s.remove(6);
+    s.add(1);
+    EXPECT_EQ(s.tracked(), (std::vector<CoreId>{1, 3, 9}));
 }
+
+// ---------------------------------------------------------------------------
+// HolderVec: the grant-ordered small-buffer set behind L2Meta::holders.
+// ---------------------------------------------------------------------------
 
 TEST(SmallCoreVec, HolderFlavorPreservesGrantOrder)
 {
     // Invalidation fan-out unicasts holders in grant order; with link
-    // contention the order shifts ack timing, so the holder flavor
-    // must never sort (protocol/core_vec.hh).
+    // contention the order shifts ack timing, so the holder set must
+    // never sort (protocol/core_vec.hh).
     HolderVec v;
     v.insert(9);
     v.insert(3);
@@ -227,7 +305,7 @@ TEST(SmallCoreVec, SpillsPastInlineCapacityAndClears)
 {
     for (const bool front_heavy : {false, true}) {
         HolderVec v;
-        const std::uint32_t n = SortedCoreVec::kInlineCap + 5;
+        const std::uint32_t n = HolderVec::kInlineCap + 5;
         for (std::uint32_t i = 0; i < n; ++i)
             v.insert(static_cast<CoreId>(front_heavy ? n - 1 - i : i));
         EXPECT_EQ(v.size(), n);
@@ -245,14 +323,99 @@ TEST(SmallCoreVec, SpillsPastInlineCapacityAndClears)
     }
 }
 
-TEST(SmallCoreVec, SortedSpillStaysSorted)
+TEST(HolderVec, OrderSurvivesSpillAndCopies)
 {
-    SortedCoreVec v;
-    for (CoreId c = 20; c > 0; --c)
+    // Grant order must survive the inline -> spill move, the move back
+    // below kInlineCap, and copies in both representations (the
+    // controllers snapshot holders by assignment).
+    std::vector<CoreId> expect;
+    HolderVec v;
+    for (CoreId c = 20; c > 0; --c) {
         v.insert(c);
-    EXPECT_EQ(v.size(), 20u);
-    for (std::uint32_t i = 0; i + 1 < v.size(); ++i)
-        EXPECT_LT(v[i], v[i + 1]);
+        expect.push_back(c);
+    }
+    const HolderVec spilled = v;
+    EXPECT_TRUE(std::equal(spilled.begin(), spilled.end(),
+                           expect.begin(), expect.end()));
+    for (CoreId c = 1; c <= 12; ++c) {
+        v.erase(c);
+        expect.erase(std::find(expect.begin(), expect.end(), c));
+    }
+    ASSERT_EQ(v.size(), HolderVec::kInlineCap);
+    EXPECT_TRUE(std::equal(v.begin(), v.end(), expect.begin(),
+                           expect.end()));
+    HolderVec back = spilled; // shrink a spilled copy by assignment
+    back = v;
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), expect.begin(),
+                           expect.end()));
+    EXPECT_EQ(sizeof(HolderVec), 32u);
+}
+
+// ---------------------------------------------------------------------------
+// Directory-entry footprint.
+// ---------------------------------------------------------------------------
+
+TEST(Footprint, DefaultEntryFitsBudget)
+{
+    // ACKwise_4 + Limited_3: the whole directory entry, classifier
+    // record included, in at most 128 bytes per L2 slot.
+    const SystemConfig cfg;
+    const DirLayout layout(cfg);
+    EXPECT_EQ(layout.sharerBytes, 0u);
+    EXPECT_EQ(layout.recordBytes, 3 * sizeof(LimitedSlot));
+    EXPECT_LE(sizeof(L2Meta) + layout.bytes(), 128u);
+}
+
+/**
+ * Heap allocations made while 31 L2 misses fill @p proto x @p k
+ * directory entries on 4 cores with @p l2_kb KB 2-way slices.
+ */
+std::uint64_t
+allocationsDuringFills(const std::string &proto, ClassifierKind k,
+                       std::uint32_t l2_kb)
+{
+    SystemConfig cfg;
+    cfg.numCores = 4;
+    cfg.meshWidth = 2;
+    cfg.numMemControllers = 2;
+    cfg.l2SizeKB = l2_kb;
+    cfg.l2Assoc = 2;
+    cfg.classifierKind = k;
+    applyProtocolName(cfg, proto);
+    Multicore m(cfg);
+    m.setFunctionalChecks(false);
+    const Addr page = Addr{1} << 32;
+    m.testAccess(0, page, false); // classify the page
+    const std::uint64_t fills = m.stats().l2.fills;
+    const std::uint64_t before = gAllocations.load();
+    for (Addr line = 1; line < 32; ++line)
+        m.testAccess(static_cast<CoreId>(line % 4),
+                     page + line * cfg.lineSize, line % 3 == 0);
+    const std::uint64_t allocations = gAllocations.load() - before;
+    EXPECT_EQ(m.stats().l2.fills - fills, 31u);
+    if (l2_kb == 1) {
+        EXPECT_GT(m.stats().protocol.l2Evictions, 0u); // slots reused
+    }
+    return allocations;
+}
+
+TEST(Footprint, FillsAllocateNothing)
+{
+    // Fills into never-used slots (256 KB slices) and, through L2
+    // evictions, into reused ones (1 KB slices), for every factory
+    // protocol and classifier: none may touch the heap.
+    const ClassifierKind kinds[] = {
+        ClassifierKind::Complete, ClassifierKind::Limited,
+        ClassifierKind::Timestamp, ClassifierKind::AlwaysPrivate};
+    for (const auto &proto : protocolNames()) {
+        for (const ClassifierKind k : kinds) {
+            for (const std::uint32_t l2_kb : {256u, 1u}) {
+                SCOPED_TRACE(proto + "/" + classifierKindName(k) + "/" +
+                             std::to_string(l2_kb) + " KB");
+                EXPECT_EQ(allocationsDuringFills(proto, k, l2_kb), 0u);
+            }
+        }
+    }
 }
 
 } // namespace

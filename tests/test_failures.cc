@@ -99,6 +99,60 @@ TEST(Failures, BadConfigsAreFatal)
                 "numMemControllers");
 }
 
+TEST(Failures, ConfigsBeyondPackedFieldsAreFatal)
+{
+    // Each packed per-step field bounds a config value; validate()
+    // names the valid range.
+    SystemConfig c = tinyCfg();
+    c.ratMax = kMaxRatMax + 1;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "RATmax \\(65536\\) must be in \\[PCT, 65535\\]");
+
+    c = tinyCfg();
+    c.nRatLevels = kMaxRatLevels + 1;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "nRATlevels \\(257\\) must be in \\[1, 256\\]");
+
+    c = tinyCfg();
+    c.nRatLevels = 0;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "nRATlevels \\(0\\) must be in \\[1, 256\\]");
+
+    c = tinyCfg();
+    c.ackwisePointers = kMaxAckwisePointers + 1;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "ACKwise pointers \\(9\\) must be in \\[1, 8\\]");
+
+    c = tinyCfg();
+    c.numCores = kMaxCores + 1;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "numCores \\(65536\\) must be in \\[1, 65535\\]");
+
+    // The boundary values themselves are valid.
+    c = tinyCfg();
+    c.ratMax = kMaxRatMax;
+    c.nRatLevels = kMaxRatLevels;
+    c.ackwisePointers = kMaxAckwisePointers;
+    c.validate();
+}
+
+TEST(Failures, EventTimeBeyondKeyFieldPanics)
+{
+    // The serial engine's queue keys hold 48 bits of time.
+    Multicore m(tinyCfg());
+    m.engine().onSchedule(0, (Cycle{1} << 48) - 1); // the last valid time
+    EXPECT_DEATH(m.engine().onSchedule(1, Cycle{1} << 48), "48-bit");
+}
+
+TEST(Failures, SchedulingAQueuedCorePanics)
+{
+    // A core is queued at most once; the old heap silently kept two
+    // entries for it.
+    Multicore m(tinyCfg());
+    m.engine().onSchedule(1, 5);
+    EXPECT_DEATH(m.engine().onSchedule(1, 9), "already queued");
+}
+
 TEST(Failures, MalformedTraceIsFatal)
 {
     {

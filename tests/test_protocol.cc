@@ -131,7 +131,7 @@ TEST(Protocol, TwoReadersShareLine)
     ASSERT_TRUE(l2e);
     EXPECT_EQ(l2e.meta().dstate, DirState::Shared);
     EXPECT_EQ(l2e.meta().holders.size(), 2u);
-    EXPECT_EQ(l2e.meta().sharers.count(), 2u);
+    EXPECT_EQ(sharersOf(l2e).count(), 2u);
 }
 
 TEST(Protocol, WriteInvalidatesReaders)
@@ -379,13 +379,13 @@ TEST(Ackwise, OverflowBroadcastsInvalidation)
     const CoreId home = m.placement().sharedHome(kA >> 6);
     const auto l2e = m.tile(home).l2.find(kA >> 6);
     ASSERT_TRUE(l2e);
-    EXPECT_TRUE(l2e.meta().sharers.overflowed());
-    EXPECT_EQ(l2e.meta().sharers.count(), 3u);
+    EXPECT_TRUE(sharersOf(l2e).overflowed());
+    EXPECT_EQ(sharersOf(l2e).count(), 3u);
 
     m.testAccess(3, kA, true);
     EXPECT_EQ(m.stats().protocol.broadcastInvals, 1u);
-    EXPECT_FALSE(l2e.meta().sharers.overflowed()) << "reset after inval";
-    EXPECT_EQ(l2e.meta().sharers.count(), 1u);
+    EXPECT_FALSE(sharersOf(l2e).overflowed()) << "reset after inval";
+    EXPECT_EQ(sharersOf(l2e).count(), 1u);
     EXPECT_EQ(l2e.meta().holders.size(), 1u);
     EXPECT_EQ(l2e.meta().holders[0], 3);
 }
@@ -452,8 +452,9 @@ TEST(Protocol, RatEscalatesThroughEngine)
     const CoreId home = 0; // private page of core 0
     const auto entry = m.tile(home).l2.find(target >> 6);
     ASSERT_TRUE(entry);
-    const auto *rec = m.classifier().peek(*entry.meta().cls, 0);
-    ASSERT_NE(rec, nullptr);
+    const auto rec =
+        m.classifier().peek(DirLayout(cfg).record(entry), 0);
+    ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->mode, Mode::Remote);
     EXPECT_EQ(rec->ratLevel, 1u);
 

@@ -5,8 +5,9 @@
  * fresh replay of the same accesses. Covered: every protocol x network
  * x classifier kind on the enumerator's config; restores into *dirty*
  * targets that held a deeper, different state; a small-L2 config where
- * L2 evictions and slot refills happen (the directory entry's
- * classifier state and sharer list must move together); and an armed
+ * L2 evictions and slot refills happen (the directory entry and its
+ * auxiliary block — classifier record, full-map bits — must move
+ * together); and an armed
  * lossy-link fault plan. The comparison covers per-tile clocks and
  * CoreStats, every cache slot, classifier records, network and DRAM
  * state, the page table, the reference memory, the enumerator's
@@ -15,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -84,7 +86,7 @@ describeCache(std::ostream &os, const char *name, Cache &c, MetaFn meta)
         os << name << '[' << i++ << "] v" << e.valid() << " tag "
            << e.tag() << " last " << e.lastAccess();
         if (e.valid()) {
-            meta(os, e.meta());
+            meta(os, e);
             os << " words";
             for (std::uint32_t w = 0; w < e.wordsPerLine(); ++w)
                 os << ' ' << e.words()[w];
@@ -126,18 +128,21 @@ describe(Multicore &m, const std::vector<Addr> &pool)
            << tl.pending.size() << " walker " << tl.ifetchLine << ' '
            << tl.instrInLine << " tracked "
            << tl.missTracker.trackedLines() << '\n';
-        const auto l1meta = [](std::ostream &o, const L1Meta &mt) {
-            o << " st " << static_cast<int>(mt.state) << " util "
-              << mt.privateUtil;
+        const auto l1meta = [](std::ostream &o, L1Cache::Entry e) {
+            o << " st " << static_cast<int>(e.meta().state) << " util "
+              << e.meta().privateUtil;
         };
         describeCache(os, "l1d", tl.l1d, l1meta);
         describeCache(os, "l1i", tl.l1i, l1meta);
+        const DirLayout layout(cfg);
         describeCache(os, "l2", tl.l2, [&](std::ostream &o,
-                                           const L2Meta &mt) {
+                                           L2Cache::Entry e) {
+            const L2Meta &mt = e.meta();
+            const SharerList sharers = sharersOf(e);
             o << " dir " << static_cast<int>(mt.dstate) << " owner "
-              << mt.owner << " sharers " << mt.sharers.count() << '/'
-              << mt.sharers.overflowed() << " tracked";
-            for (const CoreId t : mt.sharers.tracked())
+              << mt.owner << " sharers " << sharers.count() << '/'
+              << sharers.overflowed() << " tracked";
+            for (const CoreId t : sharers.tracked())
                 o << ' ' << t;
             o << " holders";
             for (const CoreId h : mt.holders)
@@ -145,9 +150,9 @@ describe(Multicore &m, const std::vector<Addr> &pool)
             o << " busy " << mt.busyUntil << " dirty " << mt.dirty
               << " cls";
             for (std::uint32_t k = 0; k < cfg.numCores; ++k) {
-                const CoreLocality *loc =
-                    m.classifier().peek(*mt.cls, static_cast<CoreId>(k));
-                if (loc == nullptr) {
+                const std::optional<CoreLocality> loc = m.classifier().peek(
+                    layout.record(e), static_cast<CoreId>(k));
+                if (!loc) {
                     o << " -";
                     continue;
                 }

@@ -102,7 +102,7 @@ checkSystemInvariants(Multicore &m, const SystemStats &st)
             if (!e.valid())
                 return;
             holder_refs += e.meta().holders.size();
-            EXPECT_EQ(e.meta().sharers.count(),
+            EXPECT_EQ(sharersOf(e).count(),
                       e.meta().holders.size());
             if (e.meta().dstate == DirState::Exclusive) {
                 EXPECT_EQ(e.meta().holders.size(), 1u);
