@@ -8,6 +8,7 @@
  */
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -24,6 +25,7 @@
 #include "sim/profiler.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
+#include "verify/invariants.hh"
 #include "workload/suite.hh"
 
 namespace {
@@ -506,6 +508,33 @@ BM_MulticoreRestore(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MulticoreRestore);
+
+void
+BM_CheckAll(benchmark::State &state)
+{
+    // The invariant sweep the enumerator runs after every transition,
+    // on the same mid-depth state.
+    Multicore m(verify::enumConfig(3, "lacc", "mesh"));
+    driveToMidDepth(m);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(verify::checkAll(m));
+}
+BENCHMARK(BM_CheckAll);
+
+void
+BM_EncodeState(benchmark::State &state)
+{
+    // The canonical encoding of that state into a reused buffer, as
+    // the enumerator writes it once per transition.
+    Multicore m(verify::enumConfig(3, "lacc", "mesh"));
+    driveToMidDepth(m);
+    std::string code;
+    for (auto _ : state) {
+        verify::encodeState(m, 2, code);
+        benchmark::DoNotOptimize(code.data());
+    }
+}
+BENCHMARK(BM_EncodeState);
 
 void
 BM_WorkloadNext(benchmark::State &state)

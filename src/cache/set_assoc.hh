@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -102,7 +103,16 @@ class SetAssocCache
         bool operator!=(const Entry &o) const { return !(*this == o); }
 
         bool valid() const { return c_->valid_[i_] != 0; }
-        void setValid(bool v) { c_->valid_[i_] = v ? 1 : 0; }
+
+        /** Set the valid bit, keeping the cache's valid count. */
+        void
+        setValid(bool v)
+        {
+            const std::uint8_t nv = v ? 1 : 0;
+            c_->validCount_ += nv;
+            c_->validCount_ -= c_->valid_[i_];
+            c_->valid_[i_] = nv;
+        }
 
         LineAddr tag() const { return c_->tags_[i_]; }
         void setTag(LineAddr t) { c_->tags_[i_] = t; }
@@ -167,7 +177,11 @@ class SetAssocCache
                   std::uint32_t aux_bytes_per_line = 0)
         : sets_(sets), assoc_(assoc), wordsPerLine_(words_per_line),
           auxBytesPerLine_(aux_bytes_per_line),
-          valid_(static_cast<std::size_t>(sets) * assoc, 0),
+          // Padded to whole 8-byte words for the word-wise scans; the
+          // padding bytes are never set.
+          valid_((static_cast<std::size_t>(sets) * assoc + 7) &
+                     ~std::size_t{7},
+                 0),
           tags_(static_cast<std::size_t>(sets) * assoc, 0),
           lastAccess_(static_cast<std::size_t>(sets) * assoc, 0),
           meta_(static_cast<std::size_t>(sets) * assoc),
@@ -289,27 +303,31 @@ class SetAssocCache
 
     /**
      * Become an exact copy of @p o, a cache of the same geometry
-     * (snapshot restore, Multicore::restoreFrom). The tag arrays are
-     * copied whole; meta, line data and auxiliary bytes only for slots
-     * valid on either side, so the cost scales with occupancy, not
-     * capacity. Nothing is lost by skipping a slot invalid on both
-     * sides: invalidate() zeroes its words and resets its meta, and
-     * auxiliary bytes are rewritten by the owner on every fill. A slot
-     * valid in @p o gets its meta by plain assignment and its
-     * auxiliary bytes copied; a slot valid only here is reset with
+     * (snapshot restore, Multicore::restoreFrom). Only slots valid on
+     * either side are visited (found eight valid bytes at a time), so
+     * the cost scales with occupancy, not capacity, and two empty
+     * caches restore in O(1). Nothing is lost by skipping a slot
+     * invalid on both sides: construction and invalidate() leave such
+     * a slot all-zero (tag, lastAccess, words) with a reset meta, and
+     * auxiliary bytes are rewritten by the owner on every fill. A
+     * visited slot takes @p o's valid bit, tag, lastAccess and words;
+     * if valid in @p o it also takes its meta by plain assignment and
+     * its auxiliary bytes, otherwise its meta is reset with
      * resetCacheMeta, exactly as invalidate() would.
      */
     void
     restoreFrom(const SetAssocCache &o)
     {
-        if (o.valid_.size() != valid_.size() ||
+        if (o.tags_.size() != tags_.size() ||
             o.wordsPerLine_ != wordsPerLine_ ||
             o.auxBytesPerLine_ != auxBytesPerLine_)
             panic("SetAssocCache::restoreFrom: geometry mismatch");
-        const std::size_t n = valid_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!valid_[i] && !o.valid_[i])
-                continue;
+        if (validCount_ == 0 && o.validCount_ == 0)
+            return;
+        scanSetBytes(valid_.data(), o.valid_.data(), [&](std::size_t i) {
+            valid_[i] = o.valid_[i];
+            tags_[i] = o.tags_[i];
+            lastAccess_[i] = o.lastAccess_[i];
             if (o.valid_[i]) {
                 meta_[i] = o.meta_[i];
                 std::copy_n(o.aux_.get() + i * auxBytesPerLine_,
@@ -320,10 +338,9 @@ class SetAssocCache
             }
             std::copy_n(o.words_.data() + i * wordsPerLine_,
                         wordsPerLine_, words_.data() + i * wordsPerLine_);
-        }
-        valid_ = o.valid_;
-        tags_ = o.tags_;
-        lastAccess_ = o.lastAccess_;
+            return true;
+        });
+        validCount_ = o.validCount_;
     }
 
     /** Apply @p fn to an Entry handle for every slot (valid or not). */
@@ -331,20 +348,32 @@ class SetAssocCache
     void
     forEach(F &&fn)
     {
-        const std::size_t n = valid_.size();
+        const std::size_t n = tags_.size();
         for (std::size_t i = 0; i < n; ++i)
             fn(Entry{this, i});
     }
 
-    /** Count of currently valid entries (test helper). */
-    std::uint64_t
-    validCount() const
+    /**
+     * Apply @p fn to an Entry handle for every valid slot, in slot
+     * index order (the order forEach visits them), reading the valid
+     * bytes eight at a time and stopping after the last valid slot.
+     * @p fn must not change any slot's validity.
+     */
+    template <typename F>
+    void
+    forEachValid(F &&fn) const
     {
-        std::uint64_t n = 0;
-        for (const auto v : valid_)
-            n += v != 0;
-        return n;
+        std::size_t left = validCount_;
+        if (left == 0)
+            return;
+        scanSetBytes(valid_.data(), valid_.data(), [&](std::size_t i) {
+            fn(Entry{self(), i});
+            return --left != 0;
+        });
     }
+
+    /** Count of currently valid entries (O(1): kept by setValid). */
+    std::uint64_t validCount() const { return validCount_; }
 
     /** Handle to the slot at (@p set, @p way). */
     Entry
@@ -355,6 +384,30 @@ class SetAssocCache
     }
 
   private:
+    /**
+     * Call @p fn(i) for every slot i whose byte is set in @p a or
+     * @p b (two valid arrays of this geometry), in index order, until
+     * @p fn returns false. Whole zero words of eight slots are
+     * skipped with one load each.
+     */
+    template <typename F>
+    void
+    scanSetBytes(const std::uint8_t *a, const std::uint8_t *b,
+                 F &&fn) const
+    {
+        const std::size_t n = valid_.size();
+        for (std::size_t w = 0; w < n; w += 8) {
+            std::uint64_t wa, wb;
+            std::memcpy(&wa, a + w, sizeof wa);
+            std::memcpy(&wb, b + w, sizeof wb);
+            if ((wa | wb) == 0)
+                continue;
+            for (std::size_t i = w; i < w + 8; ++i)
+                if ((a[i] | b[i]) != 0 && !fn(i))
+                    return;
+        }
+    }
+
     /**
      * Handles mutate the arrays through a non-const cache pointer;
      * lookups from a const cache are morally non-mutating (no LRU
@@ -373,7 +426,8 @@ class SetAssocCache
     std::uint32_t auxBytesPerLine_;
 
     // Parallel tag-store arrays (index = set * assoc + way).
-    std::vector<std::uint8_t> valid_;
+    std::vector<std::uint8_t> valid_; //!< padded to a multiple of 8
+    std::size_t validCount_ = 0;      //!< set bytes in valid_
     std::vector<LineAddr> tags_;
     std::vector<Cycle> lastAccess_;
     std::vector<Meta> meta_;

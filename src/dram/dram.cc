@@ -79,6 +79,15 @@ DramModel::readLine(LineAddr line, std::uint64_t *out) const
                 wordsPerLine_, out);
 }
 
+std::uint64_t
+DramModel::readWord(LineAddr line, std::uint32_t word) const
+{
+    const std::uint32_t *idx = slot_.find(line);
+    if (idx == nullptr)
+        return 0;
+    return pool_[static_cast<std::size_t>(*idx) * wordsPerLine_ + word];
+}
+
 void
 DramModel::writeLine(LineAddr line, const std::uint64_t *in)
 {

@@ -52,6 +52,9 @@ class DramModel
      */
     void readLine(LineAddr line, std::uint64_t *out) const;
 
+    /** Functional read of word @p word of a line (0 when untouched). */
+    std::uint64_t readWord(LineAddr line, std::uint32_t word) const;
+
     /** Functional write of a line (wordsPerLine() words from @p in). */
     void writeLine(LineAddr line, const std::uint64_t *in);
 

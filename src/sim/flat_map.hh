@@ -10,7 +10,9 @@
  * linear probing (mixAddrBits hash), so lookups touch a single cache
  * line in the common case and inserts allocate only on growth. The
  * functional reference memory uses it too, so that a snapshot restore
- * (assignFrom) copies one array instead of allocating per word.
+ * (assignFrom) copies cells instead of allocating per word. One
+ * occupancy bit per cell lets that restore copy only the cells
+ * occupied on either side.
  *
  * Constraints (all satisfied by the simulator's users):
  *  - keys must never equal kInvalidAddr (the empty-cell sentinel);
@@ -43,6 +45,9 @@ class FlatAddrMap
     /** Entries stored. */
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** Cells allocated (test helper). */
+    std::size_t capacity() const { return cells_.size(); }
 
     /** Grow the table so @p expected entries fit within load factor. */
     void
@@ -97,6 +102,7 @@ class FlatAddrMap
                     if ((size_ + 1) * 4 > cells_.size() * 3)
                         break;
                     c.key = key;
+                    occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
                     ++size_;
                     return c.val;
                 }
@@ -110,28 +116,43 @@ class FlatAddrMap
      * Make this map hold exactly @p o's entries, in @p o's cell
      * layout (snapshot restore, Multicore::restoreFrom). Two empty
      * maps are left alone whatever their capacities, so a large
-     * pre-sized table that is unused on both sides costs nothing;
-     * otherwise the cell array is copied into the existing allocation
-     * when it is large enough.
+     * pre-sized table that is unused on both sides costs nothing.
+     * Between equal capacities only the cells occupied on either
+     * side are copied, found through the occupancy bits (one word per
+     * 64 cells), so the cost scales with occupancy, not with the
+     * pre-sized capacity; between different capacities the whole
+     * cell array is copied.
      */
     void
     assignFrom(const FlatAddrMap &o)
     {
         if (size_ == 0 && o.size_ == 0)
             return;
-        cells_ = o.cells_;
-        mask_ = o.mask_;
         size_ = o.size_;
+        if (cells_.size() != o.cells_.size()) {
+            cells_ = o.cells_;
+            occupied_ = o.occupied_;
+            mask_ = o.mask_;
+            return;
+        }
+        for (std::size_t w = 0; w < occupied_.size(); ++w) {
+            const std::uint64_t either = occupied_[w] | o.occupied_[w];
+            occupied_[w] = o.occupied_[w];
+            forEachBit(either, w * 64,
+                       [&](std::size_t i) { cells_[i] = o.cells_[i]; });
+        }
     }
 
-    /** Apply @p fn(key, value) to every entry (probe order). */
+    /** Apply @p fn(key, value) to every entry, in cell order, found
+     * through the occupancy bits. */
     template <typename F>
     void
     forEach(F &&fn) const
     {
-        for (const Cell &c : cells_)
-            if (c.key != kEmptyKey)
-                fn(c.key, c.val);
+        for (std::size_t w = 0; w < occupied_.size(); ++w)
+            forEachBit(occupied_[w], w * 64, [&](std::size_t i) {
+                fn(cells_[i].key, cells_[i].val);
+            });
     }
 
   private:
@@ -145,11 +166,25 @@ class FlatAddrMap
         V val{};
     };
 
-    void
+    /** Call @p fn(base + b) for every set bit b of @p word, lowest
+     * first. */
+    template <typename F>
+    static void
+    forEachBit(std::uint64_t word, std::size_t base, F &&fn)
+    {
+        for (; word != 0; word &= word - 1)
+            fn(base + static_cast<std::size_t>(__builtin_ctzll(word)));
+    }
+
+    /** Move every entry into a fresh table of @p new_capacity cells.
+     * Kept out of line: growth is rare, and inlined into operator[]
+     * it pushed the insert path out of line at its hot call sites. */
+    [[gnu::noinline]] void
     rehash(std::size_t new_capacity)
     {
         std::vector<Cell> old = std::move(cells_);
         cells_.assign(new_capacity, Cell{});
+        occupied_.assign((new_capacity + 63) / 64, 0);
         mask_ = new_capacity - 1;
         for (Cell &c : old) {
             if (c.key == kEmptyKey)
@@ -158,10 +193,14 @@ class FlatAddrMap
             while (cells_[i].key != kEmptyKey)
                 i = (i + 1) & mask_;
             cells_[i] = std::move(c);
+            occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
         }
     }
 
     std::vector<Cell> cells_; //!< power-of-two sized, or empty
+    /** Bit i set iff cells_[i] holds an entry (what assignFrom and
+     * forEach walk). */
+    std::vector<std::uint64_t> occupied_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
 };

@@ -170,7 +170,11 @@ class Multicore
      * checking mode, SystemStats; barrier and lock state; and the
      * fault counters when a plan is armed. Not copied: the watchdog
      * setting, and controller scratch that every use overwrites.
-     * Cost scales with occupied state, not with pre-sized capacity.
+     * Cost scales with occupied state, not with pre-sized capacity: a
+     * cache visits only slots valid on either side (an empty pair is
+     * O(1)), a flat map of equal capacity copies only cells occupied
+     * on either side, and an empty pending-op queue on both sides is
+     * skipped.
      *
      * Restore contract: a new piece of mutable simulation state must
      * join restoreFrom. The restore-equivalence test

@@ -14,7 +14,10 @@ Tile::restoreFrom(const Tile &o)
     missTracker.restoreFrom(o.missTracker);
     now = o.now;
     status = o.status;
-    pending = o.pending;
+    // Skipped when empty on both sides: assigning even an empty deque
+    // is not free, and nearly every restore has nothing pending.
+    if (!pending.empty() || !o.pending.empty())
+        pending = o.pending;
     ifetchLine = o.ifetchLine;
     instrInLine = o.instrInLine;
     stats = o.stats;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
+#include <cstring>
+#include <memory>
 #include <optional>
-#include <unordered_set>
 
 #include "net/factory.hh"
 #include "protocol/factory.hh"
 #include "sim/log.hh"
+#include "sim/types.hh"
 #include "system/multicore.hh"
 #include "verify/invariants.hh"
 
@@ -45,10 +46,12 @@ coreByte(CoreId c)
 }
 
 std::string
-renderPath(const std::vector<Event> &path)
+renderPath(const std::vector<Event> &events,
+           const std::vector<std::uint8_t> &path)
 {
     std::string s;
-    for (const Event &e : path) {
+    for (const std::uint8_t k : path) {
+        const Event &e = events[k];
         char buf[64];
         std::snprintf(buf, sizeof buf, "core %u %c %llx\n", e.core,
                       "rwf"[e.kind],
@@ -57,6 +60,121 @@ renderPath(const std::vector<Event> &path)
     }
     return s;
 }
+
+/**
+ * The visited set: every canonical code (all of one width) stored in
+ * full in a chunked arena indexed by state id (ids are dense, in
+ * insertion order), plus an open-addressing table of ids keyed by a
+ * hash of the code. A table slot holds the code hash's high 32 bits
+ * beside id + 1 (0 = empty); a probe compares that tag first and then
+ * the whole stored code, so deduplication never merges two distinct
+ * states. Growing the table rehashes the stored codes; the arena
+ * never moves.
+ */
+class StateSet
+{
+  public:
+    explicit StateSet(std::size_t width)
+        : width_(width), slots_(kMinSlots, 0), mask_(kMinSlots - 1)
+    {}
+
+    std::uint32_t size() const { return count_; }
+
+    /** Add @p code unless present. @return true if it was new; its
+     * id is then size() - 1. */
+    bool
+    insert(const std::uint8_t *code)
+    {
+        const std::uint64_t h = hash(code);
+        std::size_t i = h & mask_;
+        for (; slots_[i] != 0; i = (i + 1) & mask_) {
+            if ((slots_[i] >> 32) == (h >> 32) &&
+                std::memcmp(at(idIn(slots_[i])), code, width_) == 0)
+                return false;
+        }
+        const std::uint32_t id = count_;
+        if (id % kChunkStates == 0)
+            chunks_.emplace_back(new std::uint8_t[kChunkStates * width_]);
+        std::memcpy(chunks_.back().get() + (id % kChunkStates) * width_,
+                    code, width_);
+        ++count_;
+        if (static_cast<std::size_t>(count_) * 2 > slots_.size())
+            grow();
+        else
+            slots_[i] = slotOf(h, id);
+        return true;
+    }
+
+  private:
+    static constexpr std::size_t kMinSlots = 1024;
+    static constexpr std::size_t kChunkStates = std::size_t{1} << 16;
+
+    static std::uint64_t
+    slotOf(std::uint64_t h, std::uint32_t id)
+    {
+        return (h & 0xFFFFFFFF00000000ULL) | (std::uint64_t{id} + 1);
+    }
+
+    static std::uint32_t
+    idIn(std::uint64_t slot)
+    {
+        return static_cast<std::uint32_t>(slot) - 1;
+    }
+
+    const std::uint8_t *
+    at(std::uint32_t id) const
+    {
+        return chunks_[id / kChunkStates].get() +
+               (id % kChunkStates) * width_;
+    }
+
+    std::uint64_t
+    hash(const std::uint8_t *code) const
+    {
+        std::uint64_t h = width_;
+        for (std::size_t i = 0; i < width_; i += 8) {
+            std::uint64_t w = 0;
+            std::memcpy(&w, code + i,
+                        std::min<std::size_t>(8, width_ - i));
+            h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+            h ^= h >> 32;
+        }
+        return mixAddrBits(h);
+    }
+
+    /** Double the table (load factor <= 1/2) and re-place every id,
+     * rehashing the stored codes. The old table is freed first: it is
+     * not needed, and holding it would raise the peak footprint. */
+    void
+    grow()
+    {
+        const std::size_t n = slots_.size() * 2;
+        std::vector<std::uint64_t>().swap(slots_);
+        slots_.assign(n, 0);
+        mask_ = n - 1;
+        for (std::uint32_t id = 0; id < count_; ++id) {
+            const std::uint64_t h = hash(at(id));
+            std::size_t i = h & mask_;
+            while (slots_[i] != 0)
+                i = (i + 1) & mask_;
+            slots_[i] = slotOf(h, id);
+        }
+    }
+
+    std::size_t width_;
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+    std::uint32_t count_ = 0;
+    std::vector<std::uint64_t> slots_; //!< power-of-two sized
+    std::size_t mask_;
+};
+
+/** How BFS first reached a state: from state `parent` by event
+ * `event` (an index into the event alphabet). Indexed by state id. */
+struct Step
+{
+    std::uint32_t parent;
+    std::uint8_t event;
+};
 
 } // namespace
 
@@ -75,52 +193,64 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
         fatal("encodeState: %u cores, PCT %u, RATmax %u, %u RAT levels"
               " overflow the one-byte fields",
               cfg.numCores, cfg.pct, cfg.ratMax, cfg.nRatLevels);
-    out.clear();
-    const auto put = [&out](std::uint32_t v) {
-        out.push_back(static_cast<char>(v));
-    };
-    const auto tag = [&](std::uint32_t l) -> LineAddr {
-        return enumAddr(l) / cfg.lineSize;
+    // Config fields read into locals once: every byte written through
+    // a cursor may alias them, which would force a reload per use.
+    const std::uint32_t cores = cfg.numCores;
+    const std::uint32_t pct = cfg.pct;
+    const std::uint32_t rat_max = cfg.ratMax;
+    const unsigned line_shift = __builtin_ctz(cfg.lineSize);
+    const std::size_t l1_bytes = 2 * 2 * lines; // per core: D, I
+    const std::size_t entry_bytes = 7 + 3 * cores;
+
+    // Absent lines and entries are all zero bytes, so the buffer is
+    // zeroed once and only resident lines are visited and written.
+    // Layout: L1 fields per core, directory entries per home, and the
+    // 3-byte page record.
+    out.assign(cores * (l1_bytes + lines * entry_bytes) + 3, '\0');
+    char *const base = out.data();
+    // Pool index of a resident line; anything else breaks the layout.
+    const auto poolIndex = [&](LineAddr tag, const char *who,
+                               std::uint32_t id) -> std::uint32_t {
+        const Addr a = tag << line_shift;
+        if (a < kBase || (a - kBase) % kLineStride != 0 ||
+            (a - kBase) / kLineStride >= lines)
+            panic("encodeState: %s %u holds a line outside the %u-line"
+                  " pool", who, id, lines);
+        return static_cast<std::uint32_t>((a - kBase) / kLineStride);
     };
 
     // L1 contents: per core, per cache, per pool line (state + 1, or
     // 0 when absent; capped utilization).
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+    for (std::uint32_t c = 0; c < cores; ++c) {
         const Tile &tl = m.tile(static_cast<CoreId>(c));
+        char *const core_fields = base + c * l1_bytes;
         for (const L1Cache *l1 : {&tl.l1d, &tl.l1i}) {
-            std::uint32_t found = 0;
-            for (std::uint32_t l = 0; l < lines; ++l) {
-                const L1Cache::Entry e = l1->find(tag(l));
-                if (!e) {
-                    put(0);
-                    put(0);
-                    continue;
-                }
-                ++found;
-                put(1 + static_cast<std::uint32_t>(e.meta().state));
-                put(std::min(e.meta().privateUtil, cfg.pct));
-            }
-            if (found != l1->validCount())
-                panic("encodeState: core %u caches a line outside the"
-                      " %u-line pool", c, lines);
+            char *const cache_fields =
+                core_fields + (l1 == &tl.l1d ? 0 : 2 * lines);
+            l1->forEachValid([&](L1Cache::Entry e) {
+                char *p = cache_fields + 2 * poolIndex(e.tag(), "core", c);
+                *p++ = static_cast<char>(
+                    1 + static_cast<std::uint32_t>(e.meta().state));
+                *p = static_cast<char>(std::min(e.meta().privateUtil, pct));
+            });
         }
     }
 
     // Directory entries: per home, per pool line; protocol metadata
     // plus the full per-core classifier records. An absent entry is
     // all zero bytes, a present one starts with 1.
-    const std::size_t entry_bytes = 7 + 3 * cfg.numCores;
+    char *const dir_fields = base + cores * l1_bytes;
     const DirLayout layout(cfg);
-    for (std::uint32_t h = 0; h < cfg.numCores; ++h) {
+    const LocalityClassifier &classifier = m.classifier();
+    for (std::uint32_t h = 0; h < cores; ++h) {
         const L2Cache &l2 = m.tile(static_cast<CoreId>(h)).l2;
-        std::uint32_t found = 0;
-        for (std::uint32_t l = 0; l < lines; ++l) {
-            const L2Cache::Entry e = l2.find(tag(l));
-            if (!e) {
-                out.append(entry_bytes, '\0');
-                continue;
-            }
-            ++found;
+        l2.forEachValid([&](L2Cache::Entry e) {
+            char *p = dir_fields +
+                      (h * lines + poolIndex(e.tag(), "home", h)) *
+                          entry_bytes; // the write cursor
+            const auto put = [&p](std::uint32_t v) {
+                *p++ = static_cast<char>(v);
+            };
             const L2Meta &meta = e.meta();
             put(1);
             put(static_cast<std::uint32_t>(meta.dstate));
@@ -140,10 +270,10 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
             for (const CoreId t : meta.holders)
                 holders |= 1u << t;
             put(holders);
-            for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+            for (std::uint32_t c = 0; c < cores; ++c) {
                 const std::optional<CoreLocality> loc =
-                    m.classifier().peek(layout.record(e),
-                                        static_cast<CoreId>(c));
+                    classifier.peek(layout.record(e),
+                                    static_cast<CoreId>(c));
                 if (!loc) {
                     put(0xFF); // untracked; modes are 0 and 1
                     put(0);
@@ -157,22 +287,22 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
                 // like the timing fields it cannot influence any
                 // future decision here.
                 put(static_cast<std::uint32_t>(loc->mode));
-                put(std::min(loc->remoteUtil, cfg.ratMax));
+                put(std::min(loc->remoteUtil, rat_max));
                 put(loc->ratLevel);
             }
-        }
-        if (found != l2.validCount())
-            panic("encodeState: home %u holds a line outside the"
-                  " %u-line pool", h, lines);
+        });
     }
 
     // R-NUCA page record of the (single) enumerated page: class and
     // owner drive every future home lookup and rehome decision.
     const PageTable::Record *rec =
         m.pageTable().lookup(kBase / cfg.pageSize);
-    put(rec != nullptr ? 1 : 0);
-    put(rec != nullptr ? static_cast<std::uint32_t>(rec->cls) : 0);
-    put(rec != nullptr ? coreByte(rec->owner) : 0);
+    if (rec != nullptr) {
+        char *p = base + out.size() - 3;
+        p[0] = 1;
+        p[1] = static_cast<char>(rec->cls);
+        p[2] = static_cast<char>(coreByte(rec->owner));
+    }
 }
 
 SystemConfig
@@ -206,6 +336,15 @@ enumConfig(std::uint32_t cores, const std::string &protocol,
 EnumResult
 enumerate(const EnumOptions &opt)
 {
+    if (opt.cores < 2 || opt.cores > 4)
+        fatal("enumerate: cores (%u) must be in [2, 4]", opt.cores);
+    if (opt.lines < 1 || opt.lines > 2)
+        fatal("enumerate: lines (%u) must be in [1, 2]", opt.lines);
+    if (opt.maxStates < 1 || opt.maxStates > kMaxEnumStates)
+        fatal("enumerate: maxStates (%llu) must be in [1, %llu]",
+              static_cast<unsigned long long>(opt.maxStates),
+              static_cast<unsigned long long>(kMaxEnumStates));
+
     EnumResult res;
     const SystemConfig cfg =
         enumConfig(opt.cores, opt.protocol, opt.network);
@@ -227,43 +366,48 @@ enumerate(const EnumOptions &opt)
     Multicore child(cfg);
 
     std::string code; // reused encoding buffer
-    std::unordered_set<std::string> seen;
-    std::deque<std::vector<Event>> frontier;
-    bool capped = false;
-
+    const auto codeBytes = [&code] {
+        return reinterpret_cast<const std::uint8_t *>(code.data());
+    };
     encodeState(node, opt.lines, code);
-    seen.insert(code);
-    frontier.push_back({});
+    StateSet seen(code.size());
+    // steps[id] records how BFS first reached state `id`. States are
+    // discovered in id order, so the frontier is the id range
+    // [n, seen.size()) and expanding node n is a cursor step.
+    std::vector<Step> steps;
+    seen.insert(codeBytes());
+    steps.push_back({0, 0}); // reset: its own root, never walked
+    std::vector<std::uint8_t> path; // reused: node n's events from reset
+    bool capped = seen.size() >= opt.maxStates;
 
-    while (!frontier.empty() && !capped) {
-        std::vector<Event> path = std::move(frontier.front());
-        frontier.pop_front();
+    for (std::uint32_t n = 0; n < seen.size() && !capped; ++n) {
+        path.clear();
+        for (std::uint32_t id = n; id != 0; id = steps[id].parent)
+            path.push_back(steps[id].event);
+        std::reverse(path.begin(), path.end());
         node.restoreFrom(reset);
-        for (const Event &e : path)
-            applyEvent(node, e);
-        for (const Event &e : events) {
+        for (const std::uint8_t k : path)
+            applyEvent(node, events[k]);
+        for (std::uint8_t k = 0; k < events.size(); ++k) {
             child.restoreFrom(node);
-            applyEvent(child, e);
+            applyEvent(child, events[k]);
             ++res.transitions;
             auto viol = checkAll(child);
             if (!viol.empty()) {
-                path.push_back(e);
+                path.push_back(k);
                 res.states = seen.size();
                 res.violations = std::move(viol);
-                res.counterexample = renderPath(path);
+                res.counterexample = renderPath(events, path);
                 return res;
             }
             encodeState(child, opt.lines, code);
-            if (seen.find(code) != seen.end())
+            if (!seen.insert(codeBytes()))
                 continue;
-            seen.insert(code);
+            steps.push_back({n, k});
             if (seen.size() >= opt.maxStates) {
                 capped = true;
                 break;
             }
-            std::vector<Event> next = path;
-            next.push_back(e);
-            frontier.push_back(std::move(next));
         }
     }
 

@@ -16,6 +16,17 @@
  * per-access granularity really does visit every reachable protocol
  * state — there are no transient interleavings below it.
  *
+ * Bookkeeping is flat. A state's id is its BFS discovery index. The
+ * visited set keeps every canonical code in full in one chunked arena
+ * indexed by id, with an open-addressing table of ids keyed by a hash
+ * of the code; a lookup compares the whole stored code (memcmp), so a
+ * hash collision can never merge two states. Per id the enumerator
+ * keeps only {parent id, event}: the frontier is a cursor over the
+ * ids, and a node's path is rebuilt by walking parents to reset.
+ * checkAll runs after every explored transition, including ones that
+ * reach an already-visited state: the encoding excludes data words,
+ * so a seen code does not make a state's values seen.
+ *
  * Canonicalization (what makes the search finite) deliberately
  * excludes pure-timing state — per-core clocks, per-line busyUntil,
  * LRU timestamps (the config uses direct-mapped L1s and never fills
@@ -55,14 +66,24 @@ class Multicore;
 
 namespace verify {
 
-/** Bounds of one enumeration (CLI: bench/lacc_verify.cc). */
+/** Largest EnumOptions::maxStates: the visited set's 32-bit ids. */
+constexpr std::uint64_t kMaxEnumStates = 0xFFFFFFFFu;
+
+/**
+ * Bounds of one enumeration (CLI: bench/lacc_verify.cc). enumerate()
+ * fatal()s on a value outside its range rather than report a vacuous
+ * or unsound "exhaustive": no lines means no events, one core has no
+ * coherence to check, and the argument above is made only for these
+ * ranges (from a fifth line on, for example, the pool reaches a
+ * second page whose R-NUCA record the encoding leaves out).
+ */
 struct EnumOptions
 {
     std::uint32_t cores = 2;        //!< [2, 4]
     std::uint32_t lines = 2;        //!< [1, 2]
     std::string protocol = "lacc";  //!< factory key
     std::string network = "mesh";   //!< factory key
-    /** Safety cap on distinct states (0 is invalid). The default
+    /** Cap on distinct states, in [1, kMaxEnumStates]. The default
      * covers the default 2-core/2-line space (1,036,931 states). */
     std::uint64_t maxStates = 2000000;
 };
@@ -103,7 +124,10 @@ Addr enumAddr(std::uint32_t line);
  * Write the canonical state of @p m (see file header) over a pool of
  * @p lines lines into @p out, replacing its contents. The width
  * depends only on the config and @p lines, so a reused buffer never
- * allocates after its first use. fatal() when a field does not fit
+ * allocates after its first use. Absent lines and entries are zero
+ * bytes: @p out is zeroed, then only the valid L1 lines and
+ * directory entries are visited and written in place, so the cost
+ * scales with what is resident. fatal() when a field does not fit
  * its byte (more than 8 cores, PCT or RATmax above 255).
  */
 void encodeState(Multicore &m, std::uint32_t lines, std::string &out);

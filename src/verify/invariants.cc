@@ -177,10 +177,10 @@ checkInvariants(Multicore &m)
 
     // Directory side: every valid entry of every home slice.
     for (std::uint32_t h = 0; h < n; ++h) {
-        m.tile(static_cast<CoreId>(h)).l2.forEach([&](L2Cache::Entry e) {
-            if (e.valid())
+        m.tile(static_cast<CoreId>(h)).l2.forEachValid(
+            [&](L2Cache::Entry e) {
                 checkEntry(m, static_cast<CoreId>(h), e, out);
-        });
+            });
     }
 
     // L1 side (inclusion + oracle converse): every resident L1 line
@@ -189,9 +189,7 @@ checkInvariants(Multicore &m)
         Tile &tl = m.tile(static_cast<CoreId>(c));
         for (L1Cache *l1 : {&tl.l1d, &tl.l1i}) {
             const char *which = l1 == &tl.l1d ? "L1-D" : "L1-I";
-            l1->forEach([&](L1Cache::Entry e) {
-                if (!e.valid())
-                    return;
+            l1->forEachValid([&](L1Cache::Entry e) {
                 const LineAddr line = e.tag();
                 const CoreId home = m.protocol().directory().homeOf(
                     line, static_cast<CoreId>(c));
@@ -221,20 +219,15 @@ checkInvariants(Multicore &m)
 std::vector<std::string>
 checkFinalMemory(Multicore &m)
 {
-    std::vector<std::string> out;
     const SystemConfig &cfg = m.config();
     const AddressMap addr(cfg);
 
-    // Deterministic order for reporting and shrinking.
-    std::vector<std::pair<Addr, std::uint64_t>> words;
-    words.reserve(m.functionalMemory().trackedWords());
-    m.functionalMemory().forEachWord([&](Addr wa, std::uint64_t v) {
-        words.emplace_back(wa, v);
-    });
-    std::sort(words.begin(), words.end());
-
-    std::vector<std::uint64_t> dram_line(cfg.wordsPerLine());
-    for (const auto &[wa, expect] : words) {
+    // Each word is checked where the reference map keeps it; only
+    // mismatches are collected (nothing allocates on a clean state)
+    // and then reported in ascending word order, a word's homes in
+    // ascending order as its check finds them.
+    std::vector<std::pair<Addr, std::string>> bad;
+    m.functionalMemory().forEachWord([&](Addr wa, std::uint64_t expect) {
         const LineAddr line = addr.lineOf(wa);
         const std::uint32_t w = addr.wordOf(wa);
 
@@ -259,24 +252,33 @@ checkFinalMemory(Multicore &m)
                 }
             }
             if (visible != expect)
-                out.push_back(vfmt(
-                    "word %llx: %s at home %u has %llu, reference"
-                    " memory has %llu",
-                    static_cast<unsigned long long>(wa), where, h,
-                    static_cast<unsigned long long>(visible),
-                    static_cast<unsigned long long>(expect)));
+                bad.emplace_back(
+                    wa, vfmt("word %llx: %s at home %u has %llu,"
+                             " reference memory has %llu",
+                             static_cast<unsigned long long>(wa), where,
+                             h, static_cast<unsigned long long>(visible),
+                             static_cast<unsigned long long>(expect)));
         }
         if (!have_l2) {
-            m.dram().readLine(line, dram_line.data());
-            if (dram_line[w] != expect)
-                out.push_back(vfmt(
-                    "word %llx: DRAM has %llu, reference memory has"
-                    " %llu",
-                    static_cast<unsigned long long>(wa),
-                    static_cast<unsigned long long>(dram_line[w]),
-                    static_cast<unsigned long long>(expect)));
+            const std::uint64_t stored = m.dram().readWord(line, w);
+            if (stored != expect)
+                bad.emplace_back(
+                    wa, vfmt("word %llx: DRAM has %llu, reference"
+                             " memory has %llu",
+                             static_cast<unsigned long long>(wa),
+                             static_cast<unsigned long long>(stored),
+                             static_cast<unsigned long long>(expect)));
         }
-    }
+    });
+
+    std::stable_sort(bad.begin(), bad.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<std::string> out;
+    out.reserve(bad.size());
+    for (auto &b : bad)
+        out.push_back(std::move(b.second));
     return out;
 }
 

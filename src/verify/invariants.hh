@@ -51,14 +51,17 @@ std::vector<std::string> checkInvariants(Multicore &m);
  * Check the final visible value of every word the reference memory
  * tracks: the unique Modified L1 copy if one exists, else the home L2
  * copy, else DRAM. Meaningful after a run (or any quiescent point);
- * @return one message per mismatching word.
+ * @return one message per mismatching word and home, in ascending
+ * word order (homes ascending within a word). Allocates nothing when
+ * every word matches.
  */
 std::vector<std::string> checkFinalMemory(Multicore &m);
 
 /**
  * checkInvariants + checkFinalMemory + the per-access functional
  * error counter, concatenated. The one-call entry point for the
- * verification engines.
+ * verification engines; on a clean state it allocates nothing (the
+ * enumerator calls it after every transition).
  */
 std::vector<std::string> checkAll(Multicore &m);
 

@@ -5,10 +5,13 @@
  * the miss-type tracker (Section 4.4 taxonomy).
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/miss_status.hh"
 #include "cache/set_assoc.hh"
+#include "sim/rng.hh"
 
 namespace lacc {
 namespace {
@@ -190,6 +193,60 @@ TEST(SetAssoc, ForEachVisitsEverySlot)
     });
     EXPECT_EQ(slots, 8u);
     EXPECT_EQ(valid, 1u);
+}
+
+/** Expect @p c's O(1) validCount() to equal a recount of its valid
+ * bits, and forEachValid to visit exactly the valid slots, in the
+ * order forEach visits them. */
+void
+expectValidCountExact(L1Cache &c)
+{
+    std::vector<L1Cache::Entry> valid, visited;
+    c.forEach([&](L1Cache::Entry e) {
+        if (e.valid())
+            valid.push_back(e);
+    });
+    c.forEachValid([&](L1Cache::Entry e) { visited.push_back(e); });
+    EXPECT_EQ(c.validCount(), valid.size());
+    EXPECT_EQ(visited, valid);
+}
+
+TEST(SetAssoc, ValidCountMatchesRecount)
+{
+    // Random fills, invalidates and restores in both directions, on
+    // 12 slots (the valid bytes end inside an 8-byte scan word).
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        Rng rng(seed);
+        L1Cache a(4, 3, 2), b(4, 3, 2);
+        for (int step = 0; step < 400; ++step) {
+            L1Cache &c = rng.chance(0.5) ? a : b;
+            const double op = rng.uniform();
+            if (op < 0.5) {
+                const LineAddr line = rng.below(32);
+                if (!c.find(line)) {
+                    auto e = c.victimFor(line);
+                    e.setValid(true);
+                    e.setTag(line);
+                    e.setLastAccess(step + 1);
+                }
+            } else if (op < 0.85) {
+                c.invalidate(c.entryAt(rng.below(4), rng.below(3)));
+            } else {
+                c.restoreFrom(&c == &a ? b : a);
+                for (std::uint32_t set = 0; set < 4; ++set) {
+                    for (std::uint32_t way = 0; way < 3; ++way) {
+                        const auto x = a.entryAt(set, way);
+                        const auto y = b.entryAt(set, way);
+                        EXPECT_EQ(x.valid(), y.valid());
+                        EXPECT_EQ(x.tag(), y.tag());
+                        EXPECT_EQ(x.lastAccess(), y.lastAccess());
+                    }
+                }
+            }
+            expectValidCountExact(a);
+            expectValidCountExact(b);
+        }
+    }
 }
 
 TEST(MissTracker, ColdByDefault)

@@ -7,56 +7,17 @@
  */
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/limited_classifier.hh"
+#include "count_allocations.hh"
 #include "protocol/core_vec.hh"
 #include "protocol/factory.hh"
 #include "protocol/sharer_list.hh"
 #include "system/multicore.hh"
-
-namespace {
-/** Heap allocations made by this test binary (see the Footprint tests). */
-std::atomic<std::uint64_t> gAllocations{0};
-} // namespace
-
-// A malloc-backed replacement pair that counts every allocation; the
-// library's array and sized forms forward to these two.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void *
-operator new(std::size_t n)
-{
-    ++gAllocations;
-    if (void *p = std::malloc(n != 0 ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace lacc {
 namespace {

@@ -16,6 +16,7 @@
 #include "sim/abort.hh"
 #include "system/experiment.hh"
 #include "system/multicore.hh"
+#include "verify/enumerate.hh"
 #include "workload/trace_file.hh"
 
 namespace lacc {
@@ -134,6 +135,49 @@ TEST(Failures, ConfigsBeyondPackedFieldsAreFatal)
     c.nRatLevels = kMaxRatLevels;
     c.ackwisePointers = kMaxAckwisePointers;
     c.validate();
+}
+
+TEST(Failures, EnumerateOptionsOutsideTheirRangesAreFatal)
+{
+    // Outside these ranges an "exhaustive, clean" result would be
+    // vacuous (no lines: no events; one core: no coherence) or rest
+    // on an unproven soundness argument, so the library refuses them
+    // as lacc_verify's flag parser does.
+    const auto with = [](std::uint32_t cores, std::uint32_t lines,
+                         std::uint64_t max_states) {
+        verify::EnumOptions o;
+        o.cores = cores;
+        o.lines = lines;
+        o.maxStates = max_states;
+        return o;
+    };
+    EXPECT_EXIT(verify::enumerate(with(2, 0, 50)),
+                testing::ExitedWithCode(1),
+                "lines \\(0\\) must be in \\[1, 2\\]");
+    EXPECT_EXIT(verify::enumerate(with(2, 3, 50)),
+                testing::ExitedWithCode(1),
+                "lines \\(3\\) must be in \\[1, 2\\]");
+    EXPECT_EXIT(verify::enumerate(with(1, 1, 50)),
+                testing::ExitedWithCode(1),
+                "cores \\(1\\) must be in \\[2, 4\\]");
+    EXPECT_EXIT(verify::enumerate(with(5, 1, 50)),
+                testing::ExitedWithCode(1),
+                "cores \\(5\\) must be in \\[2, 4\\]");
+    EXPECT_EXIT(verify::enumerate(with(2, 1, 0)),
+                testing::ExitedWithCode(1),
+                "maxStates \\(0\\) must be in \\[1, 4294967295\\]");
+    EXPECT_EXIT(verify::enumerate(with(2, 1, verify::kMaxEnumStates + 1)),
+                testing::ExitedWithCode(1),
+                "maxStates \\(4294967296\\) must be in"
+                " \\[1, 4294967295\\]");
+
+    // The boundary values themselves are valid; a cap of one state
+    // stops at reset.
+    const verify::EnumResult one = verify::enumerate(with(2, 1, 1));
+    EXPECT_EQ(one.states, 1u);
+    EXPECT_FALSE(one.exhaustive);
+    EXPECT_TRUE(
+        verify::enumerate(with(2, 1, verify::kMaxEnumStates)).exhaustive);
 }
 
 TEST(Failures, EventTimeBeyondKeyFieldPanics)

@@ -4,6 +4,10 @@
  * validation and derived values, statistics containers.
  */
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/config.hh"
@@ -82,6 +86,78 @@ TEST(FlatAddrMap, ForEachVisitsEveryEntryOnce)
     EXPECT_EQ(n, 100u);
     EXPECT_EQ(ks, key_sum);
     EXPECT_EQ(vs, val_sum);
+}
+
+/** Expect @p m to hold exactly @p model: size, a find for every key
+ * in @p keys (present or not), and one forEach visit per entry. */
+void
+expectMapHolds(const FlatAddrMap<std::uint64_t> &m,
+               const std::map<std::uint64_t, std::uint64_t> &model,
+               const std::set<std::uint64_t> &keys)
+{
+    EXPECT_EQ(m.size(), model.size());
+    for (const std::uint64_t k : keys) {
+        const std::uint64_t *v = m.find(k);
+        const auto it = model.find(k);
+        if (it == model.end()) {
+            EXPECT_EQ(v, nullptr) << std::hex << k;
+        } else {
+            ASSERT_NE(v, nullptr) << std::hex << k;
+            EXPECT_EQ(*v, it->second) << std::hex << k;
+        }
+    }
+    std::map<std::uint64_t, std::uint64_t> visited;
+    m.forEach([&](std::uint64_t k, const std::uint64_t &v) {
+        EXPECT_TRUE(visited.emplace(k, v).second) << "visited twice";
+    });
+    EXPECT_EQ(visited, model);
+}
+
+TEST(FlatAddrMap, AssignFromIsExactAcrossCapacities)
+{
+    // Random walks over three maps of different pre-sizes: each step
+    // inserts into one map or assigns one map from another. Targets
+    // are dirty, often holding more entries than their source, of
+    // equal and of different capacity, and keep taking inserts and
+    // finds (and growth) after the assign; every map must always
+    // match its model.
+    std::size_t equal_caps = 0, different_caps = 0, larger_targets = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        std::vector<FlatAddrMap<std::uint64_t>> maps(3);
+        maps[1].reserve(16);
+        maps[2].reserve(256);
+        std::vector<std::map<std::uint64_t, std::uint64_t>> models(3);
+        std::set<std::uint64_t> keys; // every key any map ever held
+        for (int step = 0; step < 600; ++step) {
+            const std::size_t dst = rng.below(3);
+            if (rng.chance(0.1)) {
+                const std::size_t src = (dst + 1 + rng.below(2)) % 3;
+                ++(maps[dst].capacity() == maps[src].capacity()
+                       ? equal_caps
+                       : different_caps);
+                larger_targets += maps[dst].size() > maps[src].size();
+                maps[dst].assignFrom(maps[src]);
+                models[dst] = models[src];
+                expectMapHolds(maps[dst], models[dst], keys);
+            } else {
+                const std::uint64_t k =
+                    (Addr{1} << 32) | ((rng.below(400) + 1) << 6);
+                const std::uint64_t v = rng.next();
+                maps[dst][k] = v;
+                models[dst][k] = v;
+                keys.insert(k);
+            }
+            if (step % 25 == 0)
+                for (std::size_t i = 0; i < 3; ++i)
+                    expectMapHolds(maps[i], models[i], keys);
+        }
+        for (std::size_t i = 0; i < 3; ++i)
+            expectMapHolds(maps[i], models[i], keys);
+    }
+    EXPECT_GT(equal_caps, 0u);
+    EXPECT_GT(different_caps, 0u);
+    EXPECT_GT(larger_targets, 0u);
 }
 
 TEST(FunctionalMemory, WordAddrMasksToWordGranularity)

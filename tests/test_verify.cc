@@ -1,19 +1,23 @@
 /**
  * @file
  * Tests for the verification layer (src/verify/): the invariant
- * checkers themselves, the litmus regression corpus in tests/litmus/
- * replayed under every factory protocol, a fixed-seed fuzz smoke, and
- * the bounded-state enumerator's exact state and transition counts on
- * the 1-line configs.
+ * checkers themselves (including their report order and that a clean
+ * check allocates nothing), the litmus regression corpus in
+ * tests/litmus/ replayed under every factory protocol, a fixed-seed
+ * fuzz smoke, and the bounded-state enumerator's exact state and
+ * transition counts on the 1-line configs.
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "count_allocations.hh"
 #include "protocol/factory.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
@@ -78,6 +82,123 @@ TEST(Invariants, DetectsDualWriters)
     ASSERT_TRUE(e);
     e.meta().state = L1State::Modified;
     EXPECT_FALSE(checkInvariants(m).empty());
+}
+
+/** Byte address of word 0 of line @p l of the page the memory tests
+ * below write. */
+Addr
+pageLine(std::uint32_t l)
+{
+    return kA + static_cast<Addr>(l) * 64;
+}
+
+/**
+ * Core 0 writes word 0 of all 64 lines of one page, in a scrambled
+ * order. The page is private to core 0, so every line is homed at
+ * tile 0, whose 32-line L2 slice (enumConfig) overflows: the lines
+ * written first are written back and end up in DRAM only.
+ */
+void
+writeWholePage(Multicore &m)
+{
+    for (std::uint32_t i = 0; i < 64; ++i)
+        m.testAccess(0, pageLine(i * 37 % 64), true);
+}
+
+TEST(Invariants, FinalMemoryReportsCorruptWordsInAddressOrder)
+{
+    Multicore m(verify::enumConfig(2, "lacc", "mesh"));
+    writeWholePage(m);
+    ASSERT_TRUE(checkAll(m).empty());
+
+    // Lines held by tile 0's L2 with no L1 copy, and DRAM-only lines.
+    std::vector<std::uint32_t> in_l2, dram_only;
+    for (std::uint32_t l = 0; l < 64; ++l) {
+        const LineAddr line = pageLine(l) / 64;
+        ASSERT_FALSE(m.tile(1).l2.find(line));
+        if (!m.tile(0).l2.find(line))
+            dram_only.push_back(l);
+        else if (!m.tile(0).l1d.find(line))
+            in_l2.push_back(l);
+    }
+    // Corrupt two L2-only words lo < hi and a DRAM-only word mid
+    // between them, chosen so that the reference map visits the three
+    // out of address order: the report must sort them.
+    std::vector<std::uint32_t> visit(64); // visit[l]: map visit rank
+    std::uint32_t rank = 0;
+    m.functionalMemory().forEachWord([&](Addr wa, std::uint64_t) {
+        visit[(wa - kA) / 64] = rank++;
+    });
+    ASSERT_EQ(rank, 64u);
+    std::uint32_t lo = 0, mid = 0, hi = 0;
+    bool found = false;
+    for (std::size_t i = 0; i < in_l2.size() && !found; ++i)
+        for (std::size_t j = i + 1; j < in_l2.size() && !found; ++j)
+            for (const std::uint32_t d : dram_only) {
+                lo = in_l2[i];
+                hi = in_l2[j];
+                mid = d;
+                found = lo < mid && mid < hi &&
+                        !(visit[lo] < visit[mid] &&
+                          visit[mid] < visit[hi]);
+                if (found)
+                    break;
+            }
+    ASSERT_TRUE(found);
+
+    const auto reference = [&](std::uint32_t l) {
+        std::uint64_t v = 0;
+        EXPECT_TRUE(m.functionalMemory().lookup(pageLine(l), v));
+        return v;
+    };
+    const auto message = [&](std::uint32_t l, const char *where,
+                             std::uint64_t has) {
+        char buf[160];
+        std::snprintf(buf, sizeof buf,
+                      "word %llx: %s has %llu, reference memory has %llu",
+                      static_cast<unsigned long long>(pageLine(l)), where,
+                      static_cast<unsigned long long>(has),
+                      static_cast<unsigned long long>(reference(l)));
+        return std::string(buf);
+    };
+    std::vector<std::string> expected;
+    for (const std::uint32_t l : {lo, mid, hi}) {
+        const LineAddr line = pageLine(l) / 64;
+        const std::uint64_t bad = reference(l) ^ 0xFF;
+        if (l == mid) {
+            std::vector<std::uint64_t> words(m.dram().wordsPerLine());
+            m.dram().readLine(line, words.data());
+            words[0] = bad;
+            m.dram().writeLine(line, words.data());
+            expected.push_back(message(l, "DRAM", bad));
+        } else {
+            m.tile(0).l2.find(line).words()[0] = bad;
+            expected.push_back(message(l, "L2 copy at home 0", bad));
+        }
+    }
+    EXPECT_EQ(verify::checkFinalMemory(m), expected);
+}
+
+TEST(Invariants, CleanCheckAllAllocatesNothing)
+{
+    // The enumerator runs checkAll after every transition; on a clean
+    // state it must not touch the heap, under every protocol, with
+    // reference words in M copies, L2 copies, S copies and DRAM.
+    for (const auto &proto : protocolNames()) {
+        SCOPED_TRACE(proto);
+        Multicore m(verify::enumConfig(3, proto, "mesh"));
+        writeWholePage(m);
+        const Addr shared = verify::enumAddr(0);
+        m.testAccess(1, shared, true);
+        m.testAccess(2, shared, false);
+        m.testAccess(0, shared, false, /*is_ifetch=*/true);
+        ASSERT_TRUE(checkAll(m).empty());
+        const std::uint64_t before = gAllocations;
+        const auto viol = checkAll(m);
+        const std::uint64_t allocations = gAllocations - before;
+        EXPECT_TRUE(viol.empty());
+        EXPECT_EQ(allocations, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------
