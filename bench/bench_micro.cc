@@ -2,7 +2,7 @@
  * @file
  * Library micro-benchmarks (google-benchmark): hot paths of the
  * simulator substrate — cache lookups/fills, mesh routing, broadcast,
- * sharer-list updates, classifier decisions, the serial engine's event
+ * sharer-list updates, classifier decisions, the event loop's event
  * queue, whole L1-hit, L1-miss and cold-fill transactions, and
  * workload generation throughput.
  */
@@ -22,7 +22,6 @@
 #include "energy/model.hh"
 #include "net/factory.hh"
 #include "net/mesh.hh"
-#include "sim/profiler.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
 #include "verify/invariants.hh"
@@ -264,34 +263,6 @@ BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, ring, "ring")->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
 
 void
-BM_ProfilerScopeDisabled(benchmark::State &state)
-{
-    // Guard for the profiler's <=2%-when-disabled budget: a disabled
-    // Scope must cost one relaxed load and a branch.
-    prof::setEnabled(false);
-    for (auto _ : state) {
-        prof::Scope s(prof::Network);
-        benchmark::DoNotOptimize(&s);
-    }
-}
-BENCHMARK(BM_ProfilerScopeDisabled);
-
-void
-BM_ProfilerScopeEnabled(benchmark::State &state)
-{
-    // Enabled cost (two clock reads + thread-local slice accounting);
-    // informational — only disabled overhead is budgeted.
-    prof::reset();
-    prof::setEnabled(true);
-    for (auto _ : state) {
-        prof::Scope s(prof::Network);
-        benchmark::DoNotOptimize(&s);
-    }
-    prof::setEnabled(false);
-}
-BENCHMARK(BM_ProfilerScopeEnabled);
-
-void
 BM_AckwiseAddRemove(benchmark::State &state)
 {
     SharerState st = SharerState::ackwise(4);
@@ -347,7 +318,7 @@ BENCHMARK(BM_LimitedClassifierRemoteAccess);
 void
 BM_SerialSchedulePop(benchmark::State &state)
 {
-    // The serial engine's per-step queue work with every core queued:
+    // The event loop's per-step queue work with every core queued:
     // pop the next event, reschedule the core a pseudo-random 1-64
     // cycles later (an L1 hit to a short compute burst), end the step.
     const auto cores = static_cast<std::uint32_t>(state.range(0));

@@ -7,12 +7,11 @@
  *
  * Usage:
  *   lacc_bench --list | --list-protocols | --list-networks |
- *              --list-engines | --list-faults
- *   lacc_bench [--filter SUBSTR] [--jobs N] [--sim-threads N]
- *              [--scale X] [--repeat N] [--protocol NAME]
- *              [--network NAME] [--faults NAME] [--fault-rate X]
- *              [--fault-seed N] [--timeout-ms X] [--resume]
- *              [--json-dir DIR] [--profile] [--quiet]
+ *              --list-faults
+ *   lacc_bench [--filter SUBSTR] [--jobs N] [--scale X] [--repeat N]
+ *              [--protocol NAME] [--network NAME] [--faults NAME]
+ *              [--fault-rate X] [--fault-seed N] [--timeout-ms X]
+ *              [--resume] [--json-dir DIR] [--quiet]
  */
 
 #include <cstdio>
@@ -29,7 +28,6 @@
 #include "net/factory.hh"
 #include "protocol/factory.hh"
 #include "sim/log.hh"
-#include "system/engine.hh"
 
 using namespace lacc;
 using namespace lacc::harness;
@@ -51,18 +49,13 @@ usage(std::FILE *to)
         "  --list-protocols  list coherence-protocol names and exit\n"
         "  --list-networks   list interconnect-topology names and"
         " exit\n"
-        "  --list-engines    list execution-engine names and exit\n"
         "  --list-faults     list fault-plan names and exit\n"
         "  --filter SUBSTR   only experiments whose name contains"
         " SUBSTR\n"
         "  --jobs N          worker threads for the sweeps"
-        " (default 1)\n"
-        "  --sim-threads N   worker threads inside each simulation\n"
-        "                    (N > 1 selects the sharded engine;"
-        " results\n"
-        "                    are bit-identical to serial). Composes\n"
-        "                    with --jobs up to the machine's thread\n"
-        "                    budget.\n"
+        " (default 1;\n"
+        "                    capped at the machine's hardware"
+        " threads)\n"
         "  --scale X         op-count scale; overrides LACC_SCALE\n"
         "  --repeat N        simulate every job N times (throughput\n"
         "                    mode: stats are identical across repeats,\n"
@@ -85,11 +78,6 @@ usage(std::FILE *to)
         "                    current artifact (corrupt or truncated\n"
         "                    files are re-run)\n"
         "  --json-dir DIR    write BENCH_<experiment>.json into DIR\n"
-        "  --profile         record per-subsystem exclusive cycle\n"
-        "                    shares (workload/cache/protocol/network/\n"
-        "                    dram) per experiment; adds a table to the\n"
-        "                    text output and a \"profile\" object to\n"
-        "                    the JSON\n"
         "  --quiet           suppress per-run progress on stderr\n"
         "  --help            this message\n");
 }
@@ -149,10 +137,6 @@ main(int argc, char **argv)
             for (const auto &name : networkNames())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--list-engines") {
-            for (const auto &name : engineNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
         } else if (arg == "--list-faults") {
             for (const auto &name : faultNames())
                 std::printf("%s\n", name.c_str());
@@ -178,15 +162,6 @@ main(int argc, char **argv)
                              " [1, 1024]\n");
                 return 2;
             }
-        } else if (arg == "--sim-threads") {
-            unsigned st = 0;
-            if (!parseUnsigned(value("--sim-threads"), st)) {
-                std::fprintf(stderr,
-                             "--sim-threads wants an integer in"
-                             " [1, 1024]\n");
-                return 2;
-            }
-            opts.overrides.simThreads = st;
         } else if (arg == "--protocol") {
             opts.overrides.protocol = value("--protocol");
         } else if (arg == "--network") {
@@ -226,8 +201,6 @@ main(int argc, char **argv)
             resume = true;
         } else if (arg == "--json-dir") {
             jsonDir = value("--json-dir");
-        } else if (arg == "--profile") {
-            opts.profile = true;
         } else if (arg == "--quiet") {
             opts.progress = false;
         } else {

@@ -9,12 +9,12 @@
  *
  * Usage:
  *   lacc_verify --fuzz [--seed N] [--iters N] [--cores N] [--ops N]
- *               [--protocol NAME] [--network NAME] [--sim-threads N]
- *               [--faults NAME] [--fault-rate X] [--fault-seed N]
- *               [--repro-dir DIR] [--no-stepwise]
+ *               [--protocol NAME] [--network NAME] [--faults NAME]
+ *               [--fault-rate X] [--fault-seed N] [--repro-dir DIR]
+ *               [--no-stepwise]
  *   lacc_verify --enumerate [--cores N] [--lines N] [--max-states N]
  *               [--protocol NAME] [--network NAME]
- *   lacc_verify --list-protocols | --list-networks | --list-engines
+ *   lacc_verify --list-protocols | --list-networks
  *
  * Exit status: 0 clean, 1 violation found (or state cap hit before
  * the space was exhausted), 2 usage error.
@@ -33,7 +33,6 @@
 #include "protocol/factory.hh"
 #include "sim/log.hh"
 #include "sim/overrides.hh"
-#include "system/engine.hh"
 #include "verify/enumerate.hh"
 #include "verify/fuzz.hh"
 
@@ -65,9 +64,6 @@ usage(std::FILE *to)
         " (default 25)\n"
         "  --cores N         cores per trace, in [2, 16] (default 4)\n"
         "  --ops N           ops per core, in [1, 4096] (default 24)\n"
-        "  --sim-threads N   engine worker threads for the full timed\n"
-        "                    runs, in [1, 1024] (N > 1 = sharded"
-        " engine)\n"
         "  --repro-dir DIR   write minimized repro traces into DIR\n"
         "  --no-stepwise     skip the per-access invariant replay\n"
         "  --faults NAME     fuzz under a named fault plan (see\n"
@@ -94,7 +90,6 @@ usage(std::FILE *to)
         "  --list-protocols  list coherence-protocol names and exit\n"
         "  --list-networks   list interconnect-topology names and"
         " exit\n"
-        "  --list-engines    list execution-engine names and exit\n"
         "  --help            this message\n");
 }
 
@@ -178,10 +173,6 @@ main(int argc, char **argv)
             for (const auto &name : networkNames())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--list-engines") {
-            for (const auto &name : engineNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
         } else if (arg == "--seed") {
             fo.seed = parseOrDie("--seed", value("--seed"), 0,
                                  UINT64_MAX / 2);
@@ -204,9 +195,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-states") {
             eo.maxStates = parseOrDie(
                 "--max-states", value("--max-states"), 1, 100000000);
-        } else if (arg == "--sim-threads") {
-            ov.simThreads = static_cast<std::uint32_t>(parseOrDie(
-                "--sim-threads", value("--sim-threads"), 1, 1024));
         } else if (arg == "--protocol") {
             ov.protocol = value("--protocol");
         } else if (arg == "--network") {
@@ -262,7 +250,6 @@ main(int argc, char **argv)
         }
         fo.protocol = ov.protocol;
         fo.network = ov.network;
-        fo.simThreads = ov.simThreads;
         fo.faults = ov.faults;
         fo.faultRate = ov.faultRate;
         fo.faultSeed = ov.faultSeed;
@@ -284,12 +271,6 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "--enumerate --cores wants [2, 4], got %u\n",
                      eo.cores);
-        return 2;
-    }
-    if (ov.simThreads > 1) {
-        std::fprintf(stderr,
-                     "--sim-threads applies to --fuzz only (the"
-                     " enumerator drives accesses stepwise)\n");
         return 2;
     }
     if (!ov.faults.empty() || ov.faultRate >= 0.0 || ov.faultSeedSet) {

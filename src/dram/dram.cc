@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/profiler.hh"
 
 namespace lacc {
 
@@ -43,7 +42,6 @@ DramModel::controllerTile(LineAddr line) const
 Cycle
 DramModel::access(LineAddr line, Cycle start)
 {
-    prof::Scope ps(prof::Dram);
     const auto ctrl = static_cast<std::size_t>(line % numControllers_);
     ++accesses_;
     Cycle t = start;
@@ -68,7 +66,6 @@ DramModel::restoreFrom(const DramModel &o)
 void
 DramModel::readLine(LineAddr line, std::uint64_t *out) const
 {
-    prof::Scope ps(prof::Dram);
     const std::uint32_t *idx = slot_.find(line);
     if (idx == nullptr) {
         std::fill_n(out, wordsPerLine_, std::uint64_t{0});
@@ -91,7 +88,6 @@ DramModel::readWord(LineAddr line, std::uint32_t word) const
 void
 DramModel::writeLine(LineAddr line, const std::uint64_t *in)
 {
-    prof::Scope ps(prof::Dram);
     std::uint32_t idx;
     if (const std::uint32_t *found = slot_.find(line)) {
         idx = *found;

@@ -11,19 +11,14 @@
  * for the normalized results reproduced here.
  *
  * Accounting is count-based: the model tallies integer event counts
- * and converts to picojoules only when a breakdown is requested. That
- * keeps the accumulators exact (no floating-point ordering effects)
- * and lets the sharded execution engine give each worker thread its
- * own count slot — concurrent tallies merge by integer addition, so
- * the reported energy is independent of thread interleaving.
+ * and converts to picojoules only when a breakdown is requested, which
+ * keeps the accumulators exact (no floating-point ordering effects).
  */
 
 #ifndef LACC_ENERGY_MODEL_HH
 #define LACC_ENERGY_MODEL_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/stats.hh"
 
@@ -47,7 +42,7 @@ struct EnergyParams
     static EnergyParams defaults11nm() { return EnergyParams{}; }
 };
 
-/** Integer event tallies; one slot per accounting thread. */
+/** Integer event tallies. */
 struct EnergyCounts
 {
     std::uint64_t l1iAccesses = 0;
@@ -62,114 +57,67 @@ struct EnergyCounts
     std::uint64_t dirAccesses = 0;
     std::uint64_t routerFlits = 0; //!< flits x routers traversed
     std::uint64_t linkFlits = 0;   //!< flits x links traversed
-
-    EnergyCounts &
-    operator+=(const EnergyCounts &o)
-    {
-        l1iAccesses += o.l1iAccesses;
-        l1iFills += o.l1iFills;
-        l1iTagOnly += o.l1iTagOnly;
-        l1dAccesses += o.l1dAccesses;
-        l1dFills += o.l1dFills;
-        l1dTagOnly += o.l1dTagOnly;
-        l2Words += o.l2Words;
-        l2Lines += o.l2Lines;
-        l2TagOnly += o.l2TagOnly;
-        dirAccesses += o.dirAccesses;
-        routerFlits += o.routerFlits;
-        linkFlits += o.linkFlits;
-        return *this;
-    }
 };
 
 /**
  * Accumulates dynamic energy by component. One instance per system;
  * all tiles/network share it (the paper reports whole-chip totals).
- *
- * Threading: every add goes to the slot the calling thread is bound
- * to (bindThreadSlot); unbound threads — including the serial engine
- * and the sweep runner's workers — use slot 0. A sharded engine calls
- * setSlots(workers + 1) up front and binds each worker to its own
- * slot, so parallel tallies never race and merge order-free.
  */
 class EnergyModel
 {
   public:
     explicit EnergyModel(const EnergyParams &params =
                              EnergyParams::defaults11nm())
-        : params_(params), slots_(1)
+        : params_(params)
     {}
 
     const EnergyParams &params() const { return params_; }
 
-    /**
-     * Size the per-thread slot table (>= 1; slot 0 is the serial
-     * thread's). Not thread-safe: call before workers start tallying.
-     */
-    void
-    setSlots(std::size_t n)
-    {
-        slots_.resize(n < 1 ? 1 : n);
-    }
-
-    /**
-     * Bind the calling thread to @p slot for all subsequent adds on
-     * any EnergyModel. Out-of-range bindings fall back to slot 0.
-     */
-    static void bindThreadSlot(std::size_t slot);
-
     // ---- Cache events -------------------------------------------------
-    void addL1iAccess() { cur().l1iAccesses += 1; }
+    void addL1iAccess() { counts_.l1iAccesses += 1; }
 
     /** Bulk per-instruction fetch energy (one L1-I access each). */
-    void addL1iAccesses(std::uint64_t n) { cur().l1iAccesses += n; }
-    void addL1iFill() { cur().l1iFills += 1; }
-    void addL1dAccess() { cur().l1dAccesses += 1; }
-    void addL1dFill() { cur().l1dFills += 1; }
-    void addL1dTagOnly() { cur().l1dTagOnly += 1; }
-    void addL1iTagOnly() { cur().l1iTagOnly += 1; }
+    void addL1iAccesses(std::uint64_t n) { counts_.l1iAccesses += n; }
+    void addL1iFill() { counts_.l1iFills += 1; }
+    void addL1dAccess() { counts_.l1dAccesses += 1; }
+    void addL1dFill() { counts_.l1dFills += 1; }
+    void addL1dTagOnly() { counts_.l1dTagOnly += 1; }
+    void addL1iTagOnly() { counts_.l1iTagOnly += 1; }
 
-    void addL2Word() { cur().l2Words += 1; }
-    void addL2Line() { cur().l2Lines += 1; }
-    void addL2TagOnly() { cur().l2TagOnly += 1; }
+    void addL2Word() { counts_.l2Words += 1; }
+    void addL2Line() { counts_.l2Lines += 1; }
+    void addL2TagOnly() { counts_.l2TagOnly += 1; }
 
-    void addDirAccess() { cur().dirAccesses += 1; }
+    void addDirAccess() { counts_.dirAccesses += 1; }
 
     // ---- Network events ------------------------------------------------
     /** @param flit_routers flits x routers traversed. */
     void addRouter(std::uint64_t flit_routers)
     {
-        cur().routerFlits += flit_routers;
+        counts_.routerFlits += flit_routers;
     }
 
     /** @param flit_links flits x links traversed. */
     void addLink(std::uint64_t flit_links)
     {
-        cur().linkFlits += flit_links;
+        counts_.linkFlits += flit_links;
     }
 
-    /** Merged event counts across all slots. */
-    EnergyCounts counts() const;
+    /** The event counts so far. */
+    const EnergyCounts &counts() const { return counts_; }
 
-    /** Breakdown in pJ (counts x per-event params), all slots merged. */
+    /** Breakdown in pJ (counts x per-event params). */
     EnergyBreakdown breakdown() const;
 
-    /** Copy @p o's tallies, every slot (Multicore::restoreFrom). */
-    void restoreFrom(const EnergyModel &o) { slots_ = o.slots_; }
+    /** Copy @p o's tallies (Multicore::restoreFrom). */
+    void restoreFrom(const EnergyModel &o) { counts_ = o.counts_; }
 
-    /** Reset all accumulators (every slot). */
-    void
-    reset()
-    {
-        for (auto &s : slots_)
-            s = EnergyCounts{};
-    }
+    /** Reset all accumulators. */
+    void reset() { counts_ = EnergyCounts{}; }
 
   private:
-    EnergyCounts &cur();
-
     EnergyParams params_;
-    std::vector<EnergyCounts> slots_;
+    EnergyCounts counts_;
 };
 
 } // namespace lacc

@@ -13,16 +13,12 @@
  * time) for soft errors — mapped to [0, 2^64) and compared against a
  * fixed-point rate threshold. No mutable RNG state exists, so the
  * fault schedule is a function of the simulated event stream alone:
- * identical across --sim-threads values (the sharded engine replays
- * the same events at the same timestamps) and across --jobs
- * placements (each run owns its injector). Same seed, same schedule,
- * byte-identical goldens.
+ * identical across repeats and across --jobs placements (each run
+ * owns its injector). Same seed, same schedule, byte-identical
+ * goldens.
  *
- * Counter threading: all three hook sites execute on serialized
- * phases only — directory transactions, transport sends, and network
- * traversals are confined to the drain thread by the sharded engine's
- * parallel-phase guard (ShardedEngine::onDirectoryRequest) — so the
- * counters are plain integers.
+ * Counters: a run executes on one thread and owns its injector, so
+ * the counters are plain integers.
  */
 
 #ifndef LACC_FAULT_INJECTOR_HH

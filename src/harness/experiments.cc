@@ -1009,9 +1009,8 @@ struct ScaleSize
 const std::vector<ScaleSize> &
 scaleSizes()
 {
-    // The 256-core point exists because the sharded execution engine
-    // makes it affordable: run with --sim-threads N to shard each
-    // simulation (bit-identical results, docs/BENCHMARKS.md).
+    // The 256-core point is affordable serially: streamcluster takes
+    // ~2.5 s per run at scale 1 (4-vCPU Xeon VM, gcc 12, -O3).
     static const std::vector<ScaleSize> sizes = {
         {16, 4}, {32, 8}, {64, 8}, {256, 16}};
     return sizes;

@@ -88,20 +88,17 @@ runSweep(const std::vector<Job> &jobs, const SweepOptions &opts)
         }
     };
 
-    // --jobs and --sim-threads compose multiplicatively: each job may
-    // itself shard across overrides.simThreads workers. Cap the pool
-    // so the total stays within the machine's thread budget.
+    // Each job builds a whole system, so more workers than hardware
+    // threads only multiplies memory: cap the pool there.
     const unsigned want = opts.jobs == 0 ? 1 : opts.jobs;
     const unsigned budget =
         std::max(1u, std::thread::hardware_concurrency());
-    const unsigned capped =
-        clampJobsToBudget(want, opts.overrides.simThreads, budget);
+    const unsigned capped = std::min(want, budget);
     if (capped != want) {
         std::fprintf(stderr,
-                     "[bench] warning: --jobs %u x --sim-threads %u"
-                     " exceeds the machine's %u hardware threads;"
-                     " clamping to --jobs %u\n",
-                     want, opts.overrides.simThreads, budget, capped);
+                     "[bench] warning: --jobs %u exceeds the machine's"
+                     " %u hardware threads; clamping to --jobs %u\n",
+                     want, budget, capped);
     }
     const std::size_t n = std::min<std::size_t>(capped, jobs.size());
     if (n <= 1) {

@@ -68,18 +68,9 @@ struct SweepOptions
      */
     double timeoutMs = 0.0;
     /**
-     * Record per-subsystem exclusive cycle shares (sim/profiler.hh)
-     * over each experiment's sweep and surface them in the text
-     * output and bench JSON (maps onto `lacc_bench --profile`).
-     */
-    bool profile = false;
-    /**
      * CLI config overrides applied to every job before it runs:
-     * protocol/network force a named variant (maps onto `lacc_bench
-     * --protocol/--network`), simThreads selects the execution engine
-     * (`--sim-threads`; > 1 shards each simulation across that many
-     * worker threads). The runner clamps its pool so jobs x simThreads
-     * stays within the machine's thread budget (clampJobsToBudget).
+     * protocol/network/faults force a named variant (maps onto
+     * `lacc_bench --protocol/--network/--faults`).
      */
     ConfigOverrides overrides;
 };
@@ -88,8 +79,9 @@ struct SweepOptions
 double resolveOpScale(const SweepOptions &opts);
 
 /**
- * Run every job, @p opts.jobs at a time, and return the results in
- * job order (independent of scheduling).
+ * Run every job, @p opts.jobs at a time (capped at the host's
+ * hardware threads), and return the results in job order (independent
+ * of scheduling).
  */
 std::vector<JobResult> runSweep(const std::vector<Job> &jobs,
                                 const SweepOptions &opts);

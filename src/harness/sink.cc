@@ -23,59 +23,6 @@ banner(std::ostream &os, const Experiment &exp)
        << "=====================================================\n";
 }
 
-/**
- * Per-subsystem share table for a --profile run, appended after the
- * experiment's report (docs/BENCHMARKS.md shows the format).
- */
-void
-printProfile(std::ostream &os, const prof::Snapshot &snap)
-{
-    const std::uint64_t total = snap.totalNs();
-    os << "\nProfile (exclusive time per subsystem, all threads)\n"
-       << "  bucket         time_ms    share        scopes\n";
-    char line[128];
-    for (int b = 0; b < prof::kNumBuckets; ++b) {
-        const double ms = static_cast<double>(snap.ns[b]) / 1e6;
-        const double share =
-            total > 0
-                ? 100.0 * static_cast<double>(snap.ns[b]) /
-                      static_cast<double>(total)
-                : 0.0;
-        std::snprintf(line, sizeof(line),
-                      "  %-10s %12.3f %7.1f%% %13llu\n",
-                      prof::bucketName(static_cast<prof::Bucket>(b)),
-                      ms, share,
-                      static_cast<unsigned long long>(snap.calls[b]));
-        os << line;
-    }
-    std::snprintf(line, sizeof(line), "  %-10s %12.3f\n", "total",
-                  static_cast<double>(total) / 1e6);
-    os << line;
-}
-
-/** The "profile" JSON object of a --profile run. */
-Json
-profileJson(const prof::Snapshot &snap)
-{
-    const std::uint64_t total = snap.totalNs();
-    Json buckets = Json::object();
-    for (int b = 0; b < prof::kNumBuckets; ++b) {
-        Json bucket = Json::object();
-        bucket["ns"] = snap.ns[b];
-        bucket["calls"] = snap.calls[b];
-        bucket["share"] =
-            total > 0 ? static_cast<double>(snap.ns[b]) /
-                            static_cast<double>(total)
-                      : 0.0;
-        buckets[prof::bucketName(static_cast<prof::Bucket>(b))] =
-            std::move(bucket);
-    }
-    Json profile = Json::object();
-    profile["total_ns"] = total;
-    profile["buckets"] = std::move(buckets);
-    return profile;
-}
-
 } // namespace
 
 Json
@@ -110,8 +57,6 @@ documentFor(const ExperimentOutcome &outcome)
             ? static_cast<double>(total_ops) * outcome.repeat / sim_wall
             : 0.0;
     doc["figure"] = outcome.figure;
-    if (outcome.profiled)
-        doc["profile"] = profileJson(outcome.profile);
 
     Json runs = Json::array();
     for (const auto &jr : outcome.results) {
@@ -208,23 +153,10 @@ runExperiment(const Experiment &exp, const SweepOptions &opts,
     outcome.opScale = resolveOpScale(opts);
     outcome.repeat = opts.effectiveRepeat();
     banner(text_out, exp);
-    if (opts.profile) {
-        // Per-experiment attribution: zero the counters, record the
-        // sweep, snapshot before the next experiment reuses them.
-        prof::reset();
-        prof::setEnabled(true);
-    }
     outcome.results = runSweep(exp.makeJobs(), opts);
-    if (opts.profile) {
-        prof::setEnabled(false);
-        outcome.profile = prof::snapshot();
-        outcome.profiled = true;
-    }
 
     const ReportContext ctx{outcome.results, outcome.opScale, text_out};
     outcome.figure = exp.report(ctx);
-    if (outcome.profiled)
-        printProfile(text_out, outcome.profile);
     outcome.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -8,7 +8,7 @@
  * Document layout (docs/BENCHMARKS.md has the full schema):
  *
  *   {
- *     "schema_version": 2,
+ *     "schema_version": 3,
  *     "experiment": "fig08",
  *     "title": "...", "description": "...",
  *     "op_scale": 1.0, "repeat": 1,
@@ -17,6 +17,7 @@
  *     "figure": { ... experiment-specific, incl. "table" ... },
  *     "runs": [ {"label", "bench", "wall_seconds",
  *                "sim_ops", "wall_ms", "ops_per_sec",
+ *                "status", ["fail_reason",]
  *                "config": {...}, "result": {...}}, ... ]
  *   }
  *
@@ -38,7 +39,6 @@
 
 #include "harness/registry.hh"
 #include "harness/runner.hh"
-#include "sim/profiler.hh"
 
 namespace lacc::harness {
 
@@ -51,8 +51,6 @@ struct ExperimentOutcome
     double opScale = 1.0;
     unsigned repeat = 1;      //!< repeats per job (throughput mode)
     double wallSeconds = 0.0; //!< whole sweep incl. report
-    bool profiled = false;    //!< profile holds a --profile snapshot
-    prof::Snapshot profile;   //!< per-subsystem exclusive times
 };
 
 /** Assemble the full BENCH_<name>.json document for @p outcome. */

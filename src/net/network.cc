@@ -4,7 +4,6 @@
 
 #include "fault/injector.hh"
 #include "sim/log.hh"
-#include "sim/profiler.hh"
 
 namespace lacc {
 
@@ -108,7 +107,6 @@ Cycle
 NetworkModel::unicast(CoreId src, CoreId dst, std::uint32_t flits,
                       Cycle depart)
 {
-    prof::Scope ps(prof::Network);
     ++stats_.unicasts;
     stats_.flitsInjected += flits;
     if (src == dst)
@@ -149,7 +147,6 @@ Cycle
 NetworkModel::broadcast(CoreId src, std::uint32_t flits, Cycle depart,
                         std::vector<Cycle> &arrivals)
 {
-    prof::Scope ps(prof::Network);
     ++stats_.broadcasts;
     stats_.unicasts += bmeta_.extraUnicasts;
     stats_.flitsInjected +=

@@ -365,8 +365,8 @@ class NetworkModel
     EnergyModel &energy_;
     NetworkStats stats_;
 
-    // Fault-injection hook state (serialized contexts only: every
-    // traversal happens on the engine's drain thread).
+    // Fault-injection hook state (a run's traversals all happen on
+    // its one event-loop thread).
     FaultInjector *fault_ = nullptr;
     bool faultPending_ = false;
     bool faultDrop_ = false;

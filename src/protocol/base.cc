@@ -10,7 +10,6 @@
 #include "sim/config.hh"
 #include "sim/functional.hh"
 #include "sim/log.hh"
-#include "sim/profiler.hh"
 #include "sim/stats.hh"
 #include "system/tile.hh"
 
@@ -24,7 +23,6 @@ void
 BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
                          bool is_ifetch, bool charge_fetch_energy)
 {
-    prof::Scope prof_scope(prof::Protocol);
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
     CacheStats &cs = is_ifetch ? tl.stats.l1i : tl.stats.l1d;
@@ -42,10 +40,7 @@ BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
     else
         ++cs.loads;
 
-    auto e = [&] {
-        prof::Scope cache_scope(prof::Cache);
-        return l1.find(line);
-    }();
+    auto e = l1.find(line);
     const bool writable = e &&
                           (e.meta().state == L1State::Exclusive ||
                            e.meta().state == L1State::Modified);
@@ -103,10 +98,7 @@ BaseL1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
-    auto victim = [&] {
-        prof::Scope cache_scope(prof::Cache);
-        return l1.victimFor(line);
-    }();
+    auto victim = l1.victimFor(line);
     if (victim.valid())
         evict(c, is_ifetch, victim, t);
 
@@ -179,11 +171,6 @@ DropResult
 BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
                            bool l2_eviction)
 {
-    // Cross-tile reach: the engine must settle core s's in-flight
-    // local work before this transaction reads/kills its copies.
-    if (ctx_.touch)
-        ctx_.touch->onCrossTileTouch(s);
-
     Tile &st = *ctx_.tiles[s];
     DropResult res{};
     bool found = false;
@@ -234,12 +221,6 @@ BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
 bool
 BaseL1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
 {
-    // Cross-tile reach (see dropCopy): a downgrade turns the owner's
-    // E/M copy into S, changing the write-hit outcome of its later
-    // accesses — the engine must settle and re-scan the owner.
-    if (ctx_.touch)
-        ctx_.touch->onCrossTileTouch(owner);
-
     Tile &ot = *ctx_.tiles[owner];
     auto e = ot.l1d.find(entry.tag());
     if (!e)
@@ -303,7 +284,6 @@ BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
                                       Cycle t_arr, Cycle &t_ready,
                                       Cycle &waiting, Cycle &offchip)
 {
-    prof::Scope cache_scope(prof::Cache);
     Tile &ht = *ctx_.tiles[home];
     if (auto e = ht.l2.find(line)) {
         const Cycle t2 = std::max(t_arr, e.meta().busyUntil);
@@ -470,13 +450,6 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
                                  bool is_ifetch, bool upgrade,
                                  const L1SetHint &hint)
 {
-    prof::Scope prof_scope(prof::Protocol);
-    // Engine guard: a directory transaction must only ever run in a
-    // serial phase (a mispredicted parallel-phase miss panics here
-    // before it can race on shared directory/network state).
-    if (ctx_.touch)
-        ctx_.touch->onDirectoryRequest(c);
-
     Tile &rt = *ctx_.tiles[c];
     const LineAddr line = ctx_.addr.lineOf(addr);
     const std::uint32_t word = ctx_.addr.wordOf(addr);

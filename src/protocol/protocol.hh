@@ -51,35 +51,12 @@ struct SystemConfig;
 struct SystemStats;
 
 /**
- * Execution-engine visibility into the protocol's cross-tile effects.
- * A directory transaction issued by one core can reach into *another*
- * core's L1 (invalidation, downgrade) — the only way protocol
- * execution mutates a tile other than the requester's. The sharded
- * engine (system/sharded.hh) observes exactly those points to keep
- * its speculative per-core scans sound; it also observes directory-
- * transaction entry as a guard that no such transaction ever runs
- * during a parallel phase. The default observer ignores everything
- * (the serial engine needs no visibility).
- */
-class CoreTouchObserver
-{
-  public:
-    virtual ~CoreTouchObserver() = default;
-
-    /** A transaction is about to read/mutate core @p c's L1 copies. */
-    virtual void onCrossTileTouch(CoreId c) { (void)c; }
-
-    /** A directory transaction is starting on behalf of core @p c. */
-    virtual void onDirectoryRequest(CoreId c) { (void)c; }
-};
-
-/**
  * Everything a protocol implementation may touch, owned by the
  * enclosing Multicore: configuration and address geometry, the tiles
  * (L1s, L2 slices, per-core stats/clocks), the message transport,
  * the energy/DRAM models, R-NUCA placement state, whole-system
- * statistics, and the functional reference memory — plus the
- * execution engine's cross-tile touch observer (may be null).
+ * statistics, the functional reference memory, and the fault
+ * injector (may be null).
  */
 struct ProtocolContext
 {
@@ -93,7 +70,6 @@ struct ProtocolContext
     const Placement &placement;
     SystemStats &stats;
     FunctionalMemory &mem;
-    CoreTouchObserver *touch = nullptr;
 
     /**
      * Armed fault injector (fault/injector.hh), or null under

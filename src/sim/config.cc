@@ -52,16 +52,6 @@ networkKindName(NetworkKind k)
 }
 
 const char *
-engineKindName(EngineKind k)
-{
-    switch (k) {
-      case EngineKind::Serial: return "serial";
-      case EngineKind::Sharded: return "sharded";
-      default: return "?";
-    }
-}
-
-const char *
 faultKindName(FaultKind k)
 {
     switch (k) {
@@ -123,8 +113,6 @@ SystemConfig::validate() const
     if (clusterSize == 0 || numCores % clusterSize != 0)
         fatal("clusterSize (%u) must divide numCores (%u)", clusterSize,
               numCores);
-    if (simThreads == 0 || simThreads > 1024)
-        fatal("simThreads (%u) must be in [1, 1024]", simThreads);
     if (!(faultRate >= 0.0) || faultRate > 1.0)
         fatal("faultRate (%g) must be in [0, 1]", faultRate);
 }
@@ -143,8 +131,7 @@ configFields(const SystemConfig &c)
         c.modelContention, c.directoryKind, c.ackwisePointers,
         c.protocolKind, c.classifierKind, c.pct, c.ratMax, c.nRatLevels,
         c.classifierK, c.completeLearningShortcut, c.rnucaEnabled,
-        c.engineKind, c.simThreads, c.faultKind, c.faultRate,
-        c.faultSeed, c.seed);
+        c.faultKind, c.faultRate, c.faultSeed, c.seed);
 }
 
 } // namespace
@@ -171,13 +158,9 @@ SystemConfig::summary() const
         os << ", RATmax=" << ratMax << ", nRATlevels=" << nRatLevels;
     }
     // The default fabric is implicit so pre-existing banners stay
-    // byte-identical; non-mesh runs announce their topology. Same for
-    // the execution engine: only non-serial runs announce it.
+    // byte-identical; non-mesh runs announce their topology.
     if (networkKind != NetworkKind::Mesh)
         os << ", net=" << networkKindName(networkKind);
-    if (engineKind != EngineKind::Serial)
-        os << ", engine=" << engineKindName(engineKind) << "x"
-           << simThreads;
     // Fault-free runs keep the pre-fault banner byte-identical.
     if (faultKind != FaultKind::None)
         os << ", faults=" << faultKindName(faultKind) << "@"

@@ -54,14 +54,6 @@ enum class NetworkKind : std::uint8_t {
     Crossbar,
 };
 
-/** Execution engine driving a simulation (system/engine.hh builds it). */
-enum class EngineKind : std::uint8_t {
-    /** Single-threaded event loop (the reference interleaving). */
-    Serial,
-    /** Tile-sharded worker pool with deterministic epoch commits. */
-    Sharded,
-};
-
 /** Fault-injection plan (fault/plan.hh resolves the rates). */
 enum class FaultKind : std::uint8_t {
     /** No injection; provably one untaken branch on the hot path. */
@@ -92,7 +84,6 @@ const char *classifierKindName(ClassifierKind k);
 const char *protocolKindName(ProtocolKind k);
 const char *directoryKindName(DirectoryKind k);
 const char *networkKindName(NetworkKind k);
-const char *engineKindName(EngineKind k);
 const char *faultKindName(FaultKind k);
 
 /**
@@ -159,15 +150,6 @@ struct SystemConfig
      * clustering).
      */
     bool rnucaEnabled = true;
-
-    // ---- Execution engine ---------------------------------------------
-    EngineKind engineKind = EngineKind::Serial;
-    /**
-     * Worker threads inside one simulation (ShardedEngine only; the
-     * serial engine ignores it). Results are bit-identical to serial
-     * for any value — this knob trades threads for wall-clock only.
-     */
-    std::uint32_t simThreads = 1;
 
     // ---- Fault injection (fault/plan.hh) ------------------------------
     FaultKind faultKind = FaultKind::None;

@@ -8,20 +8,15 @@
  * §4.1). Owned by Multicore; handed to the protocol through the
  * ProtocolContext.
  *
- * Threading: store values are generated from per-core counters, so
- * the value a store produces depends only on (core, store index) and
- * never on cross-core execution order — a requirement for the sharded
- * execution engine, where independent cores commit concurrently. The
- * reference map itself is guarded by a mutex that is only ever taken
- * when checking is enabled; benches run with checks off and pay
- * nothing.
+ * Store values come from per-core counters: the value a store
+ * produces depends only on (core, store index), so it is unique and
+ * independent of how other cores progress.
  */
 
 #ifndef LACC_SIM_FUNCTIONAL_HH
 #define LACC_SIM_FUNCTIONAL_HH
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "sim/flat_map.hh"
@@ -88,7 +83,6 @@ class FunctionalMemory
     {
         if (!checks_)
             return;
-        std::lock_guard<std::mutex> g(mu_);
         mem_[wordAddr(addr)] = v;
     }
 
@@ -98,7 +92,6 @@ class FunctionalMemory
     {
         if (!checks_)
             return;
-        std::lock_guard<std::mutex> g(mu_);
         const std::uint64_t *found = mem_.find(wordAddr(addr));
         const std::uint64_t expect = found == nullptr ? 0 : *found;
         if (got != expect) {
@@ -166,7 +159,6 @@ class FunctionalMemory
     bool checks_ = true;
     std::uint64_t errors_ = 0;
     std::vector<std::uint64_t> counters_;
-    std::mutex mu_;
     // Flat open-addressing map (sim/flat_map.hh): one contiguous cell
     // array, so a restore copies it without a per-word allocation.
     FlatAddrMap<std::uint64_t> mem_;

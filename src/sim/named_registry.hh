@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the config-keyed named factories (protocol,
- * network, execution engine). Each factory keeps a flat table of
+ * network, fault plan). Each factory keeps a flat table of
  * entries — `{name, kind, make}` — as its single registration point;
  * the lookup/listing/diagnostic logic lives here once, so every
  * factory resolves names, lists itself (`--list-*`), and rejects
@@ -85,7 +85,7 @@ entryForNameOrFatal(const Entry (&table)[N], const char *what,
  * CLI-flavored validation: true when @p value is one of @p names,
  * else print the usage-error diagnostic to stderr and return false
  * (callers exit 2). Both CLIs funnel their --protocol/--network/
- * --engine arguments through this one implementation.
+ * --faults arguments through this one implementation.
  */
 bool validateName(const char *what, const std::string &value,
                   const std::vector<std::string> &names);

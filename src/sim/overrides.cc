@@ -1,6 +1,5 @@
 #include "sim/overrides.hh"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "fault/plan.hh"
@@ -8,7 +7,6 @@
 #include "protocol/factory.hh"
 #include "sim/config.hh"
 #include "sim/named_registry.hh"
-#include "system/engine.hh"
 
 namespace lacc {
 
@@ -40,11 +38,6 @@ ConfigOverrides::apply(SystemConfig &cfg) const
         applyProtocolName(cfg, protocol);
     if (!network.empty())
         applyNetworkName(cfg, network);
-    if (simThreads != 0) {
-        cfg.simThreads = simThreads;
-        cfg.engineKind =
-            simThreads > 1 ? EngineKind::Sharded : EngineKind::Serial;
-    }
     if (!faults.empty())
         applyFaultName(cfg, faults);
     if (faultRate >= 0.0)
@@ -80,20 +73,6 @@ ConfigOverrides::warnIfOverridingSweep(
     warn_dim("protocol", protocol, protocolNameFor);
     warn_dim("network", network, networkNameFor);
     warn_dim("faults", faults, faultNameFor);
-}
-
-unsigned
-clampJobsToBudget(unsigned jobs, std::uint32_t sim_threads,
-                  unsigned hw_budget)
-{
-    if (jobs == 0)
-        jobs = 1;
-    const std::uint64_t per = std::max<std::uint32_t>(sim_threads, 1);
-    const std::uint64_t budget = std::max(hw_budget, 1u);
-    if (jobs * per <= budget)
-        return jobs;
-    return static_cast<unsigned>(
-        std::max<std::uint64_t>(1, budget / per));
 }
 
 } // namespace lacc

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared CLI-override plumbing: both CLIs (bench/lacc_bench.cc,
- * bench/lacc_verify.cc) accept --protocol/--network/--sim-threads
+ * bench/lacc_verify.cc) accept --protocol/--network/--faults
  * overrides that rewrite SystemConfigs built elsewhere (experiment
  * definitions, fuzz configs). The validation, application, and
  * "you are overriding a deliberate sweep" diagnostics live here once.
@@ -27,22 +27,13 @@ struct ConfigOverrides
     double faultRate = -1.0;       //!< base fault rate; < 0 = keep
     bool faultSeedSet = false;     //!< faultSeed holds a --fault-seed
     std::uint64_t faultSeed = 0;   //!< fault-schedule seed override
-    /**
-     * Intra-simulation worker threads; 0 = keep the config's engine.
-     * A value > 1 selects the sharded engine, 1 forces serial —
-     * either way the results are bit-identical (engines trade
-     * wall-clock, never statistics), so unlike protocol/network this
-     * override never distorts a sweep.
-     */
-    std::uint32_t simThreads = 0;
 
     /** Any override set? */
     bool
     any() const
     {
-        return !protocol.empty() || !network.empty() ||
-               simThreads != 0 || !faults.empty() || faultRate >= 0.0 ||
-               faultSeedSet;
+        return !protocol.empty() || !network.empty() || !faults.empty() ||
+               faultRate >= 0.0 || faultSeedSet;
     }
 
     /**
@@ -60,22 +51,11 @@ struct ConfigOverrides
      * their labels: an experiment that deliberately sweeps protocols
      * or topologies would print rows whose label names one variant
      * and whose numbers came from another. Warn loudly when any of
-     * @p cfgs selects something the override replaces. (simThreads is
-     * exempt: engines do not change results.)
+     * @p cfgs selects something the override replaces.
      */
     void warnIfOverridingSweep(
         const std::vector<const SystemConfig *> &cfgs) const;
 };
-
-/**
- * Total-thread budget for a sweep: with @p jobs concurrent runs each
- * using @p sim_threads workers (0/1 = serial), cap the *job* count so
- * jobs x max(sim_threads, 1) stays within @p hw_budget threads.
- * @return the clamped job count (always >= 1); the caller warns when
- * it differs from @p jobs.
- */
-unsigned clampJobsToBudget(unsigned jobs, std::uint32_t sim_threads,
-                           unsigned hw_budget);
 
 } // namespace lacc
 

@@ -28,7 +28,7 @@ Multicore::Multicore(const SystemConfig &cfg)
       pageTable_(static_cast<std::size_t>(cfg_.numCores) *
                  cfg_.l2Sets() * cfg_.l2Assoc /
                  (cfg_.pageSize / cfg_.lineSize)),
-      placement_(cfg_), barrier_(cfg_.numCores)
+      placement_(cfg_), queue_(cfg_.numCores), barrier_(cfg_.numCores)
 {
     tiles_.reserve(cfg_.numCores);
     for (std::uint32_t c = 0; c < cfg_.numCores; ++c)
@@ -44,20 +44,10 @@ Multicore::Multicore(const SystemConfig &cfg)
         network_->setFaultInjector(fault_.get());
         net_.setFaultInjector(fault_.get());
     }
-    // Engine before protocol: the controllers copy the context (and
-    // with it the engine's touch-observer pointer) by value.
-    engine_ = makeEngine(cfg_, *this);
     protocol_ = makeProtocol(
         cfg_, ProtocolContext{cfg_, addr_, tiles_, net_, energy_,
                               dram_, pageTable_, placement_, stats_,
-                              mem_, engine_->touchObserver(),
-                              fault_.get()});
-}
-
-void
-Multicore::schedule(CoreId c, Cycle t)
-{
-    engine_->onSchedule(c, t);
+                              mem_, fault_.get()});
 }
 
 const SystemStats &
@@ -86,7 +76,28 @@ Multicore::run(Workload &workload)
                 std::chrono::duration<double, std::milli>(timeoutMs_));
     }
 
-    engine_->run(workload);
+    // The event loop: one op per pop of the minimum (time, core) key.
+    // This order is the simulator's interleaving.
+    for (std::uint32_t c = 0; c < cfg_.numCores; ++c)
+        schedule(static_cast<CoreId>(c), 0);
+    while (!queue_.empty()) {
+        if (watchdogExpired())
+            break;
+        const auto [t, c] = queue_.pop();
+        Tile &tl = *tiles_[c];
+        if (tl.status != CoreStatus::Runnable)
+            panic("scheduled core %u is not runnable", c);
+        tl.now = std::max(tl.now, t);
+        MemOp op;
+        if (!tl.pending.empty()) {
+            op = tl.pending.front();
+            tl.pending.pop_front();
+        } else {
+            op = workload.next(c);
+        }
+        step(c, op);
+        queue_.endStep();
+    }
 
     if (watchdogFired_) {
         char buf[96];

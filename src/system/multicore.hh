@@ -53,7 +53,7 @@
 #include "sim/config.hh"
 #include "sim/functional.hh"
 #include "sim/stats.hh"
-#include "system/engine.hh"
+#include "system/event_queue.hh"
 #include "system/tile.hh"
 #include "workload/sync.hh"
 #include "workload/workload.hh"
@@ -88,28 +88,10 @@ class Multicore
     /**
      * Arm the wall-clock watchdog: a run exceeding @p ms milliseconds
      * aborts with RunAbort(Timeout) instead of spinning forever (the
-     * engines poll cooperatively from their serialized loops).
-     * @p ms <= 0 disarms (the default).
+     * event loop polls it cooperatively). @p ms <= 0 disarms (the
+     * default).
      */
     void setTimeoutMs(double ms) { timeoutMs_ = ms; }
-
-    /**
-     * Cheap cooperative watchdog poll for the engine loops: samples
-     * the wall clock once every 1024 calls; latches once expired.
-     */
-    bool
-    watchdogExpired()
-    {
-        if (timeoutMs_ <= 0.0)
-            return false;
-        if (watchdogFired_)
-            return true;
-        if ((++watchdogPoll_ & 0x3FFu) != 0)
-            return false;
-        if (std::chrono::steady_clock::now() >= watchdogDeadline_)
-            watchdogFired_ = true;
-        return watchdogFired_;
-    }
 
     /** Statistics of the last (or in-progress) run. */
     const SystemStats &stats() const { return stats_; }
@@ -132,8 +114,6 @@ class Multicore
     const Placement &placement() const { return placement_; }
     /** The coherence protocol this system runs (factory-selected). */
     CoherenceProtocol &protocol() { return *protocol_; }
-    /** The execution engine driving the event loop (factory-selected). */
-    ExecutionEngine &engine() { return *engine_; }
     /** The system-wide locality classifier policy object. */
     LocalityClassifier &classifier() { return protocol_->classifier(); }
     /** The DRAM model behind the memory controllers. */
@@ -159,9 +139,10 @@ class Multicore
      * Snapshot restore: make this system an exact copy of @p o, built
      * from an equal SystemConfig (fatal() otherwise), so that every
      * later access behaves as it would on @p o. Neither system may
-     * have run() (the event loop's state is not copied). The state
-     * enumerator (verify/enumerate.hh) explores each successor this
-     * way instead of rebuilding and replaying from reset.
+     * have run(), so both event queues are idle and the queue needs
+     * no copy. The state enumerator (verify/enumerate.hh) explores
+     * each successor this way instead of rebuilding and replaying from
+     * reset.
      *
      * Copied: per tile the caches, miss tracker, clock, status,
      * injected ops, ifetch walker and stats; the network's link state
@@ -169,7 +150,8 @@ class Multicore
      * table, energy tallies, the functional reference memory and its
      * checking mode, SystemStats; barrier and lock state; and the
      * fault counters when a plan is armed. Not copied: the watchdog
-     * setting, and controller scratch that every use overwrites.
+     * setting, the (idle) event queue, and controller scratch that
+     * every use overwrites.
      * Cost scales with occupied state, not with pre-sized capacity: a
      * cache visits only slots valid on either side (an empty pair is
      * O(1)), a flat map of equal capacity copies only cells occupied
@@ -184,14 +166,29 @@ class Multicore
     void restoreFrom(const Multicore &o);
 
   private:
-    // Engines drive the event loop: they pop/dispatch ops via step()
-    // and receive the schedule() callbacks it generates.
-    friend class SerialEngine;
-    friend class ShardedEngine;
-
     // ---- Event loop -----------------------------------------------------
     void step(CoreId c, const MemOp &op);
-    void schedule(CoreId c, Cycle t);
+    /** Core @p c (its tile clock already set) becomes runnable at @p t. */
+    void schedule(CoreId c, Cycle t) { queue_.schedule(c, t); }
+
+    /**
+     * Cheap cooperative watchdog poll for the event loop: samples the
+     * wall clock once every 1024 calls; latches once expired.
+     */
+    bool
+    watchdogExpired()
+    {
+        if (timeoutMs_ <= 0.0)
+            return false;
+        if (watchdogFired_)
+            return true;
+        if ((++watchdogPoll_ & 0x3FFu) != 0)
+            return false;
+        if (std::chrono::steady_clock::now() >= watchdogDeadline_)
+            watchdogFired_ = true;
+        return watchdogFired_;
+    }
+
     void finalizeStats(Workload &workload);
 
     /**
@@ -240,17 +237,12 @@ class Multicore
     std::uint32_t watchdogPoll_ = 0;
     bool watchdogFired_ = false;
 
-    /**
-     * The pluggable execution engine (SystemConfig::engineKind) —
-     * constructed before the protocol so its touch observer can be
-     * wired into the ProtocolContext.
-     */
-    std::unique_ptr<ExecutionEngine> engine_;
-
     /** The pluggable coherence engine (constructed after the tiles). */
     std::unique_ptr<CoherenceProtocol> protocol_;
 
-    // Event loop (owned by the engine; set for the duration of run()).
+    // Event loop: the next core to step, and the workload being run
+    // (set by run(), which is single-use).
+    EventQueue queue_;
     Workload *workload_ = nullptr;
 
     // Synchronization.

@@ -70,7 +70,8 @@ double geomean(const std::vector<double> &values);
  * in the config block, the "faults" counter object in every stats
  * block, verify_violations in every RunResult, and the per-run
  * "status" field ("ok" / "failed" with fail_reason) written by the
- * sweep sink.
+ * sweep sink. The optional top-level "profile" object is no longer
+ * written; it was optional, so v3 readers are unaffected.
  */
 constexpr int kBenchJsonSchemaVersion = 3;
 

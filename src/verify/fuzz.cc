@@ -344,12 +344,6 @@ runFuzz(const FuzzOptions &opt)
                     cfg.faultRate = opt.faultRate;
                 if (opt.faultSeedSet)
                     cfg.faultSeed = opt.faultSeed;
-                if (opt.simThreads != 0) {
-                    cfg.simThreads = opt.simThreads;
-                    cfg.engineKind = opt.simThreads > 1
-                                         ? EngineKind::Sharded
-                                         : EngineKind::Serial;
-                }
                 ++res.runs;
                 const auto viol =
                     checkTrace(trace, cfg, opt.stepwise, evidence);

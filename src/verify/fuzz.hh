@@ -59,15 +59,6 @@ struct FuzzOptions
     std::uint64_t faultSeed = 0; //!< fault-schedule seed override
     /** Also run the stepwise replay (invariants after every access). */
     bool stepwise = true;
-    /**
-     * Engine worker threads for the full timed runs; 0 = keep the
-     * config default (serial). > 1 routes every generated trace
-     * through the sharded execution engine — the invariants and the
-     * reference memory then double as an engine-equivalence check.
-     * (The stepwise replay drives testAccess directly and is engine-
-     * independent.)
-     */
-    std::uint32_t simThreads = 0;
 };
 
 /** Outcome of a campaign. */

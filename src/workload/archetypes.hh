@@ -136,9 +136,6 @@ class SyntheticWorkload final : public Workload
     std::uint32_t numLocks() const override { return spec_.numLocks; }
     MemOp next(CoreId core) override;
 
-    /** next() only touches gens_[core] + const layout: shardable. */
-    bool concurrentNextSafe() const override { return true; }
-
     std::uint32_t
     iFootprintLines(CoreId) const override
     {

@@ -62,9 +62,6 @@ class TraceWorkload final : public Workload
     std::uint32_t numLocks() const override { return numLocks_; }
     MemOp next(CoreId core) override;
 
-    /** next() only touches pos_[core]/streams_[core]: shardable. */
-    bool concurrentNextSafe() const override { return true; }
-
     /** Remaining (unconsumed) ops of a core (test helper). */
     std::size_t remaining(CoreId core) const;
 

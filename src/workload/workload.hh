@@ -85,16 +85,6 @@ class Workload
     virtual MemOp next(CoreId core) = 0;
 
     /**
-     * True when next() may be called for *different* cores from
-     * different threads concurrently (i.e. per-core generator state is
-     * independent and const queries race-free). The sharded execution
-     * engine requires this; workloads that keep cross-core mutable
-     * state leave the default and are run serially (bit-identical
-     * either way — this only gates the parallel fast path).
-     */
-    virtual bool concurrentNextSafe() const { return false; }
-
-    /**
      * Size of the instruction footprint, in cache lines, walked by the
      * core model's ifetch engine (0 disables the walker; trace
      * workloads emit explicit IFetch ops instead).

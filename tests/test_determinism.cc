@@ -144,10 +144,7 @@ TEST(Determinism, GoldenHashPerNetworkTopology)
 
 // 64-core full-machine goldens, one per topology (Limited
 // classifier, default 8-wide mesh dimensions). These pin the paper-
-// scale configuration the figures run at; the sharded execution
-// engine (system/sharded.hh) makes the suite cheap enough to keep in
-// tier 1, and each golden is checked under it too (--sim-threads 4
-// must be bit-identical to serial).
+// scale configuration the figures run at.
 const Golden kNetworkGoldens64[] = {
     {ClassifierKind::Limited, "mesh", 0xd6a0b30411599c9eULL},
     {ClassifierKind::Limited, "torus", 0x1bb3bc2cef6d5e3cULL},
@@ -156,15 +153,11 @@ const Golden kNetworkGoldens64[] = {
 };
 
 std::uint64_t
-signature64(const char *network, std::uint32_t sim_threads)
+signature64(const char *network)
 {
     SystemConfig cfg; // defaults: 64 cores, 8-wide mesh
     cfg.classifierKind = ClassifierKind::Limited;
     applyNetworkName(cfg, network);
-    if (sim_threads > 1) {
-        cfg.engineKind = EngineKind::Sharded;
-        cfg.simThreads = sim_threads;
-    }
     SyntheticSpec spec = mixedSpec();
     spec.numCores = 64;
     SyntheticWorkload wl(spec, cfg);
@@ -177,16 +170,12 @@ signature64(const char *network, std::uint32_t sim_threads)
 TEST(Determinism, GoldenHash64CoresPerNetworkTopology)
 {
     for (const auto &g : kNetworkGoldens64) {
-        const std::uint64_t serial = signature64(g.name, 1);
-        EXPECT_EQ(serial, g.signature)
+        const std::uint64_t sig = signature64(g.name);
+        EXPECT_EQ(sig, g.signature)
             << "64-core " << g.name
-            << " stats signature drifted; actual 0x" << std::hex
-            << serial
+            << " stats signature drifted; actual 0x" << std::hex << sig
             << " — update the golden only if the change is"
                " intentional";
-        EXPECT_EQ(signature64(g.name, 4), serial)
-            << "64-core " << g.name
-            << ": sharded engine diverges from serial";
     }
 }
 

@@ -14,6 +14,7 @@
 #include "net/factory.hh"
 #include "protocol/factory.hh"
 #include "sim/abort.hh"
+#include "system/event_queue.hh"
 #include "system/experiment.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
@@ -182,19 +183,19 @@ TEST(Failures, EnumerateOptionsOutsideTheirRangesAreFatal)
 
 TEST(Failures, EventTimeBeyondKeyFieldPanics)
 {
-    // The serial engine's queue keys hold 48 bits of time.
-    Multicore m(tinyCfg());
-    m.engine().onSchedule(0, (Cycle{1} << 48) - 1); // the last valid time
-    EXPECT_DEATH(m.engine().onSchedule(1, Cycle{1} << 48), "48-bit");
+    // The event queue's keys hold 48 bits of time.
+    EventQueue q(tinyCfg().numCores);
+    q.schedule(0, (Cycle{1} << 48) - 1); // the last valid time
+    EXPECT_DEATH(q.schedule(1, Cycle{1} << 48), "48-bit");
 }
 
 TEST(Failures, SchedulingAQueuedCorePanics)
 {
     // A core is queued at most once; the old heap silently kept two
     // entries for it.
-    Multicore m(tinyCfg());
-    m.engine().onSchedule(1, 5);
-    EXPECT_DEATH(m.engine().onSchedule(1, 9), "already queued");
+    EventQueue q(tinyCfg().numCores);
+    q.schedule(1, 5);
+    EXPECT_DEATH(q.schedule(1, 9), "already queued");
 }
 
 TEST(Failures, MalformedTraceIsFatal)

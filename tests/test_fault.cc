@@ -3,8 +3,8 @@
  * Fault-injection layer tests: the (72,64) SECDED code over every
  * single- and double-bit corruption pattern, the fault-plan registry,
  * the injector's pure-hash determinism, fault-schedule equality
- * across execution engines (the --sim-threads contract extended to
- * faults), the transport retransmit path, and the watchdog.
+ * across repeated runs, the transport retransmit path, and the
+ * watchdog.
  */
 
 #include <gtest/gtest.h>
@@ -189,31 +189,6 @@ TEST(FaultInjectorTest, StrikeBitStaysInRange)
 // System level: determinism, recovery accounting, watchdog.
 // ---------------------------------------------------------------------------
 
-TEST(FaultSystem, ScheduleIdenticalAcrossEngines)
-{
-    // The --sim-threads contract extended to fault injection: the
-    // sharded engine replays the same event stream at the same
-    // timestamps, so the fault schedule — and with it every counter —
-    // must be bit-identical to the serial engine's.
-    SystemConfig serial = faultCfg(FaultKind::Storm, 3e-6);
-    SystemConfig sharded = serial;
-    sharded.simThreads = 4;
-    sharded.engineKind = EngineKind::Sharded;
-
-    const RunResult rs = runBenchmark("radix", serial, 0.05);
-    const RunResult rp = runBenchmark("radix", sharded, 0.05);
-    EXPECT_EQ(statsSignature(rs.stats), statsSignature(rp.stats));
-    EXPECT_GT(rs.stats.faults.softErrors +
-                  rs.stats.faults.linkDrops +
-                  rs.stats.faults.linkCorruptions,
-              0u)
-        << "fault schedule never fired; the equality above is vacuous";
-    EXPECT_EQ(rs.stats.faults.retransmits, rp.stats.faults.retransmits);
-    EXPECT_EQ(rs.stats.faults.eccCorrected, rp.stats.faults.eccCorrected);
-    EXPECT_EQ(rs.stats.faults.silentCorruptions, 0u);
-    EXPECT_EQ(rp.stats.faults.silentCorruptions, 0u);
-}
-
 TEST(FaultSystem, RetransmitPathRecoversAndCharges)
 {
     // Lossy links at a rate low enough that the retry budget always
@@ -244,8 +219,15 @@ TEST(FaultSystem, ScheduleDeterministicAcrossRepeats)
     const RunResult a = runBenchmark("barnes", cfg, 0.05);
     const RunResult b = runBenchmark("barnes", cfg, 0.05);
     EXPECT_EQ(statsSignature(a.stats), statsSignature(b.stats));
+    EXPECT_GT(a.stats.faults.softErrors + a.stats.faults.linkDrops +
+                  a.stats.faults.linkCorruptions,
+              0u)
+        << "fault schedule never fired; the equality above is vacuous";
     EXPECT_EQ(a.stats.faults.retransmits, b.stats.faults.retransmits);
     EXPECT_EQ(a.stats.faults.softErrors, b.stats.faults.softErrors);
+    EXPECT_EQ(a.stats.faults.eccCorrected, b.stats.faults.eccCorrected);
+    EXPECT_EQ(a.stats.faults.silentCorruptions, 0u);
+    EXPECT_EQ(b.stats.faults.silentCorruptions, 0u);
 }
 
 TEST(FaultSystem, WatchdogAbortsLongRuns)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the sim base module: RNG determinism, configuration
- * validation and derived values, statistics containers.
+ * validation and derived values, CLI config overrides, statistics
+ * containers.
  */
 
 #include <map>
@@ -10,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "net/factory.hh"
+#include "protocol/factory.hh"
 #include "sim/config.hh"
 #include "sim/flat_map.hh"
 #include "sim/functional.hh"
+#include "sim/overrides.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -332,6 +336,30 @@ TEST(Config, SummaryMentionsKeyKnobs)
     EXPECT_NE(s.find("64 cores"), std::string::npos);
     EXPECT_NE(s.find("PCT=4"), std::string::npos);
     EXPECT_NE(s.find("Limited3"), std::string::npos);
+}
+
+// Checks the protocol and network overrides only; the name predates the
+// removal of the engine override and is kept so test histories line up.
+TEST(Overrides, ApplySelectsEngineAndFactories)
+{
+    SystemConfig cfg;
+    ConfigOverrides ov;
+    ov.protocol = "fullmap";
+    ov.network = "torus";
+    EXPECT_TRUE(ov.validateOrReport());
+    ov.apply(cfg);
+    EXPECT_STREQ(protocolNameFor(cfg), "fullmap");
+    EXPECT_STREQ(networkNameFor(cfg), "torus");
+
+    ConfigOverrides bad;
+    bad.protocol = "nope";
+    EXPECT_FALSE(bad.validateOrReport());
+    bad = ConfigOverrides{};
+    bad.network = "nope";
+    EXPECT_FALSE(bad.validateOrReport());
+    EXPECT_TRUE(ConfigOverrides{}.validateOrReport());
+    EXPECT_FALSE(ConfigOverrides{}.any());
+    EXPECT_TRUE(ov.any());
 }
 
 TEST(Stats, LatencyBreakdownSumsAndAccumulates)

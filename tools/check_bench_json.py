@@ -36,11 +36,6 @@ TOP_LEVEL_KEYS = {
     "runs",
 }
 
-# Optional "profile" object of a --profile run (sim/profiler.hh).
-PROFILE_KEYS = {"total_ns", "buckets"}
-PROFILE_BUCKETS = {"workload", "cache", "protocol", "network", "dram"}
-PROFILE_BUCKET_KEYS = {"ns", "calls", "share"}
-
 RUN_KEYS = {
     "label",
     "bench",
@@ -143,26 +138,6 @@ def check_document(path):
             and doc["ops_per_sec"] > 0
         ):
             return fail(path, f"bad ops_per_sec {doc['ops_per_sec']!r}")
-
-    profile = doc.get("profile")
-    if profile is not None:
-        missing = PROFILE_KEYS - profile.keys()
-        if missing:
-            return fail(path, f"profile missing keys: {sorted(missing)}")
-        buckets = profile["buckets"]
-        if set(buckets) != PROFILE_BUCKETS:
-            return fail(
-                path, f"profile buckets {sorted(buckets)} !="
-                f" {sorted(PROFILE_BUCKETS)}"
-            )
-        for bucket, payload in buckets.items():
-            missing = PROFILE_BUCKET_KEYS - payload.keys()
-            if missing:
-                return fail(
-                    path,
-                    f"profile.buckets.{bucket} missing keys:"
-                    f" {sorted(missing)}",
-                )
 
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
