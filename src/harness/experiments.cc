@@ -53,25 +53,16 @@ baselineConfig()
     return cfg;
 }
 
-/** Six-component energy vector in Fig 8 order. */
+/** A counter block's fields as doubles, in table order (Figs 8-9). */
+template <typename S>
 std::vector<double>
-energyVector(const SystemStats &s)
+fieldValues(const S &s)
 {
-    return {s.energy.l1i,       s.energy.l1d,    s.energy.l2,
-            s.energy.directory, s.energy.router, s.energy.link};
-}
-
-/** Six-component completion-time vector in Fig 9 order (per-core sums). */
-std::vector<double>
-latencyVector(const SystemStats &s)
-{
-    const auto l = s.totalLatency();
-    return {static_cast<double>(l.compute),
-            static_cast<double>(l.l1ToL2),
-            static_cast<double>(l.l2Waiting),
-            static_cast<double>(l.l2Sharers),
-            static_cast<double>(l.offChip),
-            static_cast<double>(l.synchronization)};
+    std::vector<double> v;
+    S::forEachField([&](const char *, auto m) {
+        v.push_back(static_cast<double>(s.*m));
+    });
+    return v;
 }
 
 /**
@@ -219,8 +210,8 @@ breakdownExperiment(bool energy)
             double base_total = 0.0;
             for (std::size_t pi = 0; pi < pcts.size(); ++pi) {
                 const auto &r = cur.next();
-                const auto v = energy ? energyVector(r.stats)
-                                      : latencyVector(r.stats);
+                const auto v = energy ? fieldValues(r.stats.energy)
+                                      : fieldValues(r.stats.totalLatency());
                 double total = 0.0;
                 for (const double c : v)
                     total += c;

@@ -1,10 +1,8 @@
 #include "harness/sink.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <iterator>
 
 #include "sim/log.hh"
@@ -162,21 +160,6 @@ runExperiment(const Experiment &exp, const SweepOptions &opts,
                                       start)
             .count();
     return outcome;
-}
-
-int
-runLegacyMain(const std::string &name)
-{
-    setVerbose(false);
-    const Experiment *exp = Registry::instance().find(name);
-    if (exp == nullptr) {
-        std::fprintf(stderr, "unknown experiment '%s'\n", name.c_str());
-        return 1;
-    }
-    SweepOptions opts;
-    opts.jobs = 1;
-    runExperiment(*exp, opts, std::cout);
-    return 0;
 }
 
 } // namespace lacc::harness

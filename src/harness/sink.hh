@@ -2,8 +2,7 @@
  * @file
  * Result sink: assembles the BENCH_<experiment>.json document for a
  * completed sweep (schema kBenchJsonSchemaVersion) and drives whole
- * experiments end to end for the lacc_bench CLI and the thin legacy
- * bench binaries.
+ * experiments end to end for the lacc_bench CLI.
  *
  * Document layout (docs/BENCHMARKS.md has the full schema):
  *
@@ -82,12 +81,6 @@ ExperimentOutcome runExperiment(const Experiment &exp,
  * re-run rather than trusted.
  */
 bool validArtifactExists(const std::string &dir, const Experiment &exp);
-
-/**
- * main() body for the thin legacy bench binaries: serial sweep, text
- * to stdout, no JSON. @return process exit code.
- */
-int runLegacyMain(const std::string &name);
 
 } // namespace lacc::harness
 

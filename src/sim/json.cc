@@ -571,7 +571,7 @@ Json::dump(int indent) const
 Json
 Json::parse(const std::string &text, std::string *error)
 {
-    Parser p{text};
+    Parser p{text, 0, {}};
     Json out;
     if (!p.parseValue(out, 0)) {
         if (error != nullptr)

@@ -23,9 +23,10 @@ ConfigOverrides::validateOrReport() const
     if (!faults.empty() &&
         !registry::validateName("fault plan", faults, faultNames()))
         ok = false;
-    if (faultRate >= 0.0 && faultRate > 1.0) {
+    // Written so that NaN fails too.
+    if (faultRate && !(*faultRate >= 0.0 && *faultRate <= 1.0)) {
         std::fprintf(stderr,
-                     "--fault-rate %g out of range [0, 1]\n", faultRate);
+                     "--fault-rate %g out of range [0, 1]\n", *faultRate);
         ok = false;
     }
     return ok;
@@ -40,8 +41,8 @@ ConfigOverrides::apply(SystemConfig &cfg) const
         applyNetworkName(cfg, network);
     if (!faults.empty())
         applyFaultName(cfg, faults);
-    if (faultRate >= 0.0)
-        cfg.faultRate = faultRate;
+    if (faultRate)
+        cfg.faultRate = *faultRate;
     if (faultSeedSet)
         cfg.faultSeed = faultSeed;
 }

@@ -11,6 +11,7 @@
 #define LACC_SIM_OVERRIDES_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,22 +25,23 @@ struct ConfigOverrides
     std::string protocol; //!< coherence protocol name; empty = keep
     std::string network;  //!< interconnect topology name; empty = keep
     std::string faults;   //!< fault-plan name; empty = keep
-    double faultRate = -1.0;       //!< base fault rate; < 0 = keep
-    bool faultSeedSet = false;     //!< faultSeed holds a --fault-seed
-    std::uint64_t faultSeed = 0;   //!< fault-schedule seed override
+    std::optional<double> faultRate; //!< base fault rate; unset = keep
+    bool faultSeedSet = false;       //!< faultSeed holds a --fault-seed
+    std::uint64_t faultSeed = 0;     //!< fault-schedule seed override
 
     /** Any override set? */
     bool
     any() const
     {
         return !protocol.empty() || !network.empty() || !faults.empty() ||
-               faultRate >= 0.0 || faultSeedSet;
+               faultRate.has_value() || faultSeedSet;
     }
 
     /**
-     * Validate the names against their factories; unknown names print
-     * the one-line "unknown X (valid: ...)" diagnostic to stderr and
-     * return false (CLIs exit 2).
+     * Validate the names against their factories and a set faultRate
+     * against [0, 1]. Unknown names print the one-line "unknown X
+     * (valid: ...)" diagnostic to stderr, a bad rate its own line;
+     * either returns false (CLIs exit 2).
      */
     bool validateOrReport() const;
 

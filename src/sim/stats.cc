@@ -4,30 +4,6 @@
 
 namespace lacc {
 
-LatencyBreakdown &
-LatencyBreakdown::operator+=(const LatencyBreakdown &o)
-{
-    compute += o.compute;
-    l1ToL2 += o.l1ToL2;
-    l2Waiting += o.l2Waiting;
-    l2Sharers += o.l2Sharers;
-    offChip += o.offChip;
-    synchronization += o.synchronization;
-    return *this;
-}
-
-EnergyBreakdown &
-EnergyBreakdown::operator+=(const EnergyBreakdown &o)
-{
-    l1i += o.l1i;
-    l1d += o.l1d;
-    l2 += o.l2;
-    directory += o.directory;
-    router += o.router;
-    link += o.link;
-    return *this;
-}
-
 std::uint64_t
 MissBreakdown::total() const
 {
@@ -111,73 +87,10 @@ UtilizationHistogram::operator+=(const UtilizationHistogram &o)
     return *this;
 }
 
-CacheStats &
-CacheStats::operator+=(const CacheStats &o)
-{
-    loads += o.loads;
-    stores += o.stores;
-    loadMisses += o.loadMisses;
-    storeMisses += o.storeMisses;
-    evictions += o.evictions;
-    invalidationsRecv += o.invalidationsRecv;
-    fills += o.fills;
-    return *this;
-}
-
-NetworkStats &
-NetworkStats::operator+=(const NetworkStats &o)
-{
-    unicasts += o.unicasts;
-    broadcasts += o.broadcasts;
-    flitsInjected += o.flitsInjected;
-    flitHops += o.flitHops;
-    contentionCycles += o.contentionCycles;
-    return *this;
-}
-
-FaultStats &
-FaultStats::operator+=(const FaultStats &o)
-{
-    linkDrops += o.linkDrops;
-    linkCorruptions += o.linkCorruptions;
-    retransmits += o.retransmits;
-    nacks += o.nacks;
-    softErrors += o.softErrors;
-    eccCorrected += o.eccCorrected;
-    eccDetected += o.eccDetected;
-    scrubs += o.scrubs;
-    silentCorruptions += o.silentCorruptions;
-    return *this;
-}
-
-ProtocolStats &
-ProtocolStats::operator+=(const ProtocolStats &o)
-{
-    privateReadGrants += o.privateReadGrants;
-    privateWriteGrants += o.privateWriteGrants;
-    upgradeGrants += o.upgradeGrants;
-    remoteReads += o.remoteReads;
-    remoteWrites += o.remoteWrites;
-    promotions += o.promotions;
-    demotions += o.demotions;
-    invalidationsSent += o.invalidationsSent;
-    broadcastInvals += o.broadcastInvals;
-    syncWritebacks += o.syncWritebacks;
-    dirtyWritebacks += o.dirtyWritebacks;
-    l2Evictions += o.l2Evictions;
-    rehomeFlushes += o.rehomeFlushes;
-    dramFetches += o.dramFetches;
-    dramWritebacks += o.dramWritebacks;
-    return *this;
-}
-
 CoreStats &
 CoreStats::operator+=(const CoreStats &o)
 {
-    instructions += o.instructions;
-    memReads += o.memReads;
-    memWrites += o.memWrites;
-    ifetches += o.ifetches;
+    addFields(*this, o);
     finishTime = std::max(finishTime, o.finishTime);
     latency += o.latency;
     misses += o.misses;

@@ -10,6 +10,12 @@
  * - MissBreakdown: the five miss types of Section 4.4 (Fig 10).
  * - UtilizationHistogram: Figs 1-2 (evictions/invalidations by the
  *   utilization of the victim line).
+ *
+ * Each plain counter struct lists its fields once, in a static
+ * forEachField(f) that calls f("json_key", &S::member) per field.
+ * Merging, total(), the JSON blocks (system/report.cc), the
+ * statsSignature digest and the Fig 8/9 vectors all derive from that
+ * table, so a new counter is one declaration plus one table line.
  */
 
 #ifndef LACC_SIM_STATS_HH
@@ -24,6 +30,27 @@
 
 namespace lacc {
 
+// Tables list fields in declaration order, which is also the JSON key
+// order and the digest order: reordering a table changes the goldens.
+
+/** a += b, field by field. */
+template <typename S>
+void
+addFields(S &a, const S &b)
+{
+    S::forEachField([&](const char *, auto m) { a.*m += b.*m; });
+}
+
+/** Sum of all fields, left to right in table order. */
+template <typename T, typename S>
+T
+sumFields(const S &s)
+{
+    T sum{};
+    S::forEachField([&](const char *, auto m) { sum += s.*m; });
+    return sum;
+}
+
 /** Completion-time components (cycles); see Section 4.4. */
 struct LatencyBreakdown
 {
@@ -35,13 +62,26 @@ struct LatencyBreakdown
     std::uint64_t synchronization = 0;//!< barrier / lock wait
 
     /** Sum of all components. */
-    std::uint64_t total() const
+    std::uint64_t total() const { return sumFields<std::uint64_t>(*this); }
+
+    LatencyBreakdown &
+    operator+=(const LatencyBreakdown &o)
     {
-        return compute + l1ToL2 + l2Waiting + l2Sharers + offChip +
-               synchronization;
+        addFields(*this, o);
+        return *this;
     }
 
-    LatencyBreakdown &operator+=(const LatencyBreakdown &o);
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("compute", &LatencyBreakdown::compute);
+        f("l1_to_l2", &LatencyBreakdown::l1ToL2);
+        f("l2_waiting", &LatencyBreakdown::l2Waiting);
+        f("l2_sharers", &LatencyBreakdown::l2Sharers);
+        f("off_chip", &LatencyBreakdown::offChip);
+        f("synchronization", &LatencyBreakdown::synchronization);
+    }
 };
 
 /** Dynamic energy per component (picojoules). */
@@ -55,12 +95,19 @@ struct EnergyBreakdown
     double link = 0.0;
 
     /** Total memory-system energy (caches + network, as in the paper). */
-    double total() const
-    {
-        return l1i + l1d + l2 + directory + router + link;
-    }
+    double total() const { return sumFields<double>(*this); }
 
-    EnergyBreakdown &operator+=(const EnergyBreakdown &o);
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("l1i", &EnergyBreakdown::l1i);
+        f("l1d", &EnergyBreakdown::l1d);
+        f("l2", &EnergyBreakdown::l2);
+        f("directory", &EnergyBreakdown::directory);
+        f("router", &EnergyBreakdown::router);
+        f("link", &EnergyBreakdown::link);
+    }
 };
 
 /** Counts of the five L1 miss types of Section 4.4. */
@@ -125,7 +172,25 @@ struct CacheStats
         return a == 0 ? 0.0 : static_cast<double>(misses()) / a;
     }
 
-    CacheStats &operator+=(const CacheStats &o);
+    CacheStats &
+    operator+=(const CacheStats &o)
+    {
+        addFields(*this, o);
+        return *this;
+    }
+
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("loads", &CacheStats::loads);
+        f("stores", &CacheStats::stores);
+        f("load_misses", &CacheStats::loadMisses);
+        f("store_misses", &CacheStats::storeMisses);
+        f("evictions", &CacheStats::evictions);
+        f("invalidations_recv", &CacheStats::invalidationsRecv);
+        f("fills", &CacheStats::fills);
+    }
 };
 
 /** NoC traffic counters. */
@@ -137,7 +202,16 @@ struct NetworkStats
     std::uint64_t flitHops = 0;        //!< flits x links traversed
     std::uint64_t contentionCycles = 0;
 
-    NetworkStats &operator+=(const NetworkStats &o);
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("unicasts", &NetworkStats::unicasts);
+        f("broadcasts", &NetworkStats::broadcasts);
+        f("flits_injected", &NetworkStats::flitsInjected);
+        f("flit_hops", &NetworkStats::flitHops);
+        f("contention_cycles", &NetworkStats::contentionCycles);
+    }
 };
 
 /**
@@ -159,14 +233,28 @@ struct FaultStats
     std::uint64_t silentCorruptions = 0; //!< unprotected real bit flips
 
     /** Any fault activity at all? */
-    bool any() const
+    bool
+    any() const
     {
-        return (linkDrops | linkCorruptions | retransmits | nacks |
-                softErrors | eccCorrected | eccDetected | scrubs |
-                silentCorruptions) != 0;
+        std::uint64_t bits = 0;
+        forEachField([&](const char *, auto m) { bits |= this->*m; });
+        return bits != 0;
     }
 
-    FaultStats &operator+=(const FaultStats &o);
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("link_drops", &FaultStats::linkDrops);
+        f("link_corruptions", &FaultStats::linkCorruptions);
+        f("retransmits", &FaultStats::retransmits);
+        f("nacks", &FaultStats::nacks);
+        f("soft_errors", &FaultStats::softErrors);
+        f("ecc_corrected", &FaultStats::eccCorrected);
+        f("ecc_detected", &FaultStats::eccDetected);
+        f("scrubs", &FaultStats::scrubs);
+        f("silent_corruptions", &FaultStats::silentCorruptions);
+    }
 };
 
 /** Protocol-level event counters. */
@@ -188,7 +276,26 @@ struct ProtocolStats
     std::uint64_t dramFetches = 0;
     std::uint64_t dramWritebacks = 0;
 
-    ProtocolStats &operator+=(const ProtocolStats &o);
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("private_read_grants", &ProtocolStats::privateReadGrants);
+        f("private_write_grants", &ProtocolStats::privateWriteGrants);
+        f("upgrade_grants", &ProtocolStats::upgradeGrants);
+        f("remote_reads", &ProtocolStats::remoteReads);
+        f("remote_writes", &ProtocolStats::remoteWrites);
+        f("promotions", &ProtocolStats::promotions);
+        f("demotions", &ProtocolStats::demotions);
+        f("invalidations_sent", &ProtocolStats::invalidationsSent);
+        f("broadcast_invals", &ProtocolStats::broadcastInvals);
+        f("sync_writebacks", &ProtocolStats::syncWritebacks);
+        f("dirty_writebacks", &ProtocolStats::dirtyWritebacks);
+        f("l2_evictions", &ProtocolStats::l2Evictions);
+        f("rehome_flushes", &ProtocolStats::rehomeFlushes);
+        f("dram_fetches", &ProtocolStats::dramFetches);
+        f("dram_writebacks", &ProtocolStats::dramWritebacks);
+    }
 };
 
 /** Per-core statistics. */
@@ -206,6 +313,20 @@ struct CoreStats
     CacheStats l1d;
 
     CoreStats &operator+=(const CoreStats &o);
+
+    /**
+     * The four plain counters (the JSON core_totals block). finishTime
+     * merges by max, and it and the nested blocks stay explicit.
+     */
+    template <typename F>
+    static void
+    forEachField(F &&f)
+    {
+        f("instructions", &CoreStats::instructions);
+        f("mem_reads", &CoreStats::memReads);
+        f("mem_writes", &CoreStats::memWrites);
+        f("ifetches", &CoreStats::ifetches);
+    }
 };
 
 /** Whole-system statistics returned by a simulation run. */

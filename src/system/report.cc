@@ -105,32 +105,14 @@ Table::toJson() const
 
 namespace {
 
+/** One JSON object per counter block, keys and order from its table. */
+template <typename S>
 Json
-cacheToJson(const CacheStats &c)
+fieldsToJson(const S &s)
 {
     Json j = Json::object();
-    j["loads"] = c.loads;
-    j["stores"] = c.stores;
-    j["load_misses"] = c.loadMisses;
-    j["store_misses"] = c.storeMisses;
-    j["evictions"] = c.evictions;
-    j["invalidations_recv"] = c.invalidationsRecv;
-    j["fills"] = c.fills;
+    S::forEachField([&](const char *key, auto m) { j[key] = s.*m; });
     return j;
-}
-
-CacheStats
-cacheFromJson(const Json &j)
-{
-    CacheStats c;
-    c.loads = j.at("loads").asUint();
-    c.stores = j.at("stores").asUint();
-    c.loadMisses = j.at("load_misses").asUint();
-    c.storeMisses = j.at("store_misses").asUint();
-    c.evictions = j.at("evictions").asUint();
-    c.invalidationsRecv = j.at("invalidations_recv").asUint();
-    c.fills = j.at("fills").asUint();
-    return c;
 }
 
 Json
@@ -149,71 +131,6 @@ histToJson(const UtilizationHistogram &h)
     return j;
 }
 
-UtilizationHistogram
-histFromJson(const Json &j)
-{
-    UtilizationHistogram h;
-    const auto &counts = j.at("counts").elements();
-    for (std::size_t i = 0; i < counts.size() && i < h.counts.size();
-         ++i)
-        h.counts[i] = counts[i].asUint();
-    return h;
-}
-
-Json
-latencyToJson(const LatencyBreakdown &l)
-{
-    Json j = Json::object();
-    j["compute"] = l.compute;
-    j["l1_to_l2"] = l.l1ToL2;
-    j["l2_waiting"] = l.l2Waiting;
-    j["l2_sharers"] = l.l2Sharers;
-    j["off_chip"] = l.offChip;
-    j["synchronization"] = l.synchronization;
-    j["total"] = l.total();
-    return j;
-}
-
-LatencyBreakdown
-latencyFromJson(const Json &j)
-{
-    LatencyBreakdown l;
-    l.compute = j.at("compute").asUint();
-    l.l1ToL2 = j.at("l1_to_l2").asUint();
-    l.l2Waiting = j.at("l2_waiting").asUint();
-    l.l2Sharers = j.at("l2_sharers").asUint();
-    l.offChip = j.at("off_chip").asUint();
-    l.synchronization = j.at("synchronization").asUint();
-    return l;
-}
-
-Json
-energyToJson(const EnergyBreakdown &e)
-{
-    Json j = Json::object();
-    j["l1i"] = e.l1i;
-    j["l1d"] = e.l1d;
-    j["l2"] = e.l2;
-    j["directory"] = e.directory;
-    j["router"] = e.router;
-    j["link"] = e.link;
-    j["total"] = e.total();
-    return j;
-}
-
-EnergyBreakdown
-energyFromJson(const Json &j)
-{
-    EnergyBreakdown e;
-    e.l1i = j.at("l1i").asDouble();
-    e.l1d = j.at("l1d").asDouble();
-    e.l2 = j.at("l2").asDouble();
-    e.directory = j.at("directory").asDouble();
-    e.router = j.at("router").asDouble();
-    e.link = j.at("link").asDouble();
-    return e;
-}
-
 Json
 missesToJson(const MissBreakdown &m)
 {
@@ -223,117 +140,6 @@ missesToJson(const MissBreakdown &m)
         j[missTypeName(static_cast<MissType>(i))] = m.counts[i];
     j["total"] = m.total();
     return j;
-}
-
-MissBreakdown
-missesFromJson(const Json &j)
-{
-    MissBreakdown m;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(MissType::NumTypes); ++i)
-        m.counts[i] =
-            j.at(missTypeName(static_cast<MissType>(i))).asUint();
-    return m;
-}
-
-Json
-networkToJson(const NetworkStats &n)
-{
-    Json j = Json::object();
-    j["unicasts"] = n.unicasts;
-    j["broadcasts"] = n.broadcasts;
-    j["flits_injected"] = n.flitsInjected;
-    j["flit_hops"] = n.flitHops;
-    j["contention_cycles"] = n.contentionCycles;
-    return j;
-}
-
-NetworkStats
-networkFromJson(const Json &j)
-{
-    NetworkStats n;
-    n.unicasts = j.at("unicasts").asUint();
-    n.broadcasts = j.at("broadcasts").asUint();
-    n.flitsInjected = j.at("flits_injected").asUint();
-    n.flitHops = j.at("flit_hops").asUint();
-    n.contentionCycles = j.at("contention_cycles").asUint();
-    return n;
-}
-
-Json
-faultsToJson(const FaultStats &f)
-{
-    Json j = Json::object();
-    j["link_drops"] = f.linkDrops;
-    j["link_corruptions"] = f.linkCorruptions;
-    j["retransmits"] = f.retransmits;
-    j["nacks"] = f.nacks;
-    j["soft_errors"] = f.softErrors;
-    j["ecc_corrected"] = f.eccCorrected;
-    j["ecc_detected"] = f.eccDetected;
-    j["scrubs"] = f.scrubs;
-    j["silent_corruptions"] = f.silentCorruptions;
-    return j;
-}
-
-FaultStats
-faultsFromJson(const Json &j)
-{
-    FaultStats f;
-    f.linkDrops = j.at("link_drops").asUint();
-    f.linkCorruptions = j.at("link_corruptions").asUint();
-    f.retransmits = j.at("retransmits").asUint();
-    f.nacks = j.at("nacks").asUint();
-    f.softErrors = j.at("soft_errors").asUint();
-    f.eccCorrected = j.at("ecc_corrected").asUint();
-    f.eccDetected = j.at("ecc_detected").asUint();
-    f.scrubs = j.at("scrubs").asUint();
-    f.silentCorruptions = j.at("silent_corruptions").asUint();
-    return f;
-}
-
-Json
-protocolToJson(const ProtocolStats &p)
-{
-    Json j = Json::object();
-    j["private_read_grants"] = p.privateReadGrants;
-    j["private_write_grants"] = p.privateWriteGrants;
-    j["upgrade_grants"] = p.upgradeGrants;
-    j["remote_reads"] = p.remoteReads;
-    j["remote_writes"] = p.remoteWrites;
-    j["promotions"] = p.promotions;
-    j["demotions"] = p.demotions;
-    j["invalidations_sent"] = p.invalidationsSent;
-    j["broadcast_invals"] = p.broadcastInvals;
-    j["sync_writebacks"] = p.syncWritebacks;
-    j["dirty_writebacks"] = p.dirtyWritebacks;
-    j["l2_evictions"] = p.l2Evictions;
-    j["rehome_flushes"] = p.rehomeFlushes;
-    j["dram_fetches"] = p.dramFetches;
-    j["dram_writebacks"] = p.dramWritebacks;
-    return j;
-}
-
-ProtocolStats
-protocolFromJson(const Json &j)
-{
-    ProtocolStats p;
-    p.privateReadGrants = j.at("private_read_grants").asUint();
-    p.privateWriteGrants = j.at("private_write_grants").asUint();
-    p.upgradeGrants = j.at("upgrade_grants").asUint();
-    p.remoteReads = j.at("remote_reads").asUint();
-    p.remoteWrites = j.at("remote_writes").asUint();
-    p.promotions = j.at("promotions").asUint();
-    p.demotions = j.at("demotions").asUint();
-    p.invalidationsSent = j.at("invalidations_sent").asUint();
-    p.broadcastInvals = j.at("broadcast_invals").asUint();
-    p.syncWritebacks = j.at("sync_writebacks").asUint();
-    p.dirtyWritebacks = j.at("dirty_writebacks").asUint();
-    p.l2Evictions = j.at("l2_evictions").asUint();
-    p.rehomeFlushes = j.at("rehome_flushes").asUint();
-    p.dramFetches = j.at("dram_fetches").asUint();
-    p.dramWritebacks = j.at("dram_writebacks").asUint();
-    return p;
 }
 
 } // namespace
@@ -392,22 +198,19 @@ toJson(const SystemStats &stats)
     Json j = Json::object();
     j["cores"] = static_cast<std::uint64_t>(stats.perCore.size());
     j["completion_time"] = stats.completionTime();
-    Json totals = Json::object();
-    totals["instructions"] = sum.instructions;
-    totals["mem_reads"] = sum.memReads;
-    totals["mem_writes"] = sum.memWrites;
-    totals["ifetches"] = sum.ifetches;
-    j["core_totals"] = std::move(totals);
-    j["latency"] = latencyToJson(sum.latency);
-    j["energy"] = energyToJson(stats.energy);
+    j["core_totals"] = fieldsToJson(sum);
+    j["latency"] = fieldsToJson(sum.latency);
+    j["latency"]["total"] = sum.latency.total();
+    j["energy"] = fieldsToJson(stats.energy);
+    j["energy"]["total"] = stats.energy.total();
     j["misses"] = missesToJson(sum.misses);
     j["l1d_miss_rate"] = stats.l1dMissRate();
-    j["l1i"] = cacheToJson(sum.l1i);
-    j["l1d"] = cacheToJson(sum.l1d);
-    j["l2"] = cacheToJson(stats.l2);
-    j["network"] = networkToJson(stats.network);
-    j["protocol"] = protocolToJson(stats.protocol);
-    j["faults"] = faultsToJson(stats.faults);
+    j["l1i"] = fieldsToJson(sum.l1i);
+    j["l1d"] = fieldsToJson(sum.l1d);
+    j["l2"] = fieldsToJson(stats.l2);
+    j["network"] = fieldsToJson(stats.network);
+    j["protocol"] = fieldsToJson(stats.protocol);
+    j["faults"] = fieldsToJson(stats.faults);
     j["eviction_util"] = histToJson(stats.evictionUtil);
     j["invalidation_util"] = histToJson(stats.invalidationUtil);
     return j;
@@ -424,50 +227,6 @@ toJson(const RunResult &result)
     j["verify_violations"] = result.verifyViolations;
     j["stats"] = toJson(result.stats);
     return j;
-}
-
-RunResult
-runResultFromJson(const Json &j)
-{
-    RunResult r;
-    r.completionTime = j.at("completion_time").asUint();
-    r.energyTotal = j.at("energy_total").asDouble();
-    r.functionalErrors = j.at("functional_errors").asUint();
-    // Schema v1 documents predate sim_ops, and v2 predates the fault
-    // fields; treat them as optional so archived artifacts stay
-    // loadable.
-    if (const Json *ops = j.find("sim_ops"))
-        r.simOps = ops->asUint();
-    if (const Json *vv = j.find("verify_violations"))
-        r.verifyViolations = vv->asUint();
-
-    const Json &s = j.at("stats");
-    // Aggregates land in core 0 of a perCore vector of the original
-    // size, so completionTime() and the total*() accessors reproduce
-    // the serialized values (per-core detail is intentionally summed).
-    r.stats.perCore.resize(s.at("cores").asUint());
-    if (!r.stats.perCore.empty()) {
-        CoreStats &c0 = r.stats.perCore[0];
-        const Json &totals = s.at("core_totals");
-        c0.instructions = totals.at("instructions").asUint();
-        c0.memReads = totals.at("mem_reads").asUint();
-        c0.memWrites = totals.at("mem_writes").asUint();
-        c0.ifetches = totals.at("ifetches").asUint();
-        c0.finishTime = s.at("completion_time").asUint();
-        c0.latency = latencyFromJson(s.at("latency"));
-        c0.misses = missesFromJson(s.at("misses"));
-        c0.l1i = cacheFromJson(s.at("l1i"));
-        c0.l1d = cacheFromJson(s.at("l1d"));
-    }
-    r.stats.l2 = cacheFromJson(s.at("l2"));
-    r.stats.network = networkFromJson(s.at("network"));
-    r.stats.protocol = protocolFromJson(s.at("protocol"));
-    if (const Json *f = s.find("faults"))
-        r.stats.faults = faultsFromJson(*f);
-    r.stats.energy = energyFromJson(s.at("energy"));
-    r.stats.evictionUtil = histFromJson(s.at("eviction_util"));
-    r.stats.invalidationUtil = histFromJson(s.at("invalidation_util"));
-    return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -491,27 +250,12 @@ struct Digest
     }
 };
 
+/** Every field of a counter block, in table order. */
+template <typename S>
 void
-addCache(Digest &d, const CacheStats &c)
+addFields(Digest &d, const S &s)
 {
-    d.add(c.loads);
-    d.add(c.stores);
-    d.add(c.loadMisses);
-    d.add(c.storeMisses);
-    d.add(c.evictions);
-    d.add(c.invalidationsRecv);
-    d.add(c.fills);
-}
-
-void
-addLatency(Digest &d, const LatencyBreakdown &l)
-{
-    d.add(l.compute);
-    d.add(l.l1ToL2);
-    d.add(l.l2Waiting);
-    d.add(l.l2Sharers);
-    d.add(l.offChip);
-    d.add(l.synchronization);
+    S::forEachField([&](const char *, auto m) { d.add(s.*m); });
 }
 
 void
@@ -529,39 +273,19 @@ statsSignature(const SystemStats &stats)
     Digest d;
     d.add(stats.perCore.size());
     for (const auto &c : stats.perCore) {
-        d.add(c.instructions);
-        d.add(c.memReads);
-        d.add(c.memWrites);
-        d.add(c.ifetches);
+        addFields(d, c);
         d.add(c.finishTime);
-        addLatency(d, c.latency);
+        addFields(d, c.latency);
         for (const auto m : c.misses.counts)
             d.add(m);
-        addCache(d, c.l1i);
-        addCache(d, c.l1d);
+        addFields(d, c.l1i);
+        addFields(d, c.l1d);
     }
-    addCache(d, stats.l2);
-    d.add(stats.network.unicasts);
-    d.add(stats.network.broadcasts);
-    d.add(stats.network.flitsInjected);
-    d.add(stats.network.flitHops);
-    d.add(stats.network.contentionCycles);
-    const ProtocolStats &p = stats.protocol;
-    d.add(p.privateReadGrants);
-    d.add(p.privateWriteGrants);
-    d.add(p.upgradeGrants);
-    d.add(p.remoteReads);
-    d.add(p.remoteWrites);
-    d.add(p.promotions);
-    d.add(p.demotions);
-    d.add(p.invalidationsSent);
-    d.add(p.broadcastInvals);
-    d.add(p.syncWritebacks);
-    d.add(p.dirtyWritebacks);
-    d.add(p.l2Evictions);
-    d.add(p.rehomeFlushes);
-    d.add(p.dramFetches);
-    d.add(p.dramWritebacks);
+    addFields(d, stats.l2);
+    addFields(d, stats.network);
+    addFields(d, stats.protocol);
+    // Energy (floating point) and faults are left out on purpose; see
+    // report.hh.
     addHist(d, stats.evictionUtil);
     addHist(d, stats.invalidationUtil);
     return d.h;

@@ -91,13 +91,6 @@ Json toJson(const SystemStats &stats);
 Json toJson(const RunResult &result);
 
 /**
- * Rebuild a RunResult from toJson(RunResult) output. Round-trips every
- * emitted field; per-core detail is not reconstructed (the aggregate
- * vectors land in a single synthetic core so totals are preserved).
- */
-RunResult runResultFromJson(const Json &j);
-
-/**
  * Order-sensitive FNV-1a digest of every *integer* field of
  * @p stats: per-core counters and latency breakdowns, the miss
  * taxonomy, L2/network/protocol counters, and both utilization

@@ -5,8 +5,10 @@
  * containers.
  */
 
+#include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -338,8 +340,9 @@ TEST(Config, SummaryMentionsKeyKnobs)
     EXPECT_NE(s.find("Limited3"), std::string::npos);
 }
 
-// Checks the protocol and network overrides only; the name predates the
-// removal of the engine override and is kept so test histories line up.
+// Checks the protocol, network and fault-rate overrides; the name
+// predates the removal of the engine override and is kept so test
+// histories line up.
 TEST(Overrides, ApplySelectsEngineAndFactories)
 {
     SystemConfig cfg;
@@ -357,6 +360,14 @@ TEST(Overrides, ApplySelectsEngineAndFactories)
     bad = ConfigOverrides{};
     bad.network = "nope";
     EXPECT_FALSE(bad.validateOrReport());
+    // A set fault rate must lie in [0, 1].
+    for (const double rate : {std::nan(""), 1.5, -0.5}) {
+        bad = ConfigOverrides{};
+        bad.faultRate = rate;
+        EXPECT_FALSE(bad.validateOrReport()) << rate;
+    }
+    bad.faultRate = 1.0;
+    EXPECT_TRUE(bad.validateOrReport());
     EXPECT_TRUE(ConfigOverrides{}.validateOrReport());
     EXPECT_FALSE(ConfigOverrides{}.any());
     EXPECT_TRUE(ov.any());
@@ -375,6 +386,53 @@ TEST(Stats, LatencyBreakdownSumsAndAccumulates)
     LatencyBreakdown b = a;
     b += a;
     EXPECT_EQ(b.total(), 62u);
+}
+
+/** Byte offset of member @p m within an S. */
+template <typename S, typename T>
+std::size_t
+offsetOf(T S::*m)
+{
+    static const S s{};
+    return static_cast<std::size_t>(
+        reinterpret_cast<const char *>(&(s.*m)) -
+        reinterpret_cast<const char *>(&s));
+}
+
+/**
+ * S's field table tiles [0, end): each listed member starts where the
+ * previous one ended, so the table is in declaration order with no
+ * member left out or listed twice. Its keys are unique.
+ */
+template <typename S>
+void
+expectTableTiles(const char *name, std::size_t end = sizeof(S))
+{
+    SCOPED_TRACE(name);
+    std::size_t next = 0;
+    std::size_t listed = 0;
+    std::set<std::string> keys;
+    S::forEachField([&](const char *key, auto m) {
+        EXPECT_EQ(offsetOf(m), next) << key;
+        next += sizeof(S{}.*m);
+        keys.insert(key);
+        ++listed;
+    });
+    EXPECT_EQ(next, end);
+    EXPECT_EQ(keys.size(), listed);
+}
+
+TEST(Stats, FieldTablesCoverEveryMember)
+{
+    expectTableTiles<LatencyBreakdown>("LatencyBreakdown");
+    expectTableTiles<EnergyBreakdown>("EnergyBreakdown");
+    expectTableTiles<CacheStats>("CacheStats");
+    expectTableTiles<NetworkStats>("NetworkStats");
+    expectTableTiles<FaultStats>("FaultStats");
+    expectTableTiles<ProtocolStats>("ProtocolStats");
+    // CoreStats tables only the counters declared before finishTime.
+    expectTableTiles<CoreStats>("CoreStats",
+                                offsetOf(&CoreStats::finishTime));
 }
 
 TEST(Stats, MissBreakdownRecords)

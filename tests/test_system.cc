@@ -108,8 +108,9 @@ checkSystemInvariants(Multicore &m, const SystemStats &st)
                 EXPECT_EQ(e.meta().holders.size(), 1u);
                 EXPECT_EQ(e.meta().holders[0], e.meta().owner);
             }
-            if (e.meta().dstate == DirState::Uncached)
+            if (e.meta().dstate == DirState::Uncached) {
                 EXPECT_TRUE(e.meta().holders.empty());
+            }
             // Every holder really has the line.
             for (const CoreId hc : e.meta().holders) {
                 const bool in_d =
