@@ -15,6 +15,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include "net/factory.hh"
 #include "protocol/factory.hh"
 #include "sim/log.hh"
+#include "sim/overrides.hh"
 
 using namespace lacc;
 using namespace lacc::harness;
@@ -69,9 +71,9 @@ usage(std::FILE *to)
         "                    (see --list-faults)\n"
         "  --fault-rate X    base per-event fault probability in"
         " [0, 1]\n"
-        "  --fault-seed N    fault-schedule seed (independent of the\n"
-        "                    workload seed; same seed => identical\n"
-        "                    fault schedule)\n"
+        "  --fault-seed N    fault-schedule seed in [0, 2^63-1]\n"
+        "                    (independent of the workload seed; same\n"
+        "                    seed => identical fault schedule)\n"
         "  --timeout-ms X    per-run wall-clock watchdog; an expired\n"
         "                    run is recorded as \"failed\", not fatal\n"
         "  --resume          skip experiments whose BENCH_*.json in\n"
@@ -89,17 +91,6 @@ parsePositiveDouble(const char *s, double &out)
     char *end = nullptr;
     out = std::strtod(s, &end);
     return end != s && *end == '\0' && std::isfinite(out) && out > 0.0;
-}
-
-bool
-parseUnsigned(const char *s, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0' || v == 0 || v > 1024)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
 }
 
 } // namespace
@@ -145,11 +136,8 @@ main(int argc, char **argv)
         } else if (arg == "--filter") {
             filter = value("--filter");
         } else if (arg == "--jobs") {
-            if (!parseUnsigned(value("--jobs"), opts.jobs)) {
-                std::fprintf(stderr,
-                             "--jobs wants an integer in [1, 1024]\n");
-                return 2;
-            }
+            opts.jobs = static_cast<unsigned>(
+                parseU64OrExit("--jobs", value("--jobs"), 1, 1024));
         } else if (arg == "--scale") {
             if (!parsePositiveDouble(value("--scale"), opts.opScale)) {
                 std::fprintf(stderr,
@@ -157,12 +145,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--repeat") {
-            if (!parseUnsigned(value("--repeat"), opts.repeat)) {
-                std::fprintf(stderr,
-                             "--repeat wants an integer in"
-                             " [1, 1024]\n");
-                return 2;
-            }
+            opts.repeat = static_cast<unsigned>(
+                parseU64OrExit("--repeat", value("--repeat"), 1, 1024));
         } else if (arg == "--protocol") {
             opts.overrides.protocol = value("--protocol");
         } else if (arg == "--network") {
@@ -179,16 +163,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--fault-seed") {
-            char *end = nullptr;
-            const char *s = value("--fault-seed");
-            const unsigned long long seed = std::strtoull(s, &end, 0);
-            if (end == s || *end != '\0') {
-                std::fprintf(stderr,
-                             "--fault-seed wants an integer\n");
-                return 2;
-            }
-            opts.overrides.faultSeed = seed;
-            opts.overrides.faultSeedSet = true;
+            opts.overrides.faultSeed = parseU64OrExit(
+                "--fault-seed", value("--fault-seed"), 0, UINT64_MAX / 2);
         } else if (arg == "--timeout-ms") {
             if (!parsePositiveDouble(value("--timeout-ms"),
                                      opts.timeoutMs)) {
@@ -215,19 +191,19 @@ main(int argc, char **argv)
     if (!opts.overrides.validateOrReport())
         return 2;
 
-    const auto selected = Registry::instance().match(filter);
+    const auto selected = match(filter);
     if (selected.empty()) {
         std::fprintf(stderr, "no experiment matches filter '%s'\n",
                      filter.c_str());
         std::fprintf(stderr, "known experiments:\n");
-        for (const auto &name : Registry::instance().names())
-            std::fprintf(stderr, "  %s\n", name.c_str());
+        for (const auto &e : experiments())
+            std::fprintf(stderr, "  %s\n", e.name.c_str());
         return 1;
     }
 
     if (list) {
         for (const auto *exp : selected) {
-            const std::size_t n = exp->makeJobs().size();
+            const std::size_t n = exp->jobs().size();
             std::printf("%-10s %4zu runs  %s\n", exp->name.c_str(), n,
                         exp->description.c_str());
         }

@@ -93,49 +93,6 @@ usage(std::FILE *to)
         "  --help            this message\n");
 }
 
-/**
- * Strict full-token decimal parse: every character must be a digit,
- * at most 19 of them, and the value must land in [lo, hi]. "12x",
- * "0x10", "-3", " 5", and "" are all rejected — a typo must never
- * silently verify less than the user asked for.
- */
-bool
-parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
-         std::uint64_t &out)
-{
-    if (s == nullptr || *s == '\0')
-        return false;
-    std::uint64_t v = 0;
-    int digits = 0;
-    for (const char *p = s; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        if (++digits > 19)
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    if (v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
-/** Parse @p s for option @p name or exit 2 with the valid range. */
-std::uint64_t
-parseOrDie(const char *name, const char *s, std::uint64_t lo,
-           std::uint64_t hi)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(s, lo, hi, v)) {
-        std::fprintf(stderr,
-                     "%s wants an integer in [%" PRIu64 ", %" PRIu64
-                     "], got '%s'\n",
-                     name, lo, hi, s);
-        std::exit(2);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -174,26 +131,26 @@ main(int argc, char **argv)
                 std::printf("%s\n", name.c_str());
             return 0;
         } else if (arg == "--seed") {
-            fo.seed = parseOrDie("--seed", value("--seed"), 0,
-                                 UINT64_MAX / 2);
+            fo.seed = parseU64OrExit("--seed", value("--seed"), 0,
+                                     UINT64_MAX / 2);
         } else if (arg == "--iters") {
-            fo.iters = static_cast<std::uint32_t>(parseOrDie(
+            fo.iters = static_cast<std::uint32_t>(parseU64OrExit(
                 "--iters", value("--iters"), 1, 1000000000));
         } else if (arg == "--cores") {
             // Range-checked per mode below (the mode flag may come
             // after); parse loosely here.
             const std::uint64_t v =
-                parseOrDie("--cores", value("--cores"), 1, 16);
+                parseU64OrExit("--cores", value("--cores"), 1, 16);
             fo.cores = static_cast<std::uint32_t>(v);
             eo.cores = static_cast<std::uint32_t>(v);
         } else if (arg == "--ops") {
             fo.opsPerCore = static_cast<std::uint32_t>(
-                parseOrDie("--ops", value("--ops"), 1, 4096));
+                parseU64OrExit("--ops", value("--ops"), 1, 4096));
         } else if (arg == "--lines") {
             eo.lines = static_cast<std::uint32_t>(
-                parseOrDie("--lines", value("--lines"), 1, 2));
+                parseU64OrExit("--lines", value("--lines"), 1, 2));
         } else if (arg == "--max-states") {
-            eo.maxStates = parseOrDie(
+            eo.maxStates = parseU64OrExit(
                 "--max-states", value("--max-states"), 1, 100000000);
         } else if (arg == "--protocol") {
             ov.protocol = value("--protocol");
@@ -213,10 +170,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--fault-seed") {
-            ov.faultSeed = parseOrDie("--fault-seed",
-                                      value("--fault-seed"), 0,
-                                      UINT64_MAX / 2);
-            ov.faultSeedSet = true;
+            ov.faultSeed = parseU64OrExit(
+                "--fault-seed", value("--fault-seed"), 0, UINT64_MAX / 2);
         } else if (arg == "--repro-dir") {
             fo.reproDir = value("--repro-dir");
         } else if (arg == "--no-stepwise") {
@@ -252,7 +207,6 @@ main(int argc, char **argv)
         fo.faults = ov.faults;
         fo.faultRate = ov.faultRate.value_or(-1.0);
         fo.faultSeed = ov.faultSeed;
-        fo.faultSeedSet = ov.faultSeedSet;
         const FuzzResult res = runFuzz(fo);
         std::printf("fuzz: seed %" PRIu64 ", %u traces, %" PRIu64
                     " runs, %" PRIu64 " failure(s)\n",
@@ -272,7 +226,7 @@ main(int argc, char **argv)
                      eo.cores);
         return 2;
     }
-    if (!ov.faults.empty() || ov.faultRate || ov.faultSeedSet) {
+    if (!ov.faults.empty() || ov.faultRate || ov.faultSeed) {
         std::fprintf(stderr,
                      "--faults/--fault-rate/--fault-seed apply to"
                      " --fuzz only (the enumerator explores the"

@@ -1,13 +1,13 @@
 /**
  * @file
  * The built-in experiment suite: every paper figure/table reproduction
- * and extension study, expressed as registry entries.
+ * and extension study, each declared once as a grid (points x benches)
+ * with a report that reads the runs by coordinate.
  *
- * Each entry's makeJobs() lays out the sweep grid in a canonical order
- * and its report() consumes the results with a cursor that walks the
- * exact same loop structure, so the text output is byte-identical to
- * the historical standalone bench binaries regardless of how many
- * worker threads executed the sweep.
+ * Most reports normalize a run to a reference run on the same bench;
+ * ratio() does that once. A number read from a failed run is NaN, so
+ * it prints "nan" in the text and null in the JSON, and so does every
+ * ratio, sum and geomean computed from it.
  */
 
 #include <cmath>
@@ -21,7 +21,6 @@
 #include "harness/registry.hh"
 #include "net/factory.hh"
 #include "protocol/factory.hh"
-#include "sim/log.hh"
 #include "system/report.hh"
 #include "workload/litmus.hh"
 #include "workload/suite.hh"
@@ -30,17 +29,24 @@ namespace lacc::harness {
 
 namespace {
 
-/** Default config with a given PCT (Limited_3, ACKwise_4 as Table 1). */
-SystemConfig
-pctConfig(std::uint32_t pct)
+/**
+ * The points of a PCT sweep, labeled "PCT=<pct>": the default config
+ * (Limited_3, ACKwise_4 as Table 1) at each PCT.
+ */
+std::vector<Point>
+pctPoints(std::initializer_list<std::uint32_t> pcts)
 {
-    SystemConfig cfg = defaultConfig();
-    cfg.pct = pct;
-    // RAT levels span [PCT, RATmax]; keep the invariant for the very
-    // high PCT points of the Fig 11 sweep.
-    if (cfg.ratMax < pct)
-        cfg.ratMax = pct;
-    return cfg;
+    std::vector<Point> points;
+    for (const auto pct : pcts) {
+        SystemConfig cfg = defaultConfig();
+        cfg.pct = pct;
+        // RAT levels span [PCT, RATmax]; keep the invariant for the
+        // very high PCT points of the Fig 11 sweep.
+        if (cfg.ratMax < pct)
+            cfg.ratMax = pct;
+        points.push_back({"PCT=" + std::to_string(pct), cfg});
+    }
+    return points;
 }
 
 /** Baseline system: conventional directory protocol (PCT = 1). */
@@ -53,55 +59,61 @@ baselineConfig()
     return cfg;
 }
 
-/** A counter block's fields as doubles, in table order (Figs 8-9). */
-template <typename S>
-std::vector<double>
-fieldValues(const S &s)
+/**
+ * @p v over @p ref, a zero reference counting as 1; NaN when either is
+ * NaN (a number read from a failed run).
+ */
+double
+ratio(double v, double ref)
 {
-    std::vector<double> v;
-    S::forEachField([&](const char *, auto m) {
-        v.push_back(static_cast<double>(s.*m));
-    });
-    return v;
+    return std::isnan(ref) ? ref : v / (ref > 0 ? ref : 1.0);
 }
 
-/**
- * Walks sweep results in generation order. Reports must call finish()
- * after their loops: together with next()'s over-run check it guards
- * against report loops drifting out of sync with makeJobs() in either
- * direction.
- */
-class Cursor
+/** Completion time and energy, each relative to a reference run. */
+struct Ratio
 {
-  public:
-    explicit Cursor(const std::vector<JobResult> &results)
-        : results_(results)
-    {}
-
-    const RunResult &
-    next()
-    {
-        if (pos_ >= results_.size())
-            panic("experiment report consumed %zu results but sweep "
-                  "has %zu",
-                  pos_ + 1, results_.size());
-        return results_[pos_++].result;
-    }
-
-    /** panic() unless every sweep result was consumed. */
-    void
-    finish() const
-    {
-        if (pos_ != results_.size())
-            panic("experiment report consumed %zu of %zu sweep "
-                  "results",
-                  pos_, results_.size());
-    }
-
-  private:
-    const std::vector<JobResult> &results_;
-    std::size_t pos_ = 0;
+    double time;
+    double energy;
 };
+
+/** Point @p p's run on bench @p b over point @p ref's run on it. */
+Ratio
+ratio(const Sweep &s, std::size_t p, std::size_t ref, std::size_t b)
+{
+    const auto time = &RunResult::completionTime;
+    const auto energy = &RunResult::energyTotal;
+    return {ratio(s.value(p, b, time), s.value(ref, b, time)),
+            ratio(s.value(p, b, energy), s.value(ref, b, energy))};
+}
+
+/** Geomeans over the benches of point @p p's ratios to point @p ref. */
+Ratio
+geomeanRatio(const Sweep &s, std::size_t p, std::size_t ref)
+{
+    std::vector<double> times, energies;
+    for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+        const Ratio r = ratio(s, p, ref, b);
+        times.push_back(r.time);
+        energies.push_back(r.energy);
+    }
+    return {geomean(times), geomean(energies)};
+}
+
+/** A figure block holding table @p t as "table". */
+Json
+tableFigure(const Table &t)
+{
+    Json fig = Json::object();
+    fig["table"] = t.toJson();
+    return fig;
+}
+
+/** A count summed over runs, as JSON: null when a run failed. */
+Json
+countJson(double n)
+{
+    return std::isnan(n) ? Json() : Json(static_cast<std::uint64_t>(n));
+}
 
 // -------------------------------------------------------------------------
 // Figures 1 & 2: utilization-at-removal histograms (baseline system).
@@ -122,40 +134,37 @@ utilizationExperiment(const std::string &name, bool inval)
     e.description =
         inval ? "Fig 1: invalidated-line utilization histogram"
               : "Fig 2: evicted-line utilization histogram";
-    const std::string tag = inval ? "fig1 " : "fig2 ";
-    e.makeJobs = [tag] {
-        std::vector<Job> jobs;
-        for (const auto &bench : benchmarkNames())
-            jobs.push_back({bench, baselineConfig(), tag + bench});
-        return jobs;
-    };
-    e.report = [inval](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    e.tag = inval ? "fig1" : "fig2";
+    e.points = {{"", baselineConfig()}};
+    e.benches = benchmarkNames();
+    e.report = [inval](const Sweep &s, std::ostream &out) {
         Table t({"Benchmark", "1", "2-3", "4-5", "6-7", ">=8", "total",
                  "<4 (frac)"});
-        for (const auto &bench : benchmarkNames()) {
-            const auto &r = cur.next();
-            const auto &h = inval ? r.stats.invalidationUtil
-                                  : r.stats.evictionUtil;
-            t.addRow({bench, fmtPct(h.bucketFraction(0)),
-                      fmtPct(h.bucketFraction(1)),
-                      fmtPct(h.bucketFraction(2)),
-                      fmtPct(h.bucketFraction(3)),
-                      fmtPct(h.bucketFraction(4)),
-                      std::to_string(h.total()),
-                      fmt(h.fractionBelow(4), 2)});
+        for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+            const auto hist = [&](auto f) {
+                return s.value(0, b, [&](const RunResult &r) {
+                    return f(inval ? r.stats.invalidationUtil
+                                   : r.stats.evictionUtil);
+                });
+            };
+            std::vector<std::string> row = {s.exp.benches[b]};
+            for (std::uint32_t k = 0; k < 5; ++k)
+                row.push_back(fmtPct(hist([k](const auto &h) {
+                    return h.bucketFraction(k);
+                })));
+            row.push_back(
+                fmt(hist([](const auto &h) { return h.total(); }), 0));
+            row.push_back(fmt(
+                hist([](const auto &h) { return h.fractionBelow(4); }), 2));
+            t.addRow(std::move(row));
         }
-        cur.finish();
-        t.print(ctx.out);
-        ctx.out << (inval
-                        ? "\nShape check: low-utilization buckets"
-                          " dominate for streaming/sharing-heavy"
-                          " benchmarks\n"
-                        : "\nShape check: streaming benchmarks evict"
-                          " mostly low-utilization lines\n");
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        return fig;
+        t.print(out);
+        out << (inval ? "\nShape check: low-utilization buckets"
+                        " dominate for streaming/sharing-heavy"
+                        " benchmarks\n"
+                      : "\nShape check: streaming benchmarks evict"
+                        " mostly low-utilization lines\n");
+        return tableFigure(t);
     };
     return e;
 }
@@ -163,6 +172,18 @@ utilizationExperiment(const std::string &name, bool inval)
 // -------------------------------------------------------------------------
 // Figures 8 & 9: component breakdowns vs PCT, normalized to PCT = 1.
 // -------------------------------------------------------------------------
+
+/** A counter block's fields as doubles, in table order (Figs 8-9). */
+template <typename S>
+std::vector<double>
+fieldValues(const S &s)
+{
+    std::vector<double> v;
+    S::forEachField([&](const char *, auto m) {
+        v.push_back(static_cast<double>(s.*m));
+    });
+    return v;
+}
 
 Experiment
 breakdownExperiment(bool energy)
@@ -180,22 +201,15 @@ breakdownExperiment(bool energy)
     e.description = energy
                         ? "Fig 8: energy components, PCT 1..8"
                         : "Fig 9: completion-time components, PCT 1..8";
-    const std::string tag = energy ? "fig8 " : "fig9 ";
-    const std::vector<std::uint32_t> pcts = {1, 2, 3, 4, 5, 6, 7, 8};
-    e.makeJobs = [tag, pcts] {
-        std::vector<Job> jobs;
-        for (const auto &bench : benchmarkNames())
-            for (const auto pct : pcts)
-                jobs.push_back({bench, pctConfig(pct),
-                                tag + bench + " PCT=" +
-                                    std::to_string(pct)});
-        return jobs;
-    };
-    e.report = [energy, pcts](const ReportContext &ctx) {
-        const auto &names = benchmarkNames();
+    e.tag = energy ? "fig8" : "fig9";
+    e.points = pctPoints({1, 2, 3, 4, 5, 6, 7, 8});
+    e.benches = benchmarkNames();
+    e.benchMajor = true;
+    e.report = [energy](const Sweep &s, std::ostream &out) {
+        const auto &names = s.exp.benches;
+        const auto &points = s.exp.points;
         std::vector<std::vector<double>> avg(
-            pcts.size(), std::vector<double>(6, 0.0));
-        Cursor cur(ctx.results);
+            points.size(), std::vector<double>(6, 0.0));
         Table t(energy
                     ? std::vector<std::string>{"Benchmark", "PCT",
                                                "L1-I", "L1-D", "L2",
@@ -206,57 +220,57 @@ breakdownExperiment(bool energy)
                                                "L2Wait", "L2Sharers",
                                                "OffChip", "Sync",
                                                "Total"});
-        for (const auto &bench : names) {
+        for (std::size_t b = 0; b < names.size(); ++b) {
             double base_total = 0.0;
-            for (std::size_t pi = 0; pi < pcts.size(); ++pi) {
-                const auto &r = cur.next();
-                const auto v = energy ? fieldValues(r.stats.energy)
-                                      : fieldValues(r.stats.totalLatency());
+            for (std::size_t p = 0; p < points.size(); ++p) {
+                std::vector<double> v(6);
+                for (std::size_t i = 0; i < v.size(); ++i)
+                    v[i] = s.value(p, b, [&](const RunResult &r) {
+                        return energy ? fieldValues(r.stats.energy)[i]
+                                      : fieldValues(
+                                            r.stats.totalLatency())[i];
+                    });
                 double total = 0.0;
                 for (const double c : v)
                     total += c;
-                if (pi == 0)
-                    base_total = total > 0 ? total : 1.0;
+                if (p == 0)
+                    base_total = total;
                 std::vector<std::string> row = {
-                    bench, std::to_string(pcts[pi])};
+                    names[b], std::to_string(points[p].cfg.pct)};
                 for (std::size_t i = 0; i < v.size(); ++i) {
-                    const double n = v[i] / base_total;
-                    avg[pi][i] +=
-                        n / static_cast<double>(names.size());
+                    const double n = ratio(v[i], base_total);
+                    avg[p][i] += n / static_cast<double>(names.size());
                     row.push_back(fmt(n, 3));
                 }
-                row.push_back(fmt(total / base_total, 3));
+                row.push_back(fmt(ratio(total, base_total), 3));
                 t.addRow(std::move(row));
             }
         }
-        cur.finish();
-        for (std::size_t pi = 0; pi < pcts.size(); ++pi) {
-            std::vector<std::string> row = {"AVERAGE",
-                                            std::to_string(pcts[pi])};
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            std::vector<std::string> row = {
+                "AVERAGE", std::to_string(points[p].cfg.pct)};
             double total = 0.0;
-            for (const double c : avg[pi]) {
+            for (const double c : avg[p]) {
                 row.push_back(fmt(c, 3));
                 total += c;
             }
             row.push_back(fmt(total, 3));
             t.addRow(std::move(row));
         }
-        t.print(ctx.out);
-        ctx.out << (energy
-                        ? "\nShape check (paper): average energy falls"
-                          " ~25% by PCT 4; links dominate routers at"
-                          " 11nm\n"
-                        : "\nShape check (paper): average completion"
-                          " time falls ~15% by PCT 4; waiting/sharers"
-                          " components shrink\n");
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        t.print(out);
+        out << (energy ? "\nShape check (paper): average energy falls"
+                         " ~25% by PCT 4; links dominate routers at"
+                         " 11nm\n"
+                       : "\nShape check (paper): average completion"
+                         " time falls ~15% by PCT 4; waiting/sharers"
+                         " components shrink\n");
+        Json fig = tableFigure(t);
         Json averages = Json::array();
-        for (std::size_t pi = 0; pi < pcts.size(); ++pi) {
+        for (std::size_t p = 0; p < points.size(); ++p) {
             Json row = Json::object();
-            row["pct"] = pcts[pi];
+            row["pct"] = points[p].cfg.pct;
             Json comps = Json::array();
-            for (const double c : avg[pi])
+            for (const double c : avg[p])
                 comps.push(c);
             row["components"] = std::move(comps);
             averages.push(std::move(row));
@@ -280,43 +294,40 @@ fig10Experiment()
     e.subtitle = "Miss rate % split into Cold/Capacity/Upgrade/"
                  "Sharing/Word";
     e.description = "Fig 10: L1-D miss taxonomy, PCT {1,2,3,4,6,8}";
-    const std::vector<std::uint32_t> pcts = {1, 2, 3, 4, 6, 8};
-    e.makeJobs = [pcts] {
-        std::vector<Job> jobs;
-        for (const auto &bench : benchmarkNames())
-            for (const auto pct : pcts)
-                jobs.push_back({bench, pctConfig(pct),
-                                "fig10 " + bench + " PCT=" +
-                                    std::to_string(pct)});
-        return jobs;
-    };
-    e.report = [pcts](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    e.tag = "fig10";
+    e.points = pctPoints({1, 2, 3, 4, 6, 8});
+    e.benches = benchmarkNames();
+    e.benchMajor = true;
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Benchmark", "PCT", "Miss%", "Cold%", "Cap%", "Upg%",
                  "Shar%", "Word%"});
-        for (const auto &bench : benchmarkNames()) {
-            for (const auto pct : pcts) {
-                const auto &r = cur.next();
-                const auto m = r.stats.totalMisses();
-                const double acc =
-                    static_cast<double>(r.stats.totalL1dAccesses());
-                auto pc = [&](MissType ty) {
-                    return fmt(100.0 * static_cast<double>(m.get(ty)) /
-                                   (acc > 0 ? acc : 1),
-                               2);
+        for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+            for (std::size_t p = 0; p < s.exp.points.size(); ++p) {
+                const auto pc = [&](auto percent) {
+                    return fmt(s.value(p, b, percent), 2);
                 };
-                t.addRow({bench, std::to_string(pct),
-                          fmt(100.0 * r.stats.l1dMissRate(), 2),
-                          pc(MissType::Cold), pc(MissType::Capacity),
-                          pc(MissType::Upgrade), pc(MissType::Sharing),
-                          pc(MissType::Word)});
+                const auto share = [&](MissType ty) {
+                    return pc([ty](const RunResult &r) {
+                        const double acc = static_cast<double>(
+                            r.stats.totalL1dAccesses());
+                        return 100.0 *
+                               static_cast<double>(
+                                   r.stats.totalMisses().get(ty)) /
+                               (acc > 0 ? acc : 1);
+                    });
+                };
+                t.addRow({s.exp.benches[b],
+                          std::to_string(s.exp.points[p].cfg.pct),
+                          pc([](const RunResult &r) {
+                              return 100.0 * r.stats.l1dMissRate();
+                          }),
+                          share(MissType::Cold), share(MissType::Capacity),
+                          share(MissType::Upgrade),
+                          share(MissType::Sharing), share(MissType::Word)});
             }
         }
-        cur.finish();
-        t.print(ctx.out);
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        return fig;
+        t.print(out);
+        return tableFigure(t);
     };
     return e;
 }
@@ -334,71 +345,44 @@ fig11Experiment()
     e.subtitle = "Normalized to PCT=1 across all 21 benchmarks";
     e.description =
         "Fig 11: geomean time/energy, PCT sweep to 20 (picks PCT=4)";
-    const std::vector<std::uint32_t> pcts = {1, 2,  3,  4,  5,  6,  7,
-                                             8, 10, 12, 14, 16, 18, 20};
-    e.makeJobs = [pcts] {
-        std::vector<Job> jobs;
-        for (const auto pct : pcts)
-            for (const auto &bench : benchmarkNames())
-                jobs.push_back({bench, pctConfig(pct),
-                                "fig11 PCT=" + std::to_string(pct) +
-                                    " " + bench});
-        return jobs;
-    };
-    e.report = [pcts](const ReportContext &ctx) {
-        const auto &names = benchmarkNames();
-        std::vector<double> base_time(names.size()),
-            base_energy(names.size());
-        Cursor cur(ctx.results);
+    e.tag = "fig11";
+    e.points =
+        pctPoints({1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20});
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"PCT", "Completion Time (geomean)",
                  "Energy (geomean)"});
         Json points = Json::array();
-        std::vector<std::string> best_row;
+        std::size_t best = s.exp.points.size();
         double best_time = 1e300;
-        for (std::size_t pi = 0; pi < pcts.size(); ++pi) {
-            std::vector<double> times, energies;
-            for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                const auto &r = cur.next();
-                const double time =
-                    static_cast<double>(r.completionTime);
-                const double energy = r.energyTotal;
-                if (pi == 0) {
-                    base_time[bi] = time > 0 ? time : 1.0;
-                    base_energy[bi] = energy > 0 ? energy : 1.0;
-                }
-                times.push_back(time / base_time[bi]);
-                energies.push_back(energy / base_energy[bi]);
-            }
-            const double gm_t = geomean(times);
-            const double gm_e = geomean(energies);
-            t.addRow({std::to_string(pcts[pi]), fmt(gm_t, 3),
-                      fmt(gm_e, 3)});
+        for (std::size_t p = 0; p < s.exp.points.size(); ++p) {
+            const std::uint32_t pct = s.exp.points[p].cfg.pct;
+            const Ratio gm = geomeanRatio(s, p, 0);
+            t.addRow({std::to_string(pct), fmt(gm.time, 3),
+                      fmt(gm.energy, 3)});
             Json pt = Json::object();
-            pt["pct"] = pcts[pi];
-            pt["geomean_time"] = gm_t;
-            pt["geomean_energy"] = gm_e;
+            pt["pct"] = pct;
+            pt["geomean_time"] = gm.time;
+            pt["geomean_energy"] = gm.energy;
             points.push(std::move(pt));
-            if (gm_t < best_time) {
-                best_time = gm_t;
-                best_row = {std::to_string(pcts[pi]), fmt(gm_t, 3),
-                            fmt(gm_e, 3)};
+            if (gm.time < best_time) {
+                best_time = gm.time;
+                best = p;
             }
         }
-        cur.finish();
-        t.print(ctx.out);
-        if (!best_row.empty()) {
-            ctx.out << "\nBest completion time at PCT " << best_row[0]
-                    << " (time " << best_row[1] << ", energy "
-                    << best_row[2] << ")\n";
+        t.print(out);
+        if (best < s.exp.points.size()) {
+            const auto &row = t.rows()[best];
+            out << "\nBest completion time at PCT " << row[0] << " (time "
+                << row[1] << ", energy " << row[2] << ")\n";
         }
-        ctx.out << "Paper: PCT 4 gives ~0.85 completion time and ~0.75"
-                   " energy\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        out << "Paper: PCT 4 gives ~0.85 completion time and ~0.75"
+               " energy\n";
+        Json fig = tableFigure(t);
         fig["points"] = std::move(points);
-        if (!best_row.empty())
+        if (best < s.exp.points.size())
             fig["best_pct"] =
-                static_cast<std::uint64_t>(std::stoul(best_row[0]));
+                static_cast<std::uint64_t>(s.exp.points[best].cfg.pct);
         return fig;
     };
     return e;
@@ -408,37 +392,15 @@ fig11Experiment()
 // Figure 12: RAT level/threshold sensitivity.
 // -------------------------------------------------------------------------
 
-struct RatPoint
-{
-    const char *label;
-    bool timestamp;
-    std::uint32_t levels;
-    std::uint32_t ratMax;
-};
-
-const std::vector<RatPoint> &
-ratPoints()
-{
-    static const std::vector<RatPoint> points = {
-        {"Timestamp", true, 0, 0},   {"L-1", false, 1, 16},
-        {"L-2,T-8", false, 2, 8},    {"L-2,T-16", false, 2, 16},
-        {"L-4,T-8", false, 4, 8},    {"L-4,T-16", false, 4, 16},
-        {"L-8,T-16", false, 8, 16},
-    };
-    return points;
-}
-
-SystemConfig
-ratConfig(const RatPoint &p)
+/** Complete tracking with @p levels RAT levels up to @p ratMax. */
+Point
+ratPoint(const char *label, std::uint32_t levels, std::uint32_t ratMax)
 {
     SystemConfig cfg = defaultConfig();
-    cfg.classifierKind =
-        p.timestamp ? ClassifierKind::Timestamp : ClassifierKind::Complete;
-    if (!p.timestamp) {
-        cfg.nRatLevels = p.levels;
-        cfg.ratMax = p.ratMax;
-    }
-    return cfg;
+    cfg.classifierKind = ClassifierKind::Complete;
+    cfg.nRatLevels = levels;
+    cfg.ratMax = ratMax;
+    return {label, cfg};
 }
 
 Experiment
@@ -451,46 +413,25 @@ fig12Experiment()
                  " Timestamp classifier (PCT=4, Complete tracking)";
     e.description =
         "Fig 12: RAT level/threshold schemes vs Timestamp reference";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &p : ratPoints())
-            for (const auto &bench : benchmarkNames())
-                jobs.push_back({bench, ratConfig(p),
-                                std::string("fig12 ") + p.label + " " +
-                                    bench});
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        const auto &names = benchmarkNames();
-        const auto &points = ratPoints();
-        std::vector<double> ref_time(names.size()),
-            ref_energy(names.size());
-        Cursor cur(ctx.results);
+    e.tag = "fig12";
+    SystemConfig timestamp = defaultConfig();
+    timestamp.classifierKind = ClassifierKind::Timestamp;
+    e.points = {{"Timestamp", timestamp},   ratPoint("L-1", 1, 16),
+                ratPoint("L-2,T-8", 2, 8),  ratPoint("L-2,T-16", 2, 16),
+                ratPoint("L-4,T-8", 4, 8),  ratPoint("L-4,T-16", 4, 16),
+                ratPoint("L-8,T-16", 8, 16)};
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Scheme", "Completion Time", "Energy"});
-        for (std::size_t pi = 0; pi < points.size(); ++pi) {
-            std::vector<double> times, energies;
-            for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                const auto &r = cur.next();
-                const double time =
-                    static_cast<double>(r.completionTime);
-                const double energy = r.energyTotal;
-                if (pi == 0) {
-                    ref_time[bi] = time > 0 ? time : 1.0;
-                    ref_energy[bi] = energy > 0 ? energy : 1.0;
-                }
-                times.push_back(time / ref_time[bi]);
-                energies.push_back(energy / ref_energy[bi]);
-            }
-            t.addRow({points[pi].label, fmt(geomean(times), 3),
-                      fmt(geomean(energies), 3)});
+        for (std::size_t p = 0; p < s.exp.points.size(); ++p) {
+            const Ratio gm = geomeanRatio(s, p, 0);
+            t.addRow({s.exp.points[p].label, fmt(gm.time, 3),
+                      fmt(gm.energy, 3)});
         }
-        cur.finish();
-        t.print(ctx.out);
-        ctx.out << "\nPaper: L-1 costs ~9% energy; L-2,T-16 matches"
-                   " the Timestamp scheme; extra levels add nothing\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        return fig;
+        t.print(out);
+        out << "\nPaper: L-1 costs ~9% energy; L-2,T-16 matches"
+               " the Timestamp scheme; extra levels add nothing\n";
+        return tableFigure(t);
     };
     return e;
 }
@@ -508,71 +449,44 @@ fig13Experiment()
     e.subtitle = "Completion time & energy normalized to the Complete"
                  " classifier (PCT=4)";
     e.description = "Fig 13: Limited_k (k in {1,3,5,7}) vs Complete";
-    const std::vector<std::uint32_t> ks = {1, 3, 5, 7};
-    e.makeJobs = [ks] {
-        std::vector<Job> jobs;
-        SystemConfig complete = defaultConfig();
-        complete.classifierKind = ClassifierKind::Complete;
-        for (const auto &bench : benchmarkNames())
-            jobs.push_back(
-                {bench, complete, "fig13 Complete " + bench});
-        for (const auto k : ks) {
-            SystemConfig cfg = defaultConfig();
-            cfg.classifierKind = ClassifierKind::Limited;
-            cfg.classifierK = k;
-            for (const auto &bench : benchmarkNames())
-                jobs.push_back({bench, cfg,
-                                "fig13 k=" + std::to_string(k) + " " +
-                                    bench});
-        }
-        return jobs;
-    };
-    e.report = [ks](const ReportContext &ctx) {
-        const auto &names = benchmarkNames();
-        Cursor cur(ctx.results);
-        std::vector<double> ref_time(names.size()),
-            ref_energy(names.size());
-        for (std::size_t bi = 0; bi < names.size(); ++bi) {
-            const auto &r = cur.next();
-            ref_time[bi] = r.completionTime > 0
-                               ? static_cast<double>(r.completionTime)
-                               : 1.0;
-            ref_energy[bi] =
-                r.energyTotal > 0 ? r.energyTotal : 1.0;
-        }
+    e.tag = "fig13";
+    SystemConfig complete = defaultConfig();
+    complete.classifierKind = ClassifierKind::Complete;
+    e.points = {{"Complete", complete}};
+    for (const std::uint32_t k : {1, 3, 5, 7}) {
+        SystemConfig cfg = defaultConfig();
+        cfg.classifierKind = ClassifierKind::Limited;
+        cfg.classifierK = k;
+        e.points.push_back({"k=" + std::to_string(k), cfg});
+    }
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
+        const auto &names = s.exp.benches;
         Table t({"Benchmark", "k", "Completion Time", "Energy"});
-        std::vector<std::vector<double>> gm_t(ks.size()),
-            gm_e(ks.size());
-        for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-            for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                const auto &r = cur.next();
-                const double nt =
-                    static_cast<double>(r.completionTime) /
-                    ref_time[bi];
-                const double ne = r.energyTotal / ref_energy[bi];
-                gm_t[ki].push_back(nt);
-                gm_e[ki].push_back(ne);
-                t.addRow({names[bi], std::to_string(ks[ki]),
-                          fmt(nt, 3), fmt(ne, 3)});
+        for (std::size_t p = 1; p < s.exp.points.size(); ++p) {
+            for (std::size_t b = 0; b < names.size(); ++b) {
+                const Ratio r = ratio(s, p, 0, b);
+                t.addRow({names[b],
+                          std::to_string(s.exp.points[p].cfg.classifierK),
+                          fmt(r.time, 3), fmt(r.energy, 3)});
             }
         }
-        cur.finish();
-        for (std::size_t bi = 0; bi < names.size(); ++bi)
-            t.addRow({names[bi], "64(Complete)", "1.000", "1.000"});
-        t.print(ctx.out);
+        for (std::size_t b = 0; b < names.size(); ++b)
+            t.addRow({names[b], "64(Complete)", "1.000", "1.000"});
+        t.print(out);
 
-        ctx.out << "\nGeomeans vs Complete:\n";
+        out << "\nGeomeans vs Complete:\n";
         Table g({"k", "Completion Time", "Energy"});
-        for (std::size_t ki = 0; ki < ks.size(); ++ki)
-            g.addRow({std::to_string(ks[ki]),
-                      fmt(geomean(gm_t[ki]), 3),
-                      fmt(geomean(gm_e[ki]), 3)});
+        for (std::size_t p = 1; p < s.exp.points.size(); ++p) {
+            const Ratio gm = geomeanRatio(s, p, 0);
+            g.addRow({std::to_string(s.exp.points[p].cfg.classifierK),
+                      fmt(gm.time, 3), fmt(gm.energy, 3)});
+        }
         g.addRow({"64", "1.000", "1.000"});
-        g.print(ctx.out);
-        ctx.out << "\nPaper: Limited_3 within ~3% of Complete;"
-                   " Limited_1 suffers on radix/bodytrack\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        g.print(out);
+        out << "\nPaper: Limited_3 within ~3% of Complete;"
+               " Limited_1 suffers on radix/bodytrack\n";
+        Json fig = tableFigure(t);
         fig["geomeans"] = g.toJson();
         return fig;
     };
@@ -592,46 +506,25 @@ fig14Experiment()
     e.subtitle = "PCT=4; >1 means one-way transitions are worse";
     e.description =
         "Fig 14: cost of removing remote->private re-promotion";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &bench : benchmarkNames()) {
-            SystemConfig cfg1 = defaultConfig();
-            cfg1.protocolKind = ProtocolKind::AdaptOneWay;
-            jobs.push_back(
-                {bench, defaultConfig(), "fig14 2way " + bench});
-            jobs.push_back({bench, cfg1, "fig14 1way " + bench});
-        }
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    e.tag = "fig14";
+    SystemConfig one_way = defaultConfig();
+    one_way.protocolKind = ProtocolKind::AdaptOneWay;
+    e.points = {{"2way", defaultConfig()}, {"1way", one_way}};
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Benchmark", "Completion Time ratio", "Energy ratio"});
-        std::vector<double> rt, re;
-        for (const auto &bench : benchmarkNames()) {
-            const auto &r2 = cur.next();
-            const auto &r1 = cur.next();
-            const double time_ratio =
-                static_cast<double>(r1.completionTime) /
-                static_cast<double>(
-                    r2.completionTime > 0 ? r2.completionTime : 1);
-            const double energy_ratio =
-                r1.energyTotal /
-                (r2.energyTotal > 0 ? r2.energyTotal : 1.0);
-            rt.push_back(time_ratio);
-            re.push_back(energy_ratio);
-            t.addRow({bench, fmt(time_ratio, 3),
-                      fmt(energy_ratio, 3)});
+        for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+            const Ratio r = ratio(s, 1, 0, b);
+            t.addRow({s.exp.benches[b], fmt(r.time, 3), fmt(r.energy, 3)});
         }
-        cur.finish();
-        t.addRow({"GEOMEAN", fmt(geomean(rt), 3),
-                  fmt(geomean(re), 3)});
-        t.print(ctx.out);
-        ctx.out << "\nPaper: average ~1.34x completion time / ~1.13x"
-                   " energy; bodytrack ~3.3x, dijkstra-ss ~2.3x\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        fig["geomean_time_ratio"] = geomean(rt);
-        fig["geomean_energy_ratio"] = geomean(re);
+        const Ratio gm = geomeanRatio(s, 1, 0);
+        t.addRow({"GEOMEAN", fmt(gm.time, 3), fmt(gm.energy, 3)});
+        t.print(out);
+        out << "\nPaper: average ~1.34x completion time / ~1.13x"
+               " energy; bodytrack ~3.3x, dijkstra-ss ~2.3x\n";
+        Json fig = tableFigure(t);
+        fig["geomean_time_ratio"] = gm.time;
+        fig["geomean_energy_ratio"] = gm.energy;
         return fig;
     };
     return e;
@@ -650,8 +543,7 @@ table1Experiment()
     e.subtitle = "Default configuration used by every experiment";
     e.description =
         "Table 1: default parameters + Section 3.6 storage overheads";
-    e.makeJobs = [] { return std::vector<Job>{}; };
-    e.report = [](const ReportContext &ctx) {
+    e.report = [](const Sweep &, std::ostream &out) {
         const SystemConfig cfg = defaultConfig();
         Table t({"Parameter", "Value"});
         t.addRow({"Number of cores",
@@ -700,9 +592,9 @@ table1Experiment()
         t.addRow({"Classifier",
                   std::string("Limited") +
                       std::to_string(cfg.classifierK)});
-        t.print(ctx.out);
+        t.print(out);
 
-        ctx.out << "\nSection 3.6: storage overhead per core\n\n";
+        out << "\nSection 3.6: storage overhead per core\n\n";
         StorageModel m(cfg);
         Table s({"Structure", "Bits/entry", "KB/core", "Paper"});
         s.addRow({"L1 utilization bits",
@@ -720,26 +612,23 @@ table1Experiment()
         s.addRow({"Full-map directory",
                   std::to_string(m.fullMapBitsPerEntry()),
                   fmt(m.fullMapKB(), 1), "32 KB"});
-        s.print(ctx.out);
+        s.print(out);
 
-        ctx.out << "\nOverhead vs baseline ACKwise4 (incl. caches):\n"
-                << "  Limited3 classifier: "
-                << fmt(m.overheadPercentVsAckwise(false), 2)
-                << "%   (paper: 5.7%)\n"
-                << "  Complete classifier: "
-                << fmt(m.overheadPercentVsAckwise(true), 2)
-                << "%   (paper: 60%)\n"
-                << "  Limited3 + ACKwise4 = "
-                << fmt(m.limitedOverheadKB() + m.ackwiseKB(), 1)
-                << " KB < full-map " << fmt(m.fullMapKB(), 1)
-                << " KB: "
-                << (m.limitedOverheadKB() + m.ackwiseKB() <
-                            m.fullMapKB()
-                        ? "HOLDS"
-                        : "VIOLATED")
-                << "\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        out << "\nOverhead vs baseline ACKwise4 (incl. caches):\n"
+            << "  Limited3 classifier: "
+            << fmt(m.overheadPercentVsAckwise(false), 2)
+            << "%   (paper: 5.7%)\n"
+            << "  Complete classifier: "
+            << fmt(m.overheadPercentVsAckwise(true), 2)
+            << "%   (paper: 60%)\n"
+            << "  Limited3 + ACKwise4 = "
+            << fmt(m.limitedOverheadKB() + m.ackwiseKB(), 1)
+            << " KB < full-map " << fmt(m.fullMapKB(), 1) << " KB: "
+            << (m.limitedOverheadKB() + m.ackwiseKB() < m.fullMapKB()
+                    ? "HOLDS"
+                    : "VIOLATED")
+            << "\n";
+        Json fig = tableFigure(t);
         fig["storage"] = s.toJson();
         fig["config"] = toJson(cfg);
         return fig;
@@ -789,14 +678,12 @@ table2Experiment()
                  " minute-long sweeps; LACC_SCALE rescales)";
     e.description =
         "Table 2: paper problem sizes -> synthetic archetype mixes";
-    e.makeJobs = [] { return std::vector<Job>{}; };
-    e.report = [](const ReportContext &ctx) {
+    e.report = [](const Sweep &sweep, std::ostream &out) {
         const SystemConfig cfg = defaultConfig();
-        const double scale = ctx.opScale;
         Table t({"Benchmark", "Paper problem size", "Archetype mix",
                  "Private WS", "Shared WS", "Ops/core"});
         for (const auto &bench : benchmarkNames()) {
-            const auto s = benchmarkSpec(bench, cfg, scale);
+            const auto s = benchmarkSpec(bench, cfg, sweep.opScale);
             const auto priv = s.privateHotBytes + s.privateStreamBytes;
             const auto shared = s.sharedROBytes + s.sharedPCBytes +
                                 s.sharedStreamBytes;
@@ -806,10 +693,8 @@ table2Experiment()
                                          s.opsPerPhase) *
                                      s.numPhases)});
         }
-        t.print(ctx.out);
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        return fig;
+        t.print(out);
+        return tableFigure(t);
     };
     return e;
 }
@@ -817,56 +702,6 @@ table2Experiment()
 // -------------------------------------------------------------------------
 // Ablations: learning short-cut & R-NUCA placement.
 // -------------------------------------------------------------------------
-
-std::vector<std::pair<std::string, SystemConfig>>
-ablationStudy1()
-{
-    SystemConfig base = defaultConfig();
-    base.classifierKind = ClassifierKind::Complete;
-    SystemConfig shortcut = base;
-    shortcut.completeLearningShortcut = true;
-    return {{"Complete (paper)", base},
-            {"Complete + learning short-cut", shortcut}};
-}
-
-std::vector<std::pair<std::string, SystemConfig>>
-ablationStudy2()
-{
-    SystemConfig rnuca = defaultConfig();
-    SystemConfig snuca = defaultConfig();
-    snuca.rnucaEnabled = false;
-    return {{"R-NUCA", rnuca}, {"Static-NUCA (hash only)", snuca}};
-}
-
-/** Shared normalized-geomean study body (ablation tables). */
-Json
-reportStudy(const ReportContext &ctx, Cursor &cur,
-            const std::string &title,
-            const std::vector<std::pair<std::string, SystemConfig>> &pts)
-{
-    const auto &names = benchmarkNames();
-    std::vector<double> ref_t(names.size()), ref_e(names.size());
-    Table t({"Variant", "Completion Time", "Energy"});
-    for (std::size_t pi = 0; pi < pts.size(); ++pi) {
-        std::vector<double> times, energies;
-        for (std::size_t bi = 0; bi < names.size(); ++bi) {
-            const auto &r = cur.next();
-            const double time = static_cast<double>(r.completionTime);
-            const double energy = r.energyTotal;
-            if (pi == 0) {
-                ref_t[bi] = time > 0 ? time : 1.0;
-                ref_e[bi] = energy > 0 ? energy : 1.0;
-            }
-            times.push_back(time / ref_t[bi]);
-            energies.push_back(energy / ref_e[bi]);
-        }
-        t.addRow({pts[pi].first, fmt(geomean(times), 3),
-                  fmt(geomean(energies), 3)});
-    }
-    ctx.out << "\n" << title << "\n";
-    t.print(ctx.out);
-    return t.toJson();
-}
 
 Experiment
 ablationExperiment()
@@ -878,32 +713,41 @@ ablationExperiment()
                  " the first row of each table";
     e.description =
         "Ablations: Complete-classifier seeding & R-NUCA vs S-NUCA";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &study : {ablationStudy1(), ablationStudy2()})
-            for (const auto &pt : study)
-                for (const auto &bench : benchmarkNames())
-                    jobs.push_back({bench, pt.second,
-                                    "ablation " + pt.first + " " +
-                                        bench});
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    e.tag = "ablation";
+    SystemConfig complete = defaultConfig();
+    complete.classifierKind = ClassifierKind::Complete;
+    SystemConfig shortcut = complete;
+    shortcut.completeLearningShortcut = true;
+    SystemConfig snuca = defaultConfig();
+    snuca.rnucaEnabled = false;
+    // Two studies of two points each, the first point the reference.
+    e.points = {{"Complete (paper)", complete},
+                {"Complete + learning short-cut", shortcut},
+                {"R-NUCA", defaultConfig()},
+                {"Static-NUCA (hash only)", snuca}};
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
+        const auto study = [&](const char *title, std::size_t ref) {
+            Table t({"Variant", "Completion Time", "Energy"});
+            for (std::size_t p = ref; p < ref + 2; ++p) {
+                const Ratio gm = geomeanRatio(s, p, ref);
+                t.addRow({s.exp.points[p].label, fmt(gm.time, 3),
+                          fmt(gm.energy, 3)});
+            }
+            out << "\n" << title << "\n";
+            t.print(out);
+            return t.toJson();
+        };
         Json fig = Json::object();
-        fig["learning_shortcut"] = reportStudy(
-            ctx, cur,
-            "Complete classifier: per-sharer learning vs"
-            " majority-vote seeding (§5.3 extension)",
-            ablationStudy1());
-        fig["placement"] = reportStudy(
-            ctx, cur,
-            "Placement: R-NUCA (paper baseline) vs static-NUCA",
-            ablationStudy2());
-        cur.finish();
-        ctx.out << "\nExpected: the short-cut helps sharing-heavy"
-                   " benchmarks slightly; static-NUCA pays"
-                   " remote-slice latency for private data\n";
+        fig["learning_shortcut"] =
+            study("Complete classifier: per-sharer learning vs"
+                  " majority-vote seeding (§5.3 extension)",
+                  0);
+        fig["placement"] = study(
+            "Placement: R-NUCA (paper baseline) vs static-NUCA", 2);
+        out << "\nExpected: the short-cut helps sharing-heavy"
+               " benchmarks slightly; static-NUCA pays"
+               " remote-slice latency for private data\n";
         return fig;
     };
     return e;
@@ -923,52 +767,35 @@ ackwiseExperiment()
         "Ratios ACKwise/FullMap; paper: within 1% on average";
     e.description =
         "Baseline validation: ACKwise4 within ~1% of full-map";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &bench : benchmarkNames()) {
-            // The two directory protocols, selected by factory name
-            // (identical configs to setting directoryKind by hand).
-            SystemConfig fm = baselineConfig();
-            applyProtocolName(fm, "fullmap");
-            jobs.push_back(
-                {bench, baselineConfig(), "ackwise ack " + bench});
-            jobs.push_back({bench, fm, "ackwise fullmap " + bench});
-        }
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    e.tag = "ackwise";
+    // The two directory protocols, selected by factory name
+    // (identical configs to setting directoryKind by hand).
+    SystemConfig fullmap = baselineConfig();
+    applyProtocolName(fullmap, "fullmap");
+    e.points = {{"ack", baselineConfig()}, {"fullmap", fullmap}};
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Benchmark", "Completion Time ratio", "Energy ratio",
                  "Broadcasts"});
-        std::vector<double> rt, re;
-        for (const auto &bench : benchmarkNames()) {
-            const auto &ra = cur.next();
-            const auto &rf = cur.next();
-            const double time_ratio =
-                static_cast<double>(ra.completionTime) /
-                static_cast<double>(
-                    rf.completionTime > 0 ? rf.completionTime : 1);
-            const double energy_ratio =
-                ra.energyTotal /
-                (rf.energyTotal > 0 ? rf.energyTotal : 1.0);
-            rt.push_back(time_ratio);
-            re.push_back(energy_ratio);
-            t.addRow({bench, fmt(time_ratio, 4), fmt(energy_ratio, 4),
-                      std::to_string(ra.stats.protocol.broadcastInvals)});
+        for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+            const Ratio r = ratio(s, 0, 1, b);
+            const double broadcasts =
+                s.value(0, b, [](const RunResult &run) {
+                    return run.stats.protocol.broadcastInvals;
+                });
+            t.addRow({s.exp.benches[b], fmt(r.time, 4), fmt(r.energy, 4),
+                      fmt(broadcasts, 0)});
         }
-        cur.finish();
-        const double gm_t = geomean(rt);
-        const double gm_e = geomean(re);
-        t.addRow({"GEOMEAN", fmt(gm_t, 4), fmt(gm_e, 4), "-"});
-        t.print(ctx.out);
-        ctx.out << "\nDeviation from full-map: completion "
-                << fmt(std::abs(gm_t - 1.0) * 100, 2) << "%, energy "
-                << fmt(std::abs(gm_e - 1.0) * 100, 2)
-                << "% (paper: within 1%)\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        fig["geomean_time_ratio"] = gm_t;
-        fig["geomean_energy_ratio"] = gm_e;
+        const Ratio gm = geomeanRatio(s, 0, 1);
+        t.addRow({"GEOMEAN", fmt(gm.time, 4), fmt(gm.energy, 4), "-"});
+        t.print(out);
+        out << "\nDeviation from full-map: completion "
+            << fmt(std::abs(gm.time - 1.0) * 100, 2) << "%, energy "
+            << fmt(std::abs(gm.energy - 1.0) * 100, 2)
+            << "% (paper: within 1%)\n";
+        Json fig = tableFigure(t);
+        fig["geomean_time_ratio"] = gm.time;
+        fig["geomean_energy_ratio"] = gm.energy;
         return fig;
     };
     return e;
@@ -977,35 +804,6 @@ ackwiseExperiment()
 // -------------------------------------------------------------------------
 // Scaling study: benefit vs core count.
 // -------------------------------------------------------------------------
-
-SystemConfig
-sizedConfig(std::uint32_t cores, std::uint32_t width, bool adaptive)
-{
-    SystemConfig cfg = defaultConfig();
-    cfg.numCores = cores;
-    cfg.meshWidth = width;
-    cfg.numMemControllers = 8;
-    if (!adaptive) {
-        cfg.classifierKind = ClassifierKind::AlwaysPrivate;
-        cfg.pct = 1;
-    }
-    return cfg;
-}
-
-struct ScaleSize
-{
-    std::uint32_t cores, width;
-};
-
-const std::vector<ScaleSize> &
-scaleSizes()
-{
-    // The 256-core point is affordable serially: streamcluster takes
-    // ~2.5 s per run at scale 1 (4-vCPU Xeon VM, gcc 12, -O3).
-    static const std::vector<ScaleSize> sizes = {
-        {16, 4}, {32, 8}, {64, 8}, {256, 16}};
-    return sizes;
-}
 
 Experiment
 scalingExperiment()
@@ -1017,65 +815,47 @@ scalingExperiment()
                  " adaptive/baseline ratios";
     e.description =
         "Extension: protocol benefit at 16/32/64/256 cores";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &sz : scaleSizes()) {
-            const std::string tag =
-                "scaling " + std::to_string(sz.cores) + "c ";
-            for (const auto &bench : benchmarkNames()) {
-                jobs.push_back({bench,
-                                sizedConfig(sz.cores, sz.width, false),
-                                tag + "base " + bench});
-                jobs.push_back({bench,
-                                sizedConfig(sz.cores, sz.width, true),
-                                tag + "adapt " + bench});
-            }
+    e.tag = "scaling";
+    // {cores, mesh width}. The 256-core point is affordable serially:
+    // streamcluster takes ~2.5 s per run at scale 1 (4-vCPU Xeon VM,
+    // gcc 12, -O3).
+    const std::uint32_t sizes[][2] = {{16, 4}, {32, 8}, {64, 8}, {256, 16}};
+    for (const auto &sz : sizes)
+        for (const bool adaptive : {false, true}) {
+            SystemConfig cfg = adaptive ? defaultConfig() : baselineConfig();
+            cfg.numCores = sz[0];
+            cfg.meshWidth = sz[1];
+            cfg.numMemControllers = 8;
+            e.points.push_back({std::to_string(sz[0]) + "c " +
+                                    (adaptive ? "adapt" : "base"),
+                                cfg});
         }
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        const auto &names = benchmarkNames();
-        Cursor cur(ctx.results);
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
+        const double n = static_cast<double>(s.exp.benches.size());
+        const auto hops_per_access = [](const RunResult &r) {
+            return static_cast<double>(r.stats.network.flitHops) /
+                   static_cast<double>(r.stats.totalL1dAccesses() + 1);
+        };
         Table t({"Cores", "Completion ratio", "Energy ratio",
                  "Baseline flit-hops/access",
                  "Adaptive flit-hops/access"});
-        for (const auto &sz : scaleSizes()) {
-            std::vector<double> times, energies;
+        // Each core count is a baseline point, then an adaptive one.
+        for (std::size_t p = 0; p < s.exp.points.size(); p += 2) {
+            const Ratio gm = geomeanRatio(s, p + 1, p);
             double base_hops = 0, adapt_hops = 0;
-            for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                const auto &rb = cur.next();
-                const auto &ra = cur.next();
-                times.push_back(
-                    static_cast<double>(ra.completionTime) /
-                    static_cast<double>(
-                        rb.completionTime > 0 ? rb.completionTime
-                                              : 1));
-                energies.push_back(
-                    ra.energyTotal /
-                    (rb.energyTotal > 0 ? rb.energyTotal : 1.0));
-                base_hops +=
-                    static_cast<double>(rb.stats.network.flitHops) /
-                    static_cast<double>(rb.stats.totalL1dAccesses() +
-                                        1);
-                adapt_hops +=
-                    static_cast<double>(ra.stats.network.flitHops) /
-                    static_cast<double>(ra.stats.totalL1dAccesses() +
-                                        1);
+            for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+                base_hops += s.value(p, b, hops_per_access);
+                adapt_hops += s.value(p + 1, b, hops_per_access);
             }
-            t.addRow(
-                {std::to_string(sz.cores), fmt(geomean(times), 3),
-                 fmt(geomean(energies), 3),
-                 fmt(base_hops / static_cast<double>(names.size()), 2),
-                 fmt(adapt_hops / static_cast<double>(names.size()),
-                     2)});
+            t.addRow({std::to_string(s.exp.points[p].cfg.numCores),
+                      fmt(gm.time, 3), fmt(gm.energy, 3),
+                      fmt(base_hops / n, 2), fmt(adapt_hops / n, 2)});
         }
-        cur.finish();
-        t.print(ctx.out);
-        ctx.out << "\nExpected: the adaptive/baseline ratio falls"
-                   " (bigger win) as the machine grows\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        return fig;
+        t.print(out);
+        out << "\nExpected: the adaptive/baseline ratio falls"
+               " (bigger win) as the machine grows\n";
+        return tableFigure(t);
     };
     return e;
 }
@@ -1085,36 +865,13 @@ scalingExperiment()
 // broadcast?
 // -------------------------------------------------------------------------
 
-/** One directory variant of the topology sweep. */
-struct NetVariant
+/** "ACKwise<p>" or "FullMap": a topology-sweep point's directory. */
+std::string
+directoryLabel(const SystemConfig &cfg)
 {
-    const char *label;
-    DirectoryKind dir;
-    std::uint32_t pointers; //!< ACKwise_p; ignored for FullMap
-};
-
-const std::vector<NetVariant> &
-netVariants()
-{
-    // "full" sharer tracking == the full-map directory: it never
-    // broadcasts, so it anchors the broadcast-cost comparison.
-    static const std::vector<NetVariant> variants = {
-        {"ACKwise2", DirectoryKind::Ackwise, 2},
-        {"ACKwise4", DirectoryKind::Ackwise, 4},
-        {"FullMap", DirectoryKind::FullMap, 0},
-    };
-    return variants;
-}
-
-SystemConfig
-netVariantConfig(const NetVariant &v, const std::string &network)
-{
-    SystemConfig cfg = defaultConfig();
-    cfg.directoryKind = v.dir;
-    if (v.dir == DirectoryKind::Ackwise)
-        cfg.ackwisePointers = v.pointers;
-    applyNetworkName(cfg, network);
-    return cfg;
+    return cfg.directoryKind == DirectoryKind::FullMap
+               ? "FullMap"
+               : "ACKwise" + std::to_string(cfg.ackwisePointers);
 }
 
 Experiment
@@ -1129,90 +886,69 @@ networkExperiment()
     e.description =
         "Extension: LACC's broadcast dependence across mesh/torus/"
         "ring/xbar";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &v : netVariants())
-            for (const auto &net : networkNames())
-                for (const auto &bench : benchmarkNames())
-                    jobs.push_back(
-                        {bench, netVariantConfig(v, net),
-                         "network " + std::string(v.label) + " " + net +
-                             " " + bench});
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        const auto &variants = netVariants();
+    e.tag = "network";
+    // Every directory on every fabric, fabrics in networkNames() order,
+    // which leads with "mesh" (the factory's default). The full-map
+    // directory comes last: it never broadcasts, so it anchors the
+    // broadcast-cost comparison.
+    SystemConfig ackwise2 = defaultConfig();
+    ackwise2.ackwisePointers = 2;
+    SystemConfig fullmap = defaultConfig();
+    fullmap.directoryKind = DirectoryKind::FullMap;
+    for (SystemConfig cfg : {ackwise2, defaultConfig(), fullmap})
+        for (const auto &net : networkNames()) {
+            applyNetworkName(cfg, net);
+            e.points.push_back({directoryLabel(cfg) + " " + net, cfg});
+        }
+    e.benches = benchmarkNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
+        const auto &points = s.exp.points;
         const auto &nets = networkNames();
-        const auto &names = benchmarkNames();
-
-        // res[variant][network][bench], in generation order.
-        Cursor cur(ctx.results);
-        std::vector<std::vector<std::vector<const RunResult *>>> res(
-            variants.size(),
-            std::vector<std::vector<const RunResult *>>(
-                nets.size(),
-                std::vector<const RunResult *>(names.size(), nullptr)));
-        for (std::size_t vi = 0; vi < variants.size(); ++vi)
-            for (std::size_t ni = 0; ni < nets.size(); ++ni)
-                for (std::size_t bi = 0; bi < names.size(); ++bi)
-                    res[vi][ni][bi] = &cur.next();
-        cur.finish();
+        const auto sum = [&s](std::size_t p, auto f) {
+            double v = 0.0;
+            for (std::size_t b = 0; b < s.exp.benches.size(); ++b)
+                v += s.value(p, b, f);
+            return v;
+        };
+        const auto broadcasts = [](const RunResult &r) {
+            return r.stats.network.broadcasts;
+        };
+        const auto flit_hops = [](const RunResult &r) {
+            return r.stats.network.flitHops;
+        };
 
         // Table 1: each variant normalized to ITS OWN mesh run, so a
         // row reads "what switching the fabric costs this directory".
-        // networkNames() leads with "mesh" (the factory's default).
         Table t({"Variant", "Network", "Completion Time", "Energy",
                  "Broadcasts", "Flit-hops vs mesh"});
-        Json points = Json::array();
-        for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-            std::vector<double> base_t(names.size()),
-                base_e(names.size());
-            double base_hops = 0.0;
-            for (std::size_t ni = 0; ni < nets.size(); ++ni) {
-                std::vector<double> times, energies;
-                std::uint64_t broadcasts = 0;
-                double hops = 0.0;
-                for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                    const RunResult &r = *res[vi][ni][bi];
-                    const double time =
-                        static_cast<double>(r.completionTime);
-                    const double energy = r.energyTotal;
-                    if (ni == 0) {
-                        base_t[bi] = time > 0 ? time : 1.0;
-                        base_e[bi] = energy > 0 ? energy : 1.0;
-                    }
-                    times.push_back(time / base_t[bi]);
-                    energies.push_back(energy / base_e[bi]);
-                    broadcasts += r.stats.network.broadcasts;
-                    hops +=
-                        static_cast<double>(r.stats.network.flitHops);
-                }
-                if (ni == 0)
-                    base_hops = hops > 0 ? hops : 1.0;
-                const double gm_t = geomean(times);
-                const double gm_e = geomean(energies);
-                t.addRow({variants[vi].label, nets[ni], fmt(gm_t, 3),
-                          fmt(gm_e, 3), std::to_string(broadcasts),
-                          fmt(hops / base_hops, 3)});
-                Json pt = Json::object();
-                pt["variant"] = variants[vi].label;
-                pt["network"] = nets[ni];
-                pt["geomean_time_vs_mesh"] = gm_t;
-                pt["geomean_energy_vs_mesh"] = gm_e;
-                pt["broadcasts"] = broadcasts;
-                pt["flit_hops_vs_mesh"] = hops / base_hops;
-                points.push(std::move(pt));
-            }
+        Json jpoints = Json::array();
+        for (std::size_t p = 0; p < points.size(); ++p) {
+            const std::size_t mesh = p - p % nets.size();
+            const Ratio gm = geomeanRatio(s, p, mesh);
+            const double bcasts = sum(p, broadcasts);
+            const double hops =
+                ratio(sum(p, flit_hops), sum(mesh, flit_hops));
+            const std::string variant = directoryLabel(points[p].cfg);
+            const char *net = networkNameFor(points[p].cfg);
+            t.addRow({variant, net, fmt(gm.time, 3), fmt(gm.energy, 3),
+                      fmt(bcasts, 0), fmt(hops, 3)});
+            Json pt = Json::object();
+            pt["variant"] = variant;
+            pt["network"] = net;
+            pt["geomean_time_vs_mesh"] = gm.time;
+            pt["geomean_energy_vs_mesh"] = gm.energy;
+            pt["broadcasts"] = countJson(bcasts);
+            pt["flit_hops_vs_mesh"] = hops;
+            jpoints.push(std::move(pt));
         }
-        t.print(ctx.out);
+        t.print(out);
 
         // Table 2: the limited directories against full-map on the
         // SAME fabric — the quantitative answer to "how much of the
-        // ACKwise design depends on cheap broadcast". FullMap is the
-        // last variant by construction.
-        const std::size_t fm = variants.size() - 1;
-        ctx.out << "\nACKwise_p / FullMap on the same fabric (>1 means"
-                   " the limited directory loses):\n";
+        // ACKwise design depends on cheap broadcast".
+        const std::size_t fm = points.size() - nets.size();
+        out << "\nACKwise_p / FullMap on the same fabric (>1 means"
+               " the limited directory loses):\n";
         Table g({"Network", "ACKwise2 time", "ACKwise2 energy",
                  "ACKwise4 time", "ACKwise4 energy"});
         Json ratios = Json::array();
@@ -1220,42 +956,26 @@ networkExperiment()
             std::vector<std::string> row = {nets[ni]};
             Json jr = Json::object();
             jr["network"] = nets[ni];
-            for (std::size_t vi = 0; vi + 1 < variants.size(); ++vi) {
-                std::vector<double> rt, re;
-                for (std::size_t bi = 0; bi < names.size(); ++bi) {
-                    const RunResult &ra = *res[vi][ni][bi];
-                    const RunResult &rf = *res[fm][ni][bi];
-                    rt.push_back(
-                        static_cast<double>(ra.completionTime) /
-                        static_cast<double>(rf.completionTime > 0
-                                                ? rf.completionTime
-                                                : 1));
-                    re.push_back(ra.energyTotal /
-                                 (rf.energyTotal > 0 ? rf.energyTotal
-                                                     : 1.0));
-                }
-                const double gm_t = geomean(rt);
-                const double gm_e = geomean(re);
-                row.push_back(fmt(gm_t, 4));
-                row.push_back(fmt(gm_e, 4));
-                jr[std::string(variants[vi].label) + "_time_ratio"] =
-                    gm_t;
-                jr[std::string(variants[vi].label) + "_energy_ratio"] =
-                    gm_e;
+            for (std::size_t p = ni; p < fm; p += nets.size()) {
+                const Ratio gm = geomeanRatio(s, p, fm + ni);
+                const std::string variant = directoryLabel(points[p].cfg);
+                row.push_back(fmt(gm.time, 4));
+                row.push_back(fmt(gm.energy, 4));
+                jr[variant + "_time_ratio"] = gm.time;
+                jr[variant + "_energy_ratio"] = gm.energy;
             }
             g.addRow(std::move(row));
             ratios.push(std::move(jr));
         }
-        g.print(ctx.out);
-        ctx.out << "\nShape check: ACKwise tracks full-map closely on"
-                   " broadcast-capable fabrics (mesh/torus/ring) and"
-                   " drifts on the crossbar, where every overflow"
-                   " broadcast pays N-1 serialized unicasts; fewer"
-                   " pointers (ACKwise2) amplify the gap\n";
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        g.print(out);
+        out << "\nShape check: ACKwise tracks full-map closely on"
+               " broadcast-capable fabrics (mesh/torus/ring) and"
+               " drifts on the crossbar, where every overflow"
+               " broadcast pays N-1 serialized unicasts; fewer"
+               " pointers (ACKwise2) amplify the gap\n";
+        Json fig = tableFigure(t);
         fig["vs_fullmap"] = g.toJson();
-        fig["points"] = std::move(points);
+        fig["points"] = std::move(jpoints);
         fig["ratios"] = std::move(ratios);
         return fig;
     };
@@ -1277,38 +997,36 @@ litmusExperiment()
     e.description =
         "coherence litmus sweep: archetypes x protocols, zero-error"
         " check";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &proto : protocolNames())
-            for (const auto &name : litmusNames()) {
-                SystemConfig cfg = defaultConfig();
-                applyProtocolName(cfg, proto);
-                jobs.push_back({name, cfg, proto + " " + name});
-            }
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        Cursor cur(ctx.results);
+    for (const auto &proto : protocolNames()) {
+        SystemConfig cfg = defaultConfig();
+        applyProtocolName(cfg, proto);
+        e.points.push_back({proto, cfg});
+    }
+    e.benches = litmusNames();
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Protocol", "Litmus", "Cycles", "Energy (uJ)",
                  "Func errors"});
-        std::uint64_t errors = 0;
-        for (const auto &proto : protocolNames())
-            for (const auto &name : litmusNames()) {
-                const auto &r = cur.next();
-                errors += r.functionalErrors;
-                t.addRow({proto, name,
-                          std::to_string(r.completionTime),
-                          fmt(r.energyTotal * 1e-6, 3),
-                          std::to_string(r.functionalErrors)});
+        double errors = 0.0;
+        for (std::size_t p = 0; p < s.exp.points.size(); ++p)
+            for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+                const double err =
+                    s.value(p, b, &RunResult::functionalErrors);
+                errors += err;
+                t.addRow({protocolNameFor(s.exp.points[p].cfg),
+                          s.exp.benches[b],
+                          fmt(s.value(p, b, &RunResult::completionTime), 0),
+                          fmt(s.value(p, b, &RunResult::energyTotal) * 1e-6,
+                              3),
+                          fmt(err, 0)});
             }
-        cur.finish();
-        t.print(ctx.out);
-        ctx.out << (errors == 0
-                        ? "\nAll litmus runs functionally clean\n"
-                        : "\nFUNCTIONAL ERRORS DETECTED\n");
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
-        fig["functionalErrors"] = errors;
+        t.print(out);
+        // A failed run leaves errors NaN: no verdict either way.
+        out << (errors == 0   ? "\nAll litmus runs functionally clean\n"
+                : errors > 0 ? "\nFUNCTIONAL ERRORS DETECTED\n"
+                             : "\nNOT EVERY LITMUS RUN COMPLETED: no"
+                               " functional verdict\n");
+        Json fig = tableFigure(t);
+        fig["functionalErrors"] = countJson(errors);
         return fig;
     };
     return e;
@@ -1319,41 +1037,13 @@ litmusExperiment()
 // run replayed through the invariant checker and the reference memory.
 // -------------------------------------------------------------------------
 
-/** Benchmarks the resilience sweep exercises: all litmus archetypes
- *  (functional checks are always on for those) plus the two leading
- *  synthetic benchmarks (which runBenchmark runs with functional
- *  checks forced on whenever faults are active). */
-const std::vector<std::string> &
-faultBenches()
+/** A fault rate as run labels and the faults table print it. */
+std::string
+rateName(double rate)
 {
-    static const std::vector<std::string> benches = [] {
-        std::vector<std::string> b = litmusNames();
-        const auto &synth = benchmarkNames();
-        for (std::size_t i = 0; i < synth.size() && i < 2; ++i)
-            b.push_back(synth[i]);
-        return b;
-    }();
-    return benches;
-}
-
-/** The injected fault intensities the resilience sweep covers. */
-const std::vector<double> &
-faultRates()
-{
-    static const std::vector<double> rates = {1e-4, 1e-3};
-    return rates;
-}
-
-/** The non-trivial shipped plans ("none" is covered by every other
- *  experiment and by the golden-signature tests). */
-std::vector<std::string>
-activeFaultPlans()
-{
-    std::vector<std::string> plans;
-    for (const auto &name : faultNames())
-        if (name != "none")
-            plans.push_back(name);
-    return plans;
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", rate);
+    return buf;
 }
 
 Experiment
@@ -1368,112 +1058,99 @@ faultsExperiment()
     e.description =
         "Extension: fault-injection sweep classifying corrected /"
         " detected / silent outcomes";
-    e.makeJobs = [] {
-        std::vector<Job> jobs;
-        for (const auto &plan : activeFaultPlans())
-            for (const double rate : faultRates())
-                for (const char *proto : {"lacc", "fullmap"})
-                    for (const char *net : {"mesh", "xbar"})
-                        for (const auto &bench : faultBenches()) {
-                            SystemConfig cfg = defaultConfig();
-                            applyProtocolName(cfg, proto);
-                            applyNetworkName(cfg, net);
-                            applyFaultName(cfg, plan);
-                            cfg.faultRate = rate;
-                            char rate_s[32];
-                            std::snprintf(rate_s, sizeof(rate_s),
-                                          "%g", rate);
-                            jobs.push_back(
-                                {bench, cfg,
-                                 "faults " + plan + "@" + rate_s + " " +
-                                     proto + " " + net + " " + bench});
-                        }
-        return jobs;
-    };
-    e.report = [](const ReportContext &ctx) {
-        // Every cell aggregates the benches of one (plan, rate,
-        // protocol, network) point; walk ctx.results directly (not
-        // through Cursor) because classification needs the per-run
-        // failed/failReason fields, not just the RunResult.
-        std::size_t pos = 0;
+    e.tag = "faults";
+    // Every shipped plan but "none", which every other experiment and
+    // the golden-signature tests cover.
+    for (const auto &plan : faultNames()) {
+        if (plan == "none")
+            continue;
+        for (const double rate : {1e-4, 1e-3})
+            for (const char *proto : {"lacc", "fullmap"})
+                for (const char *net : {"mesh", "xbar"}) {
+                    SystemConfig cfg = defaultConfig();
+                    applyProtocolName(cfg, proto);
+                    applyNetworkName(cfg, net);
+                    applyFaultName(cfg, plan);
+                    cfg.faultRate = rate;
+                    e.points.push_back({plan + "@" + rateName(rate) + " " +
+                                            proto + " " + net,
+                                        cfg});
+                }
+    }
+    // All litmus archetypes (functional checks are always on for
+    // those) plus the two leading synthetic benchmarks (which
+    // runBenchmark runs with functional checks forced on whenever
+    // faults are active).
+    e.benches = litmusNames();
+    e.benches.insert(e.benches.end(), benchmarkNames().begin(),
+                     benchmarkNames().begin() + 2);
+    e.report = [](const Sweep &s, std::ostream &out) {
         Table t({"Plan", "Rate", "Protocol", "Network", "Recovered",
                  "Detected", "Silent", "Retrans", "ECC fix", "Scrubs",
                  "Status"});
         Json points = Json::array();
         std::uint64_t total_silent = 0;
         std::uint64_t total_detected = 0;
-        for (const auto &plan : activeFaultPlans())
-            for (const double rate : faultRates())
-                for (const char *proto : {"lacc", "fullmap"})
-                    for (const char *net : {"mesh", "xbar"}) {
-                        std::uint64_t recovered = 0, detected = 0,
-                                      silent = 0, retrans = 0,
-                                      ecc_fix = 0, scrubs = 0;
-                        for (std::size_t bi = 0;
-                             bi < faultBenches().size(); ++bi) {
-                            if (pos >= ctx.results.size())
-                                panic("faults report ran out of sweep"
-                                      " results");
-                            const JobResult &jr = ctx.results[pos++];
-                            const FaultStats &f = jr.result.stats.faults;
-                            if (jr.failed) {
-                                // RunAbort: the fault was *detected*
-                                // (budget exhaustion, unrecoverable
-                                // double-bit) — honest, not silent.
-                                ++detected;
-                                continue;
-                            }
-                            // Completed runs must be functionally and
-                            // structurally clean; anything else is a
-                            // silent corruption that escaped recovery.
-                            if (jr.result.functionalErrors != 0 ||
-                                jr.result.verifyViolations != 0 ||
-                                f.silentCorruptions != 0)
-                                ++silent;
-                            else if (f.any())
-                                ++recovered;
-                            retrans += f.retransmits;
-                            ecc_fix += f.eccCorrected;
-                            scrubs += f.scrubs;
-                        }
-                        total_silent += silent;
-                        total_detected += detected;
-                        char rate_s[32];
-                        std::snprintf(rate_s, sizeof(rate_s), "%g",
-                                      rate);
-                        t.addRow({plan, rate_s, proto, net,
-                                  std::to_string(recovered),
-                                  std::to_string(detected),
-                                  std::to_string(silent),
-                                  std::to_string(retrans),
-                                  std::to_string(ecc_fix),
-                                  std::to_string(scrubs),
-                                  silent == 0 ? "ok" : "SILENT"});
-                        Json pt = Json::object();
-                        pt["plan"] = plan;
-                        pt["rate"] = rate;
-                        pt["protocol"] = proto;
-                        pt["network"] = net;
-                        pt["recovered"] = recovered;
-                        pt["detected"] = detected;
-                        pt["silent"] = silent;
-                        pt["retransmits"] = retrans;
-                        pt["ecc_corrected"] = ecc_fix;
-                        pt["scrubs"] = scrubs;
-                        points.push(std::move(pt));
-                    }
-        if (pos != ctx.results.size())
-            panic("faults report consumed %zu of %zu sweep results",
-                  pos, ctx.results.size());
-        t.print(ctx.out);
-        ctx.out << (total_silent == 0
-                        ? "\nZero silent corruptions: every injected"
-                          " fault was corrected, retransmitted, or"
-                          " detected\n"
-                        : "\nSILENT CORRUPTIONS DETECTED — a fault"
-                          " escaped the recovery paths\n");
-        Json fig = Json::object();
-        fig["table"] = t.toJson();
+        for (std::size_t p = 0; p < s.exp.points.size(); ++p) {
+            // One row aggregates the benches of one (plan, rate,
+            // protocol, network) point.
+            std::uint64_t recovered = 0, detected = 0, silent = 0,
+                          retrans = 0, ecc_fix = 0, scrubs = 0;
+            for (std::size_t b = 0; b < s.exp.benches.size(); ++b) {
+                // Classification needs the failed flag, not just the
+                // numbers, so read the run itself.
+                const JobResult &jr = s.at(p, b);
+                const FaultStats &f = jr.result.stats.faults;
+                if (jr.failed) {
+                    // RunAbort: the fault was *detected* (budget
+                    // exhaustion, unrecoverable double-bit) — honest,
+                    // not silent.
+                    ++detected;
+                    continue;
+                }
+                // Completed runs must be functionally and
+                // structurally clean; anything else is a silent
+                // corruption that escaped recovery.
+                if (jr.result.functionalErrors != 0 ||
+                    jr.result.verifyViolations != 0 ||
+                    f.silentCorruptions != 0)
+                    ++silent;
+                else if (f.any())
+                    ++recovered;
+                retrans += f.retransmits;
+                ecc_fix += f.eccCorrected;
+                scrubs += f.scrubs;
+            }
+            total_silent += silent;
+            total_detected += detected;
+            const SystemConfig &cfg = s.exp.points[p].cfg;
+            t.addRow({faultNameFor(cfg), rateName(cfg.faultRate),
+                      protocolNameFor(cfg), networkNameFor(cfg),
+                      std::to_string(recovered), std::to_string(detected),
+                      std::to_string(silent), std::to_string(retrans),
+                      std::to_string(ecc_fix), std::to_string(scrubs),
+                      silent == 0 ? "ok" : "SILENT"});
+            Json pt = Json::object();
+            pt["plan"] = faultNameFor(cfg);
+            pt["rate"] = cfg.faultRate;
+            pt["protocol"] = protocolNameFor(cfg);
+            pt["network"] = networkNameFor(cfg);
+            pt["recovered"] = recovered;
+            pt["detected"] = detected;
+            pt["silent"] = silent;
+            pt["retransmits"] = retrans;
+            pt["ecc_corrected"] = ecc_fix;
+            pt["scrubs"] = scrubs;
+            points.push(std::move(pt));
+        }
+        t.print(out);
+        out << (total_silent == 0
+                    ? "\nZero silent corruptions: every injected"
+                      " fault was corrected, retransmitted, or"
+                      " detected\n"
+                    : "\nSILENT CORRUPTIONS DETECTED — a fault"
+                      " escaped the recovery paths\n");
+        Json fig = tableFigure(t);
         fig["points"] = std::move(points);
         fig["silent_corruptions"] = total_silent;
         fig["detected_fatal"] = total_detected;
@@ -1484,26 +1161,29 @@ faultsExperiment()
 
 } // namespace
 
-void
-registerBuiltinExperiments(Registry &r)
+const std::vector<Experiment> &
+experiments()
 {
-    r.add(utilizationExperiment("fig01", true));
-    r.add(utilizationExperiment("fig02", false));
-    r.add(breakdownExperiment(true));
-    r.add(breakdownExperiment(false));
-    r.add(fig10Experiment());
-    r.add(fig11Experiment());
-    r.add(fig12Experiment());
-    r.add(fig13Experiment());
-    r.add(fig14Experiment());
-    r.add(table1Experiment());
-    r.add(table2Experiment());
-    r.add(ablationExperiment());
-    r.add(ackwiseExperiment());
-    r.add(scalingExperiment());
-    r.add(networkExperiment());
-    r.add(litmusExperiment());
-    r.add(faultsExperiment());
+    static const std::vector<Experiment> list = {
+        utilizationExperiment("fig01", true),
+        utilizationExperiment("fig02", false),
+        breakdownExperiment(true),
+        breakdownExperiment(false),
+        fig10Experiment(),
+        fig11Experiment(),
+        fig12Experiment(),
+        fig13Experiment(),
+        fig14Experiment(),
+        table1Experiment(),
+        table2Experiment(),
+        ablationExperiment(),
+        ackwiseExperiment(),
+        scalingExperiment(),
+        networkExperiment(),
+        litmusExperiment(),
+        faultsExperiment(),
+    };
+    return list;
 }
 
 } // namespace lacc::harness

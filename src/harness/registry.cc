@@ -4,57 +4,44 @@
 
 namespace lacc::harness {
 
-Registry &
-Registry::instance()
+std::vector<Job>
+Experiment::jobs() const
 {
-    // Magic-static: thread-safe one-time construction + registration.
-    static Registry r = [] {
-        Registry reg;
-        registerBuiltinExperiments(reg);
-        return reg;
-    }();
-    return r;
-}
-
-void
-Registry::add(Experiment e)
-{
-    if (e.name.empty())
-        panic("experiment with empty name");
-    for (const auto &existing : experiments_)
-        if (existing.name == e.name)
-            panic("duplicate experiment '%s'", e.name.c_str());
-    if (!e.makeJobs || !e.report)
-        panic("experiment '%s' missing makeJobs/report", e.name.c_str());
-    experiments_.push_back(std::move(e));
-}
-
-const Experiment *
-Registry::find(const std::string &name) const
-{
-    for (const auto &e : experiments_)
-        if (e.name == name)
-            return &e;
-    return nullptr;
-}
-
-std::vector<const Experiment *>
-Registry::match(const std::string &filter) const
-{
-    std::vector<const Experiment *> out;
-    for (const auto &e : experiments_)
-        if (filter.empty() || e.name.find(filter) != std::string::npos)
-            out.push_back(&e);
+    const auto label = [this](const std::string &a, const std::string &b) {
+        std::string out = tag;
+        for (const std::string *part : {&a, &b})
+            if (!part->empty())
+                out += (out.empty() ? "" : " ") + *part;
+        return out;
+    };
+    std::vector<Job> out(points.size() * benches.size());
+    for (std::size_t p = 0; p < points.size(); ++p)
+        for (std::size_t b = 0; b < benches.size(); ++b)
+            out[index(p, b)] = {benches[b], points[p].cfg,
+                                benchMajor
+                                    ? label(benches[b], points[p].label)
+                                    : label(points[p].label, benches[b])};
     return out;
 }
 
-std::vector<std::string>
-Registry::names() const
+const JobResult &
+Sweep::at(std::size_t p, std::size_t b) const
 {
-    std::vector<std::string> out;
-    out.reserve(experiments_.size());
-    for (const auto &e : experiments_)
-        out.push_back(e.name);
+    const std::size_t np = exp.points.size(), nb = exp.benches.size();
+    if (p >= np || b >= nb || results.size() != np * nb)
+        panic("experiment '%s': no run at point %zu, bench %zu of %zu x"
+              " %zu (%zu results)",
+              exp.name.c_str(), p, b, np, nb, results.size());
+    return results[exp.index(p, b)];
+}
+
+std::vector<const Experiment *>
+match(const std::string &filter)
+{
+    std::vector<const Experiment *> out;
+    for (const auto &e : experiments())
+        if (e.name.find(filter) != std::string::npos)
+            out.push_back(&e);
     return out;
 }
 

@@ -1,17 +1,18 @@
 /**
  * @file
- * Experiment registry for the unified benchmark harness.
+ * The experiment list of the unified benchmark harness.
  *
- * Every paper figure/table reproduction (and the extension studies) is
- * an Experiment: a named config-sweep generator plus a report function
- * that formats the paper-shaped text table and the figure-specific
- * JSON. The sweep itself is executed by harness/runner.hh — possibly
- * across threads — so experiments never run simulations directly; they
- * only describe the grid and consume the results in grid order.
+ * Every paper figure/table reproduction and extension study is an
+ * Experiment: a grid of configuration points x benchmarks, declared
+ * once as data, plus a report function that formats the paper-shaped
+ * text table and the figure-specific JSON. The sweep itself is
+ * executed by harness/runner.hh, possibly across threads, so
+ * experiments never run simulations directly; a report reads each run
+ * by its (point, bench) coordinate through a Sweep.
  *
- * The built-in experiments (fig01..fig14, table1/2, ablation, ackwise,
- * scaling) live in harness/experiments.cc and register themselves the
- * first time the registry is used.
+ * The built-in experiments (fig01, fig02, fig08..fig14, table1,
+ * table2, ablation, ackwise, scaling, network, litmus, faults) are
+ * the list experiments() returns, defined in harness/experiments.cc.
  */
 
 #ifndef LACC_HARNESS_REGISTRY_HH
@@ -19,6 +20,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,8 +51,8 @@ struct JobResult
     /**
      * The run aborted (RunAbort: watchdog timeout or an unrecoverable
      * injected fault). `result` holds defaults; the sink records the
-     * run with "status": "failed" and the reason, and the JSON
-     * checkers skip its per-run validations.
+     * run with "status": "failed" and the reason, the JSON checkers
+     * skip its per-run validations, and Sweep::value() reads NaN.
      */
     bool failed = false;
     std::string failReason; //!< "<tag>: <detail>" when failed
@@ -69,67 +71,88 @@ struct JobResult
     }
 };
 
-/** Everything a report function needs to format its outputs. */
-struct ReportContext
+/** One configuration of an experiment's grid. */
+struct Point
 {
-    /** Sweep results, in the exact order makeJobs() produced them. */
-    const std::vector<JobResult> &results;
-    /** Resolved op-count scale the sweep ran at. */
-    double opScale;
-    /** Destination for the paper-shaped text output. */
-    std::ostream &out;
+    std::string label; //!< run-label part, e.g. "PCT=4"; may be empty
+    SystemConfig cfg;
 };
 
-/** A registered figure/table reproduction. */
+struct Sweep;
+
+/** A figure/table reproduction: its grid and its report. */
 struct Experiment
 {
-    std::string name;        //!< registry key, e.g. "fig08"
+    std::string name;        //!< list key, e.g. "fig08"
     std::string title;       //!< banner first line
     std::string subtitle;    //!< banner second line
     std::string description; //!< one-liner for `lacc_bench --list`
 
-    /** Generate the sweep grid (may be empty for config-only tables). */
-    std::function<std::vector<Job>()> makeJobs;
+    /** Run-label prefix, e.g. "fig8"; may be empty. */
+    std::string tag;
+    /** The grid's configurations (empty for config-only tables). */
+    std::vector<Point> points;
+    /** The benchmarks every point runs. */
+    std::vector<std::string> benches;
+    /**
+     * Run each bench's points together, labeled "<tag> <bench>
+     * <point>"; otherwise run point by point, labeled "<tag> <point>
+     * <bench>".
+     */
+    bool benchMajor = false;
 
     /**
      * Write the text output below the banner (the sink prints the
-     * banner from title/subtitle first; the result is byte-identical
-     * to the historical standalone binary) and return the
+     * banner from title/subtitle first) and return the
      * figure-specific JSON fragment (normalized tables, geomeans,
      * ...). The generic run records are added by the sink, not here.
      */
-    std::function<Json(const ReportContext &)> report;
+    std::function<Json(const Sweep &, std::ostream &)> report;
+
+    /** Position of point @p p's run on bench @p b in jobs(). */
+    std::size_t
+    index(std::size_t p, std::size_t b) const
+    {
+        return benchMajor ? b * points.size() + p
+                          : p * benches.size() + b;
+    }
+
+    /** The grid's runs, in sweep order. */
+    std::vector<Job> jobs() const;
 };
 
-/** Name-keyed collection of experiments. */
-class Registry
+/** An experiment's sweep results, read by grid coordinate. */
+struct Sweep
 {
-  public:
-    /** The process-wide registry, with built-ins registered. */
-    static Registry &instance();
-
-    /** Register an experiment; panic() on a duplicate name. */
-    void add(Experiment e);
-
-    /** @return the experiment named @p name, or nullptr. */
-    const Experiment *find(const std::string &name) const;
+    const Experiment &exp;
+    const std::vector<JobResult> &results; //!< in exp.jobs() order
+    double opScale;                        //!< resolved op-count scale
 
     /**
-     * Experiments whose name contains @p filter as a substring, in
-     * registration order; an empty filter matches everything.
+     * Point @p p's run on bench @p b; panic() when out of range or
+     * when results does not hold exactly one result per job.
      */
-    std::vector<const Experiment *>
-    match(const std::string &filter) const;
+    const JobResult &at(std::size_t p, std::size_t b) const;
 
-    /** Registered names, in registration order. */
-    std::vector<std::string> names() const;
-
-  private:
-    std::vector<Experiment> experiments_;
+    /** @p f of point @p p's run on bench @p b, NaN if the run failed. */
+    template <typename F>
+    double
+    value(std::size_t p, std::size_t b, F f) const
+    {
+        const JobResult &jr = at(p, b);
+        return jr.failed ? std::numeric_limits<double>::quiet_NaN()
+                         : static_cast<double>(std::invoke(f, jr.result));
+    }
 };
 
-/** Defined in experiments.cc: registers the built-in suite. */
-void registerBuiltinExperiments(Registry &r);
+/** The built-in experiments, in suite order. */
+const std::vector<Experiment> &experiments();
+
+/**
+ * Experiments whose name contains @p filter as a substring, in suite
+ * order; an empty filter matches everything.
+ */
+std::vector<const Experiment *> match(const std::string &filter);
 
 } // namespace lacc::harness
 

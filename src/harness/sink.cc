@@ -138,7 +138,7 @@ validArtifactExists(const std::string &dir, const Experiment &exp)
     // writeJsonFile could fire, or a partial copy) fails here.
     const double jobs_n = jobs->asDouble();
     return static_cast<double>(runs->elements().size()) == jobs_n &&
-           static_cast<double>(exp.makeJobs().size()) == jobs_n;
+           static_cast<double>(exp.jobs().size()) == jobs_n;
 }
 
 ExperimentOutcome
@@ -151,10 +151,9 @@ runExperiment(const Experiment &exp, const SweepOptions &opts,
     outcome.opScale = resolveOpScale(opts);
     outcome.repeat = opts.effectiveRepeat();
     banner(text_out, exp);
-    outcome.results = runSweep(exp.makeJobs(), opts);
-
-    const ReportContext ctx{outcome.results, outcome.opScale, text_out};
-    outcome.figure = exp.report(ctx);
+    outcome.results = runSweep(exp.jobs(), opts);
+    outcome.figure =
+        exp.report(Sweep{exp, outcome.results, outcome.opScale}, text_out);
     outcome.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

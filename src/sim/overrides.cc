@@ -1,6 +1,8 @@
 #include "sim/overrides.hh"
 
+#include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
@@ -43,8 +45,8 @@ ConfigOverrides::apply(SystemConfig &cfg) const
         applyFaultName(cfg, faults);
     if (faultRate)
         cfg.faultRate = *faultRate;
-    if (faultSeedSet)
-        cfg.faultSeed = faultSeed;
+    if (faultSeed)
+        cfg.faultSeed = *faultSeed;
 }
 
 void
@@ -74,6 +76,42 @@ ConfigOverrides::warnIfOverridingSweep(
     warn_dim("protocol", protocol, protocolNameFor);
     warn_dim("network", network, networkNameFor);
     warn_dim("faults", faults, faultNameFor);
+}
+
+bool
+parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
+         std::uint64_t &out)
+{
+    if (s == nullptr || *s == '\0')
+        return false;
+    std::uint64_t v = 0;
+    int digits = 0;
+    for (const char *p = s; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            return false;
+        if (++digits > 19)
+            return false;
+        v = v * 10 + static_cast<std::uint64_t>(*p - '0');
+    }
+    if (v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+std::uint64_t
+parseU64OrExit(const char *name, const char *s, std::uint64_t lo,
+               std::uint64_t hi)
+{
+    std::uint64_t v = 0;
+    if (!parseU64(s, lo, hi, v)) {
+        std::fprintf(stderr,
+                     "%s wants an integer in [%" PRIu64 ", %" PRIu64
+                     "], got '%s'\n",
+                     name, lo, hi, s);
+        std::exit(2);
+    }
+    return v;
 }
 
 } // namespace lacc

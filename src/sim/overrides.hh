@@ -4,7 +4,8 @@
  * bench/lacc_verify.cc) accept --protocol/--network/--faults
  * overrides that rewrite SystemConfigs built elsewhere (experiment
  * definitions, fuzz configs). The validation, application, and
- * "you are overriding a deliberate sweep" diagnostics live here once.
+ * "you are overriding a deliberate sweep" diagnostics live here once,
+ * beside the strict integer parse both CLIs use for their options.
  */
 
 #ifndef LACC_SIM_OVERRIDES_HH
@@ -26,15 +27,14 @@ struct ConfigOverrides
     std::string network;  //!< interconnect topology name; empty = keep
     std::string faults;   //!< fault-plan name; empty = keep
     std::optional<double> faultRate; //!< base fault rate; unset = keep
-    bool faultSeedSet = false;       //!< faultSeed holds a --fault-seed
-    std::uint64_t faultSeed = 0;     //!< fault-schedule seed override
+    std::optional<std::uint64_t> faultSeed; //!< fault seed; unset = keep
 
     /** Any override set? */
     bool
     any() const
     {
         return !protocol.empty() || !network.empty() || !faults.empty() ||
-               faultRate.has_value() || faultSeedSet;
+               faultRate.has_value() || faultSeed.has_value();
     }
 
     /**
@@ -58,6 +58,22 @@ struct ConfigOverrides
     void warnIfOverridingSweep(
         const std::vector<const SystemConfig *> &cfgs) const;
 };
+
+/**
+ * Strict full-token decimal parse: every character must be a digit,
+ * at most 19 of them, and the value must land in [lo, hi]. "12x",
+ * "0x10", "-3", "+2", " 5" and "" are all rejected, so a typo never
+ * silently runs something other than what was asked for.
+ */
+bool parseU64(const char *s, std::uint64_t lo, std::uint64_t hi,
+              std::uint64_t &out);
+
+/**
+ * parseU64 the value @p s of CLI option @p name, or print the valid
+ * range to stderr and exit 2 (the CLIs' usage-error status).
+ */
+std::uint64_t parseU64OrExit(const char *name, const char *s,
+                             std::uint64_t lo, std::uint64_t hi);
 
 } // namespace lacc
 

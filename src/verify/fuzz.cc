@@ -342,8 +342,8 @@ runFuzz(const FuzzOptions &opt)
                     applyFaultName(cfg, opt.faults);
                 if (opt.faultRate >= 0.0)
                     cfg.faultRate = opt.faultRate;
-                if (opt.faultSeedSet)
-                    cfg.faultSeed = opt.faultSeed;
+                if (opt.faultSeed)
+                    cfg.faultSeed = *opt.faultSeed;
                 ++res.runs;
                 const auto viol =
                     checkTrace(trace, cfg, opt.stepwise, evidence);

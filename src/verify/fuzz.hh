@@ -21,6 +21,7 @@
 #define LACC_VERIFY_FUZZ_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,8 @@ struct FuzzOptions
      * faultRate between op-removal passes while the failure persists.
      */
     std::string faults;
-    double faultRate = -1.0;     //!< base fault rate; < 0 = plan default
-    bool faultSeedSet = false;   //!< faultSeed holds a CLI value
-    std::uint64_t faultSeed = 0; //!< fault-schedule seed override
+    double faultRate = -1.0; //!< base fault rate; < 0 = plan default
+    std::optional<std::uint64_t> faultSeed; //!< seed; unset = default
     /** Also run the stepwise replay (invariants after every access). */
     bool stepwise = true;
 };

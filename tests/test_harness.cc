@@ -1,14 +1,17 @@
 /**
  * @file
- * Harness coverage: JSON value/writer/parser behavior, registry
- * lookup/filtering, RunResult JSON round-trips, the sink document
- * schema, LACC_SCALE validation, and the determinism guard (a 2-job
- * parallel sweep must be bit-identical to the serial run).
+ * Harness coverage: JSON value/writer/parser behavior, the experiment
+ * list and its grids, RunResult JSON round-trips, the sink document
+ * schema, LACC_SCALE validation, the determinism guard (a 2-job
+ * parallel sweep must be bit-identical to the serial run), and every
+ * report over fabricated sweeps, with and without a failed run.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "harness/runner.hh"
 #include "harness/sink.hh"
 #include "sim/json.hh"
+#include "sim/rng.hh"
 #include "system/report.hh"
 
 using namespace lacc;
@@ -35,6 +39,17 @@ smallConfig()
 }
 
 constexpr double kTinyScale = 0.01;
+
+/** The built-in experiment named @p name. */
+const Experiment &
+builtin(const std::string &name)
+{
+    for (const auto &e : experiments())
+        if (e.name == name)
+            return e;
+    ADD_FAILURE() << "no experiment " << name;
+    return experiments().front();
+}
 
 } // namespace
 
@@ -159,7 +174,9 @@ TEST(TableJson, HeadersAndRows)
 
 TEST(Registry, BuiltinsRegistered)
 {
-    const auto names = Registry::instance().names();
+    std::vector<std::string> names;
+    for (const auto &e : experiments())
+        names.push_back(e.name);
     const std::vector<std::string> expected = {
         "fig01", "fig02",  "fig08",  "fig09",    "fig10",
         "fig11", "fig12",  "fig13",  "fig14",    "table1",
@@ -170,35 +187,52 @@ TEST(Registry, BuiltinsRegistered)
 
 TEST(Registry, FindAndFilter)
 {
-    const Registry &r = Registry::instance();
-    ASSERT_NE(r.find("fig08"), nullptr);
-    EXPECT_EQ(r.find("fig08")->name, "fig08");
-    EXPECT_EQ(r.find("not-an-experiment"), nullptr);
+    const auto fig08 = match("fig08");
+    ASSERT_EQ(fig08.size(), 1u);
+    EXPECT_EQ(fig08[0]->name, "fig08");
+    EXPECT_EQ(fig08[0], &experiments()[2]);
 
-    EXPECT_EQ(r.match("").size(), r.names().size());
-    const auto tables = r.match("table");
+    EXPECT_EQ(match("").size(), experiments().size());
+    const auto tables = match("table");
     ASSERT_EQ(tables.size(), 2u);
     EXPECT_EQ(tables[0]->name, "table1");
     EXPECT_EQ(tables[1]->name, "table2");
-    const auto fig1x = r.match("fig1");
+    const auto fig1x = match("fig1");
     ASSERT_EQ(fig1x.size(), 5u); // fig10..fig14 (fig01 does not match)
     EXPECT_EQ(fig1x[0]->name, "fig10");
-    EXPECT_TRUE(r.match("zzz").empty());
+    EXPECT_TRUE(match("zzz").empty());
 }
 
 TEST(Registry, EveryExperimentDescribesItsSweep)
 {
-    for (const auto *exp : Registry::instance().match("")) {
-        EXPECT_FALSE(exp->title.empty()) << exp->name;
-        EXPECT_FALSE(exp->description.empty()) << exp->name;
-        // Job grids are stable: two generations agree in size/labels.
-        const auto a = exp->makeJobs();
-        const auto b = exp->makeJobs();
-        ASSERT_EQ(a.size(), b.size()) << exp->name;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(a[i].label, b[i].label);
-            EXPECT_EQ(a[i].bench, b[i].bench);
-        }
+    for (const auto &exp : experiments()) {
+        EXPECT_FALSE(exp.title.empty()) << exp.name;
+        EXPECT_FALSE(exp.description.empty()) << exp.name;
+        EXPECT_TRUE(exp.report) << exp.name;
+        const auto jobs = exp.jobs();
+        ASSERT_EQ(jobs.size(), exp.points.size() * exp.benches.size())
+            << exp.name;
+        // The run at each coordinate is that point's config on that
+        // bench, and its label names both.
+        for (std::size_t p = 0; p < exp.points.size(); ++p)
+            for (std::size_t b = 0; b < exp.benches.size(); ++b) {
+                const Job &job = jobs[exp.index(p, b)];
+                EXPECT_EQ(job.bench, exp.benches[b]) << job.label;
+                EXPECT_EQ(toJson(job.cfg).dump(0),
+                          toJson(exp.points[p].cfg).dump(0))
+                    << job.label;
+                EXPECT_NE(job.label.find(exp.points[p].label),
+                          std::string::npos)
+                    << job.label;
+                EXPECT_NE(job.label.find(exp.benches[b]), std::string::npos)
+                    << job.label;
+            }
+        // tools/compare_bench_json.py matches runs by label, so a
+        // duplicate label would hide a run.
+        std::set<std::string> labels;
+        for (const auto &job : jobs)
+            EXPECT_TRUE(labels.insert(job.label).second)
+                << exp.name << ": duplicate label '" << job.label << "'";
     }
 }
 
@@ -351,8 +385,7 @@ TEST(Runner, RepeatedJobsProduceIdenticalStats)
 
 TEST(Sink, DocumentSchemaAndFileEmission)
 {
-    const Experiment *exp = Registry::instance().find("table1");
-    ASSERT_NE(exp, nullptr);
+    const Experiment *exp = &builtin("table1");
     SweepOptions opts;
     opts.jobs = 1;
     opts.opScale = kTinyScale;
@@ -387,10 +420,264 @@ TEST(Sink, DocumentSchemaAndFileEmission)
     fs::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------------
+// Report digests over fabricated sweeps
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t
+fnv1a(const std::string &s, std::uint64_t h = 14695981039346656037ull)
+{
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** A plausible result whose every number is drawn from @p rng. */
+RunResult
+fabricatedResult(Rng &rng)
+{
+    RunResult r;
+    const auto count = [&rng](std::uint64_t bound) {
+        return rng.below(bound);
+    };
+    SystemStats &s = r.stats;
+    s.perCore.resize(2);
+    for (auto &c : s.perCore) {
+        CoreStats::forEachField(
+            [&](const char *, auto m) { c.*m = count(100000) + 1; });
+        LatencyBreakdown::forEachField(
+            [&](const char *, auto m) { c.latency.*m = count(500000); });
+        for (auto &n : c.misses.counts)
+            n = count(5000);
+        CacheStats::forEachField([&](const char *, auto m) {
+            c.l1i.*m = count(100000);
+            c.l1d.*m = count(100000);
+        });
+    }
+    CacheStats::forEachField(
+        [&](const char *, auto m) { s.l2.*m = count(100000); });
+    NetworkStats::forEachField(
+        [&](const char *, auto m) { s.network.*m = count(1000000); });
+    ProtocolStats::forEachField(
+        [&](const char *, auto m) { s.protocol.*m = count(10000); });
+    FaultStats::forEachField(
+        [&](const char *, auto m) { s.faults.*m = count(3); });
+    s.faults.silentCorruptions = count(8) == 0 ? 1 : 0;
+    EnergyBreakdown::forEachField([&](const char *, auto m) {
+        s.energy.*m = 1e3 + rng.uniform() * 1e6;
+    });
+    for (auto &n : s.evictionUtil.counts)
+        n = count(1000);
+    for (auto &n : s.invalidationUtil.counts)
+        n = count(1000);
+    r.completionTime = count(1000000) + 1;
+    r.energyTotal = s.energy.total();
+    r.functionalErrors = count(8) == 0 ? 1 : 0;
+    r.verifyViolations = count(8) == 0 ? 1 : 0;
+    r.simOps = count(10000000);
+    return r;
+}
+
+/**
+ * One fabricated result per job of @p exp, seeded by the run label so
+ * the data follow a run wherever the grid puts it; about one `faults`
+ * run in five is marked failed, the way the runner records a RunAbort.
+ */
+std::vector<JobResult>
+fabricatedSweep(const Experiment &exp)
+{
+    std::vector<JobResult> out;
+    for (const Job &job : exp.jobs()) {
+        Rng rng(fnv1a(job.label));
+        JobResult jr;
+        jr.job = job;
+        jr.result = fabricatedResult(rng);
+        if (exp.name == "faults" && rng.below(5) == 0) {
+            jr.failed = true;
+            jr.failReason = "fabricated: abort";
+            jr.result = RunResult{};
+        }
+        out.push_back(std::move(jr));
+    }
+    return out;
+}
+
+/** A report's text and its figure JSON as the sink writes it. */
+struct ReportOutput
+{
+    std::string text;
+    std::string figure;
+};
+
+ReportOutput
+reportOutput(const Experiment &exp, const std::vector<JobResult> &results)
+{
+    std::ostringstream text;
+    const Json fig = exp.report(Sweep{exp, results, 0.02}, text);
+    return {text.str(), fig.dump(2)};
+}
+
+/** @p exp's fabricated sweep with the run labeled @p label failed. */
+std::vector<JobResult>
+sweepWithFailedRun(const Experiment &exp, const std::string &label)
+{
+    std::vector<JobResult> results = fabricatedSweep(exp);
+    std::size_t marked = 0;
+    for (auto &jr : results)
+        if (jr.job.label == label) {
+            jr.failed = true;
+            jr.failReason = "timeout: fabricated";
+            jr.result = RunResult{};
+            ++marked;
+        }
+    EXPECT_EQ(marked, 1u) << label;
+    return results;
+}
+
+/** The table rows of @p text whose first cell is @p first. */
+std::vector<std::string>
+rowsOf(const std::string &text, const std::string &first)
+{
+    std::vector<std::string> rows;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind(first + " ", 0) == 0)
+            rows.push_back(line);
+    return rows;
+}
+
+/** Occurrences of the cell "nan" in a table row. */
+std::size_t
+nanCells(const std::string &row)
+{
+    std::istringstream in(row);
+    std::size_t n = 0;
+    for (std::string cell; in >> cell;)
+        n += cell == "nan";
+    return n;
+}
+
+/** @p figure (a dumped figure block) parsed back. */
+Json
+parsed(const std::string &figure)
+{
+    std::string err;
+    const Json j = Json::parse(figure, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    return j;
+}
+
+} // namespace
+
+TEST(Reports, DigestsOfFabricatedSweepsArePinned)
+{
+    // Every report over one fabricated result per run. A change to a
+    // grid, a label, a normalization or a format changes the digest.
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"fig01", 0xd34f6e439a119c2aull},
+        {"fig02", 0xd6bffe294a198f44ull},
+        {"fig08", 0x0fdeb1d4071123edull},
+        {"fig09", 0x94e319bb4f0439a6ull},
+        {"fig10", 0xe17126fe91c75300ull},
+        {"fig11", 0xb7075ad8b6286d64ull},
+        {"fig12", 0x1f9453be4e5d89e7ull},
+        {"fig13", 0x86a54c7478f16ff3ull},
+        {"fig14", 0x74bbb4e4a6aaa73aull},
+        {"table1", 0x2dded2c30389a198ull},
+        {"table2", 0x1f164748191a2c86ull},
+        {"ablation", 0xfbfaad8f9dcad588ull},
+        {"ackwise", 0xf5456612b3790ca7ull},
+        {"scaling", 0x372be3b0450c2cbaull},
+        {"network", 0xb73d056ad6242c3cull},
+        {"litmus", 0xeb96c0b6c8c4b791ull},
+        {"faults", 0x2f402beda646463full},
+    };
+    std::ostringstream actual;
+    for (const auto &exp : experiments()) {
+        const ReportOutput out = reportOutput(exp, fabricatedSweep(exp));
+        char buf[80];
+        std::snprintf(buf, sizeof buf, "        {\"%s\", 0x%016llxull},\n",
+                      exp.name.c_str(),
+                      static_cast<unsigned long long>(
+                          fnv1a(out.text + out.figure)));
+        actual << buf;
+    }
+    std::ostringstream expected;
+    for (const auto &[name, digest] : pinned) {
+        char buf[80];
+        std::snprintf(buf, sizeof buf, "        {\"%s\", 0x%016llxull},\n",
+                      name.c_str(),
+                      static_cast<unsigned long long>(digest));
+        expected << buf;
+    }
+    EXPECT_EQ(actual.str(), expected.str());
+}
+
+TEST(Reports, FailedRunReadsAsNanInFig14)
+{
+    const Experiment &exp = builtin("fig14");
+    const ReportOutput ok = reportOutput(exp, fabricatedSweep(exp));
+    const ReportOutput out =
+        reportOutput(exp, sweepWithFailedRun(exp, "fig14 1way radix"));
+    ASSERT_EQ(rowsOf(out.text, "radix").size(), 1u);
+    EXPECT_EQ(nanCells(rowsOf(out.text, "radix")[0]), 2u);
+    EXPECT_EQ(nanCells(rowsOf(out.text, "GEOMEAN")[0]), 2u);
+    // The other benches keep their numbers.
+    EXPECT_EQ(rowsOf(out.text, "lu-nc"), rowsOf(ok.text, "lu-nc"));
+    EXPECT_EQ(out.text.find("-nan"), std::string::npos);
+    const Json fig = parsed(out.figure);
+    EXPECT_TRUE(fig.at("geomean_time_ratio").isNull());
+    EXPECT_TRUE(fig.at("geomean_energy_ratio").isNull());
+    EXPECT_TRUE(parsed(ok.figure).at("geomean_time_ratio").isNumber());
+}
+
+TEST(Reports, FailedReferenceRunReadsAsNanInFig08)
+{
+    // The PCT=1 run is every radix row's reference.
+    const Experiment &exp = builtin("fig08");
+    const ReportOutput ok = reportOutput(exp, fabricatedSweep(exp));
+    const ReportOutput out =
+        reportOutput(exp, sweepWithFailedRun(exp, "fig8 radix PCT=1"));
+    const auto radix = rowsOf(out.text, "radix");
+    ASSERT_EQ(radix.size(), exp.points.size());
+    for (const auto &row : radix)
+        EXPECT_EQ(nanCells(row), 7u) << row;
+    for (const auto &row : rowsOf(out.text, "AVERAGE"))
+        EXPECT_EQ(nanCells(row), 7u) << row;
+    EXPECT_EQ(rowsOf(out.text, "barnes"), rowsOf(ok.text, "barnes"));
+    EXPECT_EQ(out.text.find("-nan"), std::string::npos);
+    const Json fig = parsed(out.figure);
+    for (const auto &avg : fig.at("normalized_averages").elements())
+        for (const auto &c : avg.at("components").elements())
+            EXPECT_TRUE(c.isNull());
+}
+
+TEST(Reports, LitmusGivesNoVerdictWhenARunFailed)
+{
+    const Experiment &exp = builtin("litmus");
+    const ReportOutput ok = reportOutput(exp, fabricatedSweep(exp));
+    ASSERT_NE(ok.text.find("All litmus runs functionally clean"),
+              std::string::npos);
+    const ReportOutput out =
+        reportOutput(exp, sweepWithFailedRun(exp, "lacc litmus-prodcons"));
+    const auto lacc = rowsOf(out.text, "lacc");
+    ASSERT_FALSE(lacc.empty());
+    EXPECT_NE(lacc[0].find("litmus-prodcons"), std::string::npos);
+    EXPECT_EQ(nanCells(lacc[0]), 3u);
+    EXPECT_EQ(out.text.find("functionally clean"), std::string::npos);
+    EXPECT_EQ(out.text.find("FUNCTIONAL ERRORS"), std::string::npos);
+    EXPECT_NE(out.text.find("NOT EVERY LITMUS RUN COMPLETED"),
+              std::string::npos);
+    EXPECT_TRUE(parsed(out.figure).at("functionalErrors").isNull());
+}
+
 TEST(Sink, SweepDocumentRecordsRuns)
 {
-    const Experiment *exp = Registry::instance().find("fig14");
-    ASSERT_NE(exp, nullptr);
+    const Experiment *exp = &builtin("fig14");
 
     // Trim to a 2-run slice of the real grid so the test stays fast:
     // run the first benchmark pair through the real report path is
@@ -398,7 +685,7 @@ TEST(Sink, SweepDocumentRecordsRuns)
     ExperimentOutcome outcome;
     outcome.exp = exp;
     outcome.opScale = kTinyScale;
-    const auto jobs = exp->makeJobs();
+    const auto jobs = exp->jobs();
     ASSERT_GE(jobs.size(), 2u);
     SweepOptions opts;
     opts.jobs = 2;

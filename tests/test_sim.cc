@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -371,6 +372,34 @@ TEST(Overrides, ApplySelectsEngineAndFactories)
     EXPECT_TRUE(ConfigOverrides{}.validateOrReport());
     EXPECT_FALSE(ConfigOverrides{}.any());
     EXPECT_TRUE(ov.any());
+
+    // A set fault seed, zero included, replaces the config's.
+    ConfigOverrides seed;
+    seed.faultSeed = 0;
+    EXPECT_TRUE(seed.any());
+    seed.apply(cfg);
+    EXPECT_EQ(cfg.faultSeed, 0u);
+}
+
+TEST(Overrides, ParseU64IsStrict)
+{
+    const std::uint64_t max_seed = UINT64_MAX / 2;
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", 0, 10, v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("9223372036854775807", 0, max_seed, v));
+    EXPECT_EQ(v, max_seed);
+    for (const char *bad :
+         {"", "-1", "+2", " 2", "2 ", "0x10", "12x", "1e3",
+          "9223372036854775808", "18446744073709551615",
+          "99999999999999999999"}) {
+        v = 7;
+        EXPECT_FALSE(parseU64(bad, 0, max_seed, v)) << bad;
+        EXPECT_EQ(v, 7u) << bad;
+    }
+    EXPECT_FALSE(parseU64("0", 1, 1024, v));
+    EXPECT_FALSE(parseU64("1025", 1, 1024, v));
+    EXPECT_TRUE(parseU64("1024", 1, 1024, v));
 }
 
 TEST(Stats, LatencyBreakdownSumsAndAccumulates)
