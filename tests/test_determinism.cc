@@ -13,16 +13,24 @@
  * If a change is *meant* to alter protocol behavior, re-run this
  * binary and update the goldens below with the printed values.
  *
+ * Further goldens pin every interconnect topology, the 64-core
+ * machine, and each directory organization under ACKwise pointer
+ * overflow (the only runs that reach the overflow broadcast).
+ *
  * A second group re-runs a grid through the harness sweep runner
  * serially and with 4 worker threads and requires bit-identical
  * digests (the `--jobs 4` determinism contract of lacc_bench).
  */
+
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "net/factory.hh"
+#include "protocol/factory.hh"
 #include "system/experiment.hh"
 #include "system/multicore.hh"
 #include "system/report.hh"
@@ -65,14 +73,27 @@ mixedSpec()
     return s;
 }
 
-std::uint64_t
-signatureFor(const SystemConfig &cfg)
+/** Digest of one mixed-workload run, and its ACKwise broadcasts. */
+struct MixRun
+{
+    std::uint64_t signature;
+    std::uint64_t broadcasts;
+};
+
+MixRun
+runMix(const SystemConfig &cfg)
 {
     SyntheticWorkload wl(mixedSpec(), cfg);
     Multicore m(cfg);
     const SystemStats &stats = m.run(wl);
     EXPECT_EQ(m.functionalErrors(), 0u);
-    return statsSignature(stats);
+    return {statsSignature(stats), stats.protocol.broadcastInvals};
+}
+
+std::uint64_t
+signatureFor(const SystemConfig &cfg)
+{
+    return runMix(cfg).signature;
 }
 
 std::uint64_t
@@ -190,6 +211,65 @@ TEST(Determinism, TopologiesProduceDistinctTraffic)
     const auto s_mesh = signatureFor(mesh);
     EXPECT_NE(s_mesh, signatureFor(ring));
     EXPECT_NE(s_mesh, signatureFor(xbar));
+}
+
+// Golden digests per directory organization. Every golden above has
+// zero ACKwise broadcasts, so lacc and fullmap agree on all of them;
+// here one ACKwise pointer makes the mix overflow it. xbar has no
+// native broadcast, so it drives the serialized-unicast emulation.
+// Regenerate like the classifier goldens.
+struct ProtocolGolden
+{
+    const char *protocol;
+    const char *network;
+    ProtocolKind variant;
+    std::uint64_t signature;
+};
+
+const ProtocolGolden kProtocolGoldens[] = {
+    {"lacc", "mesh", ProtocolKind::Adaptive, 0x4288e0f641e70545ULL},
+    {"fullmap", "mesh", ProtocolKind::Adaptive, 0x4a9d58c62567b5f4ULL},
+    {"lacc", "xbar", ProtocolKind::Adaptive, 0xaacdea687524a674ULL},
+    {"fullmap", "xbar", ProtocolKind::Adaptive, 0x5e9137e28be7ecb7ULL},
+    {"lacc", "mesh", ProtocolKind::AdaptOneWay, 0x552deafe3298e267ULL},
+};
+
+TEST(Determinism, GoldenHashPerProtocol)
+{
+    // Adapt2-way digest per "protocol on network".
+    std::map<std::string, std::uint64_t> adapt2;
+    for (const auto &g : kProtocolGoldens) {
+        SystemConfig cfg = cfg8(ClassifierKind::Limited);
+        cfg.ackwisePointers = 1;
+        cfg.protocolKind = g.variant;
+        applyProtocolName(cfg, g.protocol);
+        applyNetworkName(cfg, g.network);
+        const MixRun r = runMix(cfg);
+        const std::string run = std::string(g.protocol) + " on " +
+                                g.network;
+        const std::string what =
+            run + (g.variant == ProtocolKind::AdaptOneWay ? " (Adapt1-way)"
+                                                          : "");
+        EXPECT_EQ(r.signature, g.signature)
+            << what << " stats signature drifted; actual 0x" << std::hex
+            << r.signature
+            << " — update the golden only if the change is intentional";
+        // Non-vacuity: these runs must reach the overflow broadcast,
+        // which a full-map list never takes.
+        if (cfg.directoryKind == DirectoryKind::Ackwise)
+            EXPECT_GT(r.broadcasts, 0u) << what;
+        else
+            EXPECT_EQ(r.broadcasts, 0u) << what;
+        if (g.variant == ProtocolKind::Adaptive)
+            adapt2[run] = r.signature;
+    }
+    for (const std::string net : {"mesh", "xbar"}) {
+        for (const std::string &name : protocolNames())
+            EXPECT_EQ(adapt2.count(name + " on " + net), 1u)
+                << name << " on " << net << " has no golden";
+        EXPECT_NE(adapt2["lacc on " + net], adapt2["fullmap on " + net])
+            << net;
+    }
 }
 
 TEST(Determinism, SweepRunnerSerialEqualsJobs4)
