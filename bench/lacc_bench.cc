@@ -28,7 +28,7 @@
 #include "harness/runner.hh"
 #include "harness/sink.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/overrides.hh"
 
@@ -77,9 +77,9 @@ usage(std::FILE *to)
         "  --timeout-ms X    per-run wall-clock watchdog; an expired\n"
         "                    run is recorded as \"failed\", not fatal\n"
         "  --resume          skip experiments whose BENCH_*.json in\n"
-        "                    --json-dir already holds a complete,\n"
-        "                    current artifact (corrupt or truncated\n"
-        "                    files are re-run)\n"
+        "                    --json-dir already holds this sweep\n"
+        "                    (same scale, runs and overrides); other,\n"
+        "                    corrupt or truncated files are re-run\n"
         "  --json-dir DIR    write BENCH_<experiment>.json into DIR\n"
         "  --quiet           suppress per-run progress on stderr\n"
         "  --help            this message\n");
@@ -219,7 +219,7 @@ main(int argc, char **argv)
     std::size_t totalRuns = 0;
     std::size_t skipped = 0;
     for (const auto *exp : selected) {
-        if (resume && validArtifactExists(jsonDir, *exp)) {
+        if (resume && validArtifactExists(jsonDir, *exp, opts)) {
             ++skipped;
             if (opts.progress)
                 std::fprintf(stderr,

@@ -11,7 +11,6 @@
  *   lacc_verify --fuzz [--seed N] [--iters N] [--cores N] [--ops N]
  *               [--protocol NAME] [--network NAME] [--faults NAME]
  *               [--fault-rate X] [--fault-seed N] [--repro-dir DIR]
- *               [--no-stepwise]
  *   lacc_verify --enumerate [--cores N] [--lines N] [--max-states N]
  *               [--protocol NAME] [--network NAME]
  *   lacc_verify --list-protocols | --list-networks
@@ -30,7 +29,7 @@
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/overrides.hh"
 #include "verify/enumerate.hh"
@@ -65,7 +64,6 @@ usage(std::FILE *to)
         "  --cores N         cores per trace, in [2, 16] (default 4)\n"
         "  --ops N           ops per core, in [1, 4096] (default 24)\n"
         "  --repro-dir DIR   write minimized repro traces into DIR\n"
-        "  --no-stepwise     skip the per-access invariant replay\n"
         "  --faults NAME     fuzz under a named fault plan (see\n"
         "                    lacc_bench --list-faults); a RunAbort is\n"
         "                    a *detected* fault, only silent\n"
@@ -174,8 +172,6 @@ main(int argc, char **argv)
                 "--fault-seed", value("--fault-seed"), 0, UINT64_MAX / 2);
         } else if (arg == "--repro-dir") {
             fo.reproDir = value("--repro-dir");
-        } else if (arg == "--no-stepwise") {
-            fo.stepwise = false;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage(stderr);

@@ -20,7 +20,7 @@
 #include "fault/plan.hh"
 #include "harness/registry.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "system/report.hh"
 #include "workload/litmus.hh"
 #include "workload/suite.hh"
@@ -768,7 +768,7 @@ ackwiseExperiment()
     e.description =
         "Baseline validation: ACKwise4 within ~1% of full-map";
     e.tag = "ackwise";
-    // The two directory protocols, selected by factory name
+    // The two directory organizations, selected by protocol name
     // (identical configs to setting directoryKind by hand).
     SystemConfig fullmap = baselineConfig();
     applyProtocolName(fullmap, "fullmap");

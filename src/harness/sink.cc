@@ -101,7 +101,8 @@ writeJsonFile(const std::string &dir, const std::string &name,
 }
 
 bool
-validArtifactExists(const std::string &dir, const Experiment &exp)
+validArtifactExists(const std::string &dir, const Experiment &exp,
+                    const SweepOptions &opts)
 {
     namespace fs = std::filesystem;
     const fs::path path =
@@ -120,25 +121,33 @@ validArtifactExists(const std::string &dir, const Experiment &exp)
         return false;
     const Json *schema = doc.find("schema_version");
     const Json *name = doc.find("experiment");
-    const Json *jobs = doc.find("jobs");
+    const Json *scale = doc.find("op_scale");
     const Json *runs = doc.find("runs");
-    if (schema == nullptr || name == nullptr || jobs == nullptr ||
-        runs == nullptr)
+    if (schema == nullptr || name == nullptr || scale == nullptr ||
+        runs == nullptr || !runs->isArray())
         return false;
-    if (!schema->isNumber() || !name->isString() ||
-        !jobs->isNumber() || !runs->isArray())
+    if (*schema != Json(kBenchJsonSchemaVersion) ||
+        *name != Json(exp.name) || *scale != Json(resolveOpScale(opts)))
         return false;
-    if (schema->asDouble() !=
-        static_cast<double>(kBenchJsonSchemaVersion))
+    // The artifact must hold this very sweep: one run record per job
+    // (a truncated runs array fails here), each naming the job's
+    // label, bench and configuration after the CLI overrides.
+    const std::vector<Job> jobs = exp.jobs();
+    const std::vector<Json> &records = runs->elements();
+    if (records.size() != jobs.size())
         return false;
-    if (name->asString() != exp.name)
-        return false;
-    // A complete sweep wrote exactly one run record per job: a
-    // truncated runs array (killed mid-write before the fatal() in
-    // writeJsonFile could fire, or a partial copy) fails here.
-    const double jobs_n = jobs->asDouble();
-    return static_cast<double>(runs->elements().size()) == jobs_n &&
-           static_cast<double>(exp.jobs().size()) == jobs_n;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SystemConfig cfg = jobs[i].cfg;
+        opts.overrides.apply(cfg);
+        const Json *label = records[i].find("label");
+        const Json *bench = records[i].find("bench");
+        const Json *config = records[i].find("config");
+        if (label == nullptr || bench == nullptr || config == nullptr ||
+            *label != Json(jobs[i].label) ||
+            *bench != Json(jobs[i].bench) || *config != toJson(cfg))
+            return false;
+    }
+    return true;
 }
 
 ExperimentOutcome

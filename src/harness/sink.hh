@@ -73,14 +73,18 @@ ExperimentOutcome runExperiment(const Experiment &exp,
 
 /**
  * Crash-safe resume probe (`lacc_bench --resume`): does
- * `<dir>/BENCH_<name>.json` already hold a complete, current
- * artifact for @p exp? True only when the file parses as JSON, its
- * schema_version matches kBenchJsonSchemaVersion, its experiment
- * field is @p exp's name, and the runs array length equals the jobs
- * count — so corrupt, truncated, or stale-schema artifacts are
- * re-run rather than trusted.
+ * `<dir>/BENCH_<name>.json` already hold the complete artifact of the
+ * sweep @p opts would run for @p exp? True only when the file parses
+ * as JSON, its schema_version matches kBenchJsonSchemaVersion, its
+ * experiment field is @p exp's name, its op_scale equals
+ * resolveOpScale(@p opts), and it holds one run per job whose label,
+ * bench and config equal the job's after @p opts.overrides — so
+ * corrupt, truncated, stale-schema and other-sweep artifacts (another
+ * scale, a --protocol/--network/--faults override) are re-run rather
+ * than trusted.
  */
-bool validArtifactExists(const std::string &dir, const Experiment &exp);
+bool validArtifactExists(const std::string &dir, const Experiment &exp,
+                         const SweepOptions &opts);
 
 } // namespace lacc::harness
 

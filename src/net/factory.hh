@@ -3,7 +3,7 @@
  * Network factory: builds the NetworkModel selected by a
  * SystemConfig, and maps topology names <-> configurations so the
  * harness can sweep fabrics by name (`lacc_bench --network`),
- * mirroring the protocol factory (protocol/factory.hh).
+ * mirroring the protocol name table (protocol/protocol.hh).
  */
 
 #ifndef LACC_NET_FACTORY_HH

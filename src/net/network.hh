@@ -6,8 +6,7 @@
  * with native broadcast support (§3.1, Table 1) — but the protocol's
  * headline mechanism (ACKwise_p falling back to broadcast on pointer
  * overflow) is exactly the part whose cost depends on what the
- * network makes cheap. NetworkModel abstracts the fabric the same way
- * protocol/protocol.hh abstracts the coherence engine: unicast and
+ * network makes cheap. NetworkModel abstracts the fabric: unicast and
  * broadcast timing, hop/distance accounting, per-message energy
  * charging, and contention bookkeeping all live behind this
  * interface, and concrete topologies (net/mesh.hh, net/torus.hh,

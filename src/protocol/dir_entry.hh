@@ -51,7 +51,7 @@ dirStateName(DirState s)
 /**
  * Per-line metadata of an L2 slice: directory entry (Fig 6/7) plus
  * simulator bookkeeping. Every fill rewrites all of it
- * (BaseDirectoryController::l2FindOrFill).
+ * (DirectoryController::l2FindOrFill).
  */
 struct L2Meta
 {

@@ -1,4 +1,4 @@
-#include "protocol/base.hh"
+#include "protocol/protocol.hh"
 
 #include <algorithm>
 
@@ -10,18 +10,19 @@
 #include "sim/config.hh"
 #include "sim/functional.hh"
 #include "sim/log.hh"
+#include "sim/named_registry.hh"
 #include "sim/stats.hh"
 #include "system/tile.hh"
 
 namespace lacc {
 
 // ---------------------------------------------------------------------------
-// BaseL1Controller
+// L1Controller
 // ---------------------------------------------------------------------------
 
 void
-BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
-                         bool is_ifetch, bool charge_fetch_energy)
+L1Controller::access(CoreId c, Addr addr, bool is_write,
+                     bool is_ifetch, bool charge_fetch_energy)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
@@ -75,11 +76,11 @@ BaseL1Controller::access(CoreId c, Addr addr, bool is_write,
 
     // L1 set information communicated with the miss (§3.2/§3.3).
     const L1SetHint hint{l1.hasInvalidWay(line), l1.minLastAccess(line)};
-    dir_->request(c, addr, is_write, is_ifetch, upgrade, hint);
+    dir_.request(c, addr, is_write, is_ifetch, upgrade, hint);
 }
 
 bool
-BaseL1Controller::touchResidentIfetch(CoreId c, Addr addr)
+L1Controller::touchResidentIfetch(CoreId c, Addr addr)
 {
     Tile &tl = *ctx_.tiles[c];
     auto e = tl.l1i.find(ctx_.addr.lineOf(addr));
@@ -93,8 +94,8 @@ BaseL1Controller::touchResidentIfetch(CoreId c, Addr addr)
 }
 
 L1Cache::Entry
-BaseL1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
-                       const std::uint64_t *words, L1State st, Cycle t)
+L1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
+                   const std::uint64_t *words, L1State st, Cycle t)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
@@ -119,8 +120,8 @@ BaseL1Controller::fill(CoreId c, bool is_ifetch, LineAddr line,
 }
 
 void
-BaseL1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
-                               std::uint32_t word, std::uint64_t val)
+L1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
+                           std::uint32_t word, std::uint64_t val)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &l1 = is_ifetch ? tl.l1i : tl.l1d;
@@ -135,15 +136,15 @@ BaseL1Controller::applyUpgrade(CoreId c, bool is_ifetch, LineAddr line,
 }
 
 void
-BaseL1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim,
-                        Cycle t)
+L1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim,
+                    Cycle t)
 {
     Tile &tl = *ctx_.tiles[c];
     const LineAddr line = victim.tag();
     const std::uint32_t util = victim.meta().privateUtil;
     const bool was_m = victim.meta().state == L1State::Modified;
 
-    const CoreId home = dir_->homeOf(line, c);
+    const CoreId home = dir_.homeOf(line, c);
     ctx_.stats.evictionUtil.record(util);
     if (!is_ifetch)
         tl.missTracker.onEviction(line);
@@ -163,13 +164,13 @@ BaseL1Controller::evict(CoreId c, bool is_ifetch, L1Cache::Entry victim,
 
     // The victim slot is overwritten only after the notice completes,
     // so handing its arena slice down by pointer is safe.
-    dir_->evictionNotice(home, c, line, was_m, victim.words(), util,
-                         still_holds);
+    dir_.evictionNotice(home, c, line, was_m, victim.words(), util,
+                        still_holds);
 }
 
 DropResult
-BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
-                           bool l2_eviction)
+L1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
+                       bool l2_eviction)
 {
     Tile &st = *ctx_.tiles[s];
     DropResult res{};
@@ -219,7 +220,7 @@ BaseL1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
 }
 
 bool
-BaseL1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
+L1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
 {
     Tile &ot = *ctx_.tiles[owner];
     auto e = ot.l1d.find(entry.tag());
@@ -241,7 +242,7 @@ BaseL1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
 }
 
 bool
-BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
+L1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 {
     Tile &tl = *ctx_.tiles[c];
     L1Cache &other = is_ifetch ? tl.l1d : tl.l1i;
@@ -260,17 +261,20 @@ BaseL1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 }
 
 // ---------------------------------------------------------------------------
-// BaseDirectoryController
+// DirectoryController
 // ---------------------------------------------------------------------------
 
-BaseDirectoryController::BaseDirectoryController(
-    const ProtocolContext &ctx, const SharerState &fresh)
-    : ctx_(ctx), classifier_(LocalityClassifier::create(ctx.cfg)),
-      layout_(ctx.cfg), freshSharers_(fresh)
+DirectoryController::DirectoryController(const ProtocolContext &ctx,
+                                         L1Controller &l1)
+    : ctx_(ctx), l1_(l1), classifier_(LocalityClassifier::create(ctx.cfg)),
+      layout_(ctx.cfg),
+      freshSharers_(ctx.cfg.directoryKind == DirectoryKind::FullMap
+                        ? SharerState::fullMap(ctx.cfg.numCores)
+                        : SharerState::ackwise(ctx.cfg.ackwisePointers))
 {}
 
 CoreId
-BaseDirectoryController::homeOf(LineAddr line, CoreId requester) const
+DirectoryController::homeOf(LineAddr line, CoreId requester) const
 {
     const auto *rec = ctx_.pageTable.lookup(ctx_.addr.pageOfLine(line));
     if (rec == nullptr)
@@ -280,9 +284,9 @@ BaseDirectoryController::homeOf(LineAddr line, CoreId requester) const
 }
 
 L2Cache::Entry
-BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
-                                      Cycle t_arr, Cycle &t_ready,
-                                      Cycle &waiting, Cycle &offchip)
+DirectoryController::l2FindOrFill(CoreId home, LineAddr line,
+                                  Cycle t_arr, Cycle &t_ready,
+                                  Cycle &waiting, Cycle &offchip)
 {
     Tile &ht = *ctx_.tiles[home];
     if (auto e = ht.l2.find(line)) {
@@ -334,10 +338,10 @@ BaseDirectoryController::l2FindOrFill(CoreId home, LineAddr line,
 }
 
 void
-BaseDirectoryController::applySoftFaults(CoreId c, CoreId home,
-                                         LineAddr line,
-                                         L2Cache::Entry entry, Cycle t,
-                                         Cycle &corr, Cycle &scrub)
+DirectoryController::applySoftFaults(CoreId c, CoreId home,
+                                     LineAddr line,
+                                     L2Cache::Entry entry, Cycle t,
+                                     Cycle &corr, Cycle &scrub)
 {
     FaultInjector &inj = *ctx_.fault;
     const FaultPlan &plan = inj.plan();
@@ -446,9 +450,9 @@ BaseDirectoryController::applySoftFaults(CoreId c, CoreId home,
 }
 
 void
-BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
-                                 bool is_ifetch, bool upgrade,
-                                 const L1SetHint &hint)
+DirectoryController::request(CoreId c, Addr addr, bool is_write,
+                             bool is_ifetch, bool upgrade,
+                             const L1SetHint &hint)
 {
     Tile &rt = *ctx_.tiles[c];
     const LineAddr line = ctx_.addr.lineOf(addr);
@@ -517,13 +521,13 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
         if (mode == Mode::Private || promote) {
             granted = true;
             if (upgrade) {
-                l1_->applyUpgrade(c, is_ifetch, line, word, val);
+                l1_.applyUpgrade(c, is_ifetch, line, word, val);
                 ++ctx_.stats.protocol.upgradeGrants;
                 ctx_.energy.addL2TagOnly();
             } else {
                 L1Cache::Entry fe =
-                    l1_->fill(c, is_ifetch, line, entry.words(),
-                              L1State::Modified, t_shar);
+                    l1_.fill(c, is_ifetch, line, entry.words(),
+                             L1State::Modified, t_shar);
                 fe.words()[word] = val;
                 ++ctx_.stats.protocol.privateWriteGrants;
                 ctx_.energy.addL2Line();
@@ -531,7 +535,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             }
             // A dual-copy line leaves a stale copy in the requester's
             // other L1 after the write: drop it locally.
-            l1_->dropOtherCopy(c, is_ifetch, line);
+            l1_.dropOtherCopy(c, is_ifetch, line);
             ctx_.mem.write(addr, val);
             entry.meta().holders.insert(c); // set semantics: no dup
             SharerList sharers = sharersOf(entry);
@@ -552,7 +556,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
                 rt.missTracker.onRemoteAccess(line);
             // A remote writer keeps no private copy: its stale copy
             // in the other L1 (dual-copy line) must go too.
-            if (l1_->dropOtherCopy(c, is_ifetch, line)) {
+            if (l1_.dropOtherCopy(c, is_ifetch, line)) {
                 if (entry.meta().holders.erase(c))
                     sharersOf(entry).remove(c);
                 if (entry.meta().holders.empty()) {
@@ -580,7 +584,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
                     // other L1 (dual-copy line): merge its M data
                     // locally — same tile, no network round trip —
                     // before filling from the L2 copy.
-                    l1_->downgradeCopy(c, entry);
+                    l1_.downgradeCopy(c, entry);
                     entry.meta().dstate = DirState::Shared;
                     entry.meta().owner = kInvalidCore;
                 }
@@ -588,7 +592,7 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
             const L1State st = entry.meta().holders.empty()
                                    ? L1State::Exclusive
                                    : L1State::Shared;
-            l1_->fill(c, is_ifetch, line, entry.words(), st, t_shar);
+            l1_.fill(c, is_ifetch, line, entry.words(), st, t_shar);
             ctx_.mem.checkRead(addr, entry.words()[word]);
             // Gate the sharer count on *new* holdership: an ACKwise
             // list in overflow mode counts blindly, and a dual-copy
@@ -645,12 +649,12 @@ BaseDirectoryController::request(CoreId c, Addr addr, bool is_write,
 }
 
 Cycle
-BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
-                                    L2Cache::Entry entry,
-                                    bool l2_eviction, Cycle t_arr)
+DirectoryController::dropAndAck(CoreId s, CoreId home,
+                                L2Cache::Entry entry,
+                                bool l2_eviction, Cycle t_arr)
 {
-    const DropResult dr = l1_->dropCopy(s, entry.tag(), entry,
-                                        l2_eviction);
+    const DropResult dr =
+        l1_.dropCopy(s, entry.tag(), entry, l2_eviction);
     if (!l2_eviction) {
         // The locality state dies with an L2 eviction, so only a
         // protocol invalidation classifies the removal (§3.2).
@@ -666,25 +670,48 @@ BaseDirectoryController::dropAndAck(CoreId s, CoreId home,
 }
 
 Cycle
-BaseDirectoryController::fanOutInvalidations(CoreId home,
-                                             L2Cache::Entry entry,
-                                             const HolderVec &targets,
-                                             Cycle t)
+DirectoryController::unicastInvalidation(CoreId s, CoreId home,
+                                         L2Cache::Entry entry,
+                                         bool l2_eviction, Cycle t)
+{
+    Message inval{MsgKind::InvalReq, home, s, MsgPayload::None};
+    const Cycle t_arr = ctx_.net.send(inval, t);
+    ++ctx_.stats.protocol.invalidationsSent;
+    return dropAndAck(s, home, entry, l2_eviction, t_arr);
+}
+
+Cycle
+DirectoryController::fanOutInvalidations(CoreId home, L2Cache::Entry entry,
+                                         const HolderVec &targets, Cycle t)
 {
     Cycle t_end = t;
-    for (const CoreId s : targets) {
-        Message inval{MsgKind::InvalReq, home, s, MsgPayload::None};
-        const Cycle t_arr = ctx_.net.send(inval, t);
-        ++ctx_.stats.protocol.invalidationsSent;
-        t_end = std::max(t_end, dropAndAck(s, home, entry, false, t_arr));
+    if (!entry.meta().sharers.overflowed) {
+        for (const CoreId s : targets)
+            t_end = std::max(t_end,
+                             unicastInvalidation(s, home, entry, false, t));
+        return t_end;
     }
+
+    // ACKwise overflow: identities unknown, broadcast instead of
+    // per-sharer unicasts; acks only from the actual sharers (§3.1).
+    // On fabrics without native broadcast the transport pays the
+    // serialized-unicast emulation here — the topology-sensitivity
+    // experiment measures exactly that. The arrival buffer is a
+    // reusable member (the network broadcast re-assigns it to
+    // numCores each call without reallocating).
+    Message bcast{MsgKind::InvalReq, home, home, MsgPayload::None};
+    ctx_.net.broadcast(bcast, t, bcastArrivals_);
+    ++ctx_.stats.protocol.broadcastInvals;
+    for (const CoreId s : targets)
+        t_end = std::max(t_end, dropAndAck(s, home, entry, false,
+                                           bcastArrivals_[s]));
     return t_end;
 }
 
 Cycle
-BaseDirectoryController::invalidateHolders(CoreId home,
-                                           L2Cache::Entry entry,
-                                           CoreId except, Cycle t)
+DirectoryController::invalidateHolders(CoreId home,
+                                       L2Cache::Entry entry,
+                                       CoreId except, Cycle t)
 {
     // Snapshot the holder set into the reusable scratch (grant order
     // preserved — fan-out order is modeled timing).
@@ -717,8 +744,8 @@ BaseDirectoryController::invalidateHolders(CoreId home,
 }
 
 Cycle
-BaseDirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
-                                       Cycle t)
+DirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
+                                   Cycle t)
 {
     const CoreId o = entry.meta().owner;
     if (o == kInvalidCore)
@@ -726,7 +753,7 @@ BaseDirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
 
     Message req{MsgKind::DowngradeReq, home, o, MsgPayload::None};
     const Cycle t_req = ctx_.net.send(req, t);
-    const bool was_m = l1_->downgradeCopy(o, entry);
+    const bool was_m = l1_.downgradeCopy(o, entry);
     Message ack{MsgKind::DowngradeAck, o, home,
                 was_m ? MsgPayload::Line : MsgPayload::None};
     const Cycle t_ack = ctx_.net.send(ack, t_req + 1);
@@ -738,11 +765,11 @@ BaseDirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
 }
 
 void
-BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
-                                        LineAddr line, bool was_modified,
-                                        const std::uint64_t *words,
-                                        std::uint32_t util,
-                                        bool still_holds)
+DirectoryController::evictionNotice(CoreId home, CoreId c,
+                                    LineAddr line, bool was_modified,
+                                    const std::uint64_t *words,
+                                    std::uint32_t util,
+                                    bool still_holds)
 {
     auto he = ctx_.tiles[home]->l2.find(line);
     if (!he)
@@ -780,20 +807,21 @@ BaseDirectoryController::evictionNotice(CoreId home, CoreId c,
 }
 
 void
-BaseDirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
-                                 Cycle t)
+DirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
+                             Cycle t)
 {
     const LineAddr line = victim.tag();
-    // Snapshot into the eviction scratch: dropAndAck below consults
-    // the entry while the loop runs, and the holder set must not be
-    // mutated mid-iteration.
+    // Snapshot into the eviction scratch: each invalidation below
+    // consults the entry while the loop runs, and the holder set must
+    // not be mutated mid-iteration.
     evictTargets_ = victim.meta().holders;
-    for (const CoreId s : evictTargets_) {
-        Message inval{MsgKind::InvalReq, home, s, MsgPayload::None};
-        const Cycle t_arr = ctx_.net.send(inval, t);
-        ++ctx_.stats.protocol.invalidationsSent;
-        dropAndAck(s, home, victim, true, t_arr);
-    }
+    // Not fanOutInvalidations: this unicasts to each holder from the
+    // holder oracle even when an ACKwise list has overflowed, where a
+    // real ACKwise_p directory would broadcast. A modelling choice
+    // that the goldens pin (ARCHITECTURE, "Life of a memory access",
+    // step 3).
+    for (const CoreId s : evictTargets_)
+        unicastInvalidation(s, home, victim, true, t);
     victim.meta().holders.clear();
     sharersOf(victim).clear();
 
@@ -813,8 +841,8 @@ BaseDirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
 }
 
 void
-BaseDirectoryController::flushPage(CoreId old_home, PageAddr page,
-                                   Cycle t)
+DirectoryController::flushPage(CoreId old_home, PageAddr page,
+                               Cycle t)
 {
     const std::uint32_t lines_per_page = ctx_.addr.linesPerPage();
     const LineAddr first = ctx_.addr.firstLineOf(page);
@@ -825,6 +853,54 @@ BaseDirectoryController::flushPage(CoreId old_home, PageAddr page,
             ++ctx_.stats.protocol.rehomeFlushes;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Protocol names
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The single registration point: a directory organization is one
+ * entry here, plus its DirectoryKind and SharerState mode. Lookup and
+ * diagnostics come from the shared named-registry helpers.
+ */
+struct ProtocolEntry
+{
+    const char *name;
+    DirectoryKind kind;
+};
+
+const ProtocolEntry kProtocols[] = {
+    {"lacc", DirectoryKind::Ackwise},
+    {"fullmap", DirectoryKind::FullMap},
+};
+
+} // namespace
+
+const std::vector<std::string> &
+protocolNames()
+{
+    static const std::vector<std::string> names =
+        registry::entryNames(kProtocols);
+    return names;
+}
+
+const char *
+protocolNameFor(const SystemConfig &cfg)
+{
+    return registry::entryForKind(kProtocols, cfg.directoryKind,
+                                  "protocol")
+        .name;
+}
+
+void
+applyProtocolName(SystemConfig &cfg, const std::string &name)
+{
+    cfg.directoryKind =
+        registry::entryForNameOrFatal(kProtocols, "protocol", name)
+            .kind;
 }
 
 } // namespace lacc

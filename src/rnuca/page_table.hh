@@ -6,7 +6,8 @@
  * Data pages are classified at OS-page granularity on first touch:
  * a page first touched by core c is Private(c); when a second core
  * touches it, it is re-classified Shared (and the old home slice must
- * be flushed, modeling the OS shootdown R-NUCA performs). Pages that
+ * be flushed, modeling the OS shootdown R-NUCA performs; see
+ * DirectoryController::flushPage in protocol/protocol.hh). Pages that
  * are instruction-fetched are classified Instruction and replicated
  * per cluster with rotational interleaving.
  */
@@ -70,7 +71,8 @@ class PageTable
         Record record;
         /**
          * True when this access re-classified the page from
-         * PrivateData to SharedData; the caller must flush the page's
+         * PrivateData to SharedData; the caller
+         * (DirectoryController::request) must flush the page's
          * lines from the old home slice (Record::owner of the previous
          * classification, reported in oldOwner).
          */
@@ -101,7 +103,8 @@ class PageTable
 
   private:
     // Flat open-addressing map (sim/flat_map.hh): consulted on every
-    // directory transaction (access + homeOf lookup).
+    // directory transaction (access, plus the homeOf lookup of every
+    // L1 eviction).
     FlatAddrMap<Record> table_;
 };
 

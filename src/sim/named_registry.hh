@@ -1,11 +1,12 @@
 /**
  * @file
- * Shared helpers for the config-keyed named factories (protocol,
- * network, fault plan). Each factory keeps a flat table of
- * entries — `{name, kind, make}` — as its single registration point;
- * the lookup/listing/diagnostic logic lives here once, so every
- * factory resolves names, lists itself (`--list-*`), and rejects
- * unknown names with the same "unknown X (known: ...)" shape.
+ * Shared helpers for the config-keyed name tables (protocol,
+ * network, fault plan). Each keeps a flat table of entries —
+ * `{name, kind}`, plus `make` where a factory builds an object — as
+ * its single registration point; the lookup/listing/diagnostic logic
+ * lives here once, so every table resolves names, lists itself
+ * (`--list-*`), and rejects unknown names with the same
+ * "unknown X (known: ...)" shape.
  *
  * An Entry type only needs two fields to participate:
  *   const char *name;   // stable CLI-facing identifier

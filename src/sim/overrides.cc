@@ -6,7 +6,7 @@
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/config.hh"
 #include "sim/named_registry.hh"
 

@@ -28,7 +28,15 @@ Multicore::Multicore(const SystemConfig &cfg)
       pageTable_(static_cast<std::size_t>(cfg_.numCores) *
                  cfg_.l2Sets() * cfg_.l2Assoc /
                  (cfg_.pageSize / cfg_.lineSize)),
-      placement_(cfg_), queue_(cfg_.numCores), barrier_(cfg_.numCores)
+      placement_(cfg_),
+      // Fault injector before the controllers: the network, the
+      // transport, and the directory each hold a pointer (null under
+      // FaultPlan none, keeping every hook a single untaken branch).
+      fault_(cfg_.faultKind != FaultKind::None
+                 ? std::make_unique<FaultInjector>(cfg_)
+                 : nullptr),
+      l1_(protocolContext(), dir_), dir_(protocolContext(), l1_),
+      queue_(cfg_.numCores), barrier_(cfg_.numCores)
 {
     tiles_.reserve(cfg_.numCores);
     for (std::uint32_t c = 0; c < cfg_.numCores; ++c)
@@ -36,18 +44,16 @@ Multicore::Multicore(const SystemConfig &cfg)
                                                 cfg_));
     stats_.perCore.resize(cfg_.numCores);
     mem_.setCores(cfg_.numCores);
-    // Fault injector before the protocol: the network, the transport,
-    // and the directory controllers each hold a pointer (null under
-    // FaultPlan none, keeping every hook a single untaken branch).
-    if (cfg_.faultKind != FaultKind::None) {
-        fault_ = std::make_unique<FaultInjector>(cfg_);
-        network_->setFaultInjector(fault_.get());
-        net_.setFaultInjector(fault_.get());
-    }
-    protocol_ = makeProtocol(
-        cfg_, ProtocolContext{cfg_, addr_, tiles_, net_, energy_,
-                              dram_, pageTable_, placement_, stats_,
-                              mem_, fault_.get()});
+    network_->setFaultInjector(fault_.get());
+    net_.setFaultInjector(fault_.get());
+}
+
+ProtocolContext
+Multicore::protocolContext()
+{
+    return ProtocolContext{cfg_, addr_, tiles_, net_, energy_, dram_,
+                           pageTable_, placement_, stats_, mem_,
+                           fault_.get()};
 }
 
 const SystemStats &
@@ -127,7 +133,6 @@ void
 Multicore::step(CoreId c, const MemOp &op)
 {
     Tile &tl = *tiles_[c];
-    L1Controller &l1 = protocol_->l1();
     switch (op.kind) {
       case MemOp::Kind::Read:
       case MemOp::Kind::Write: {
@@ -138,13 +143,13 @@ Multicore::step(CoreId c, const MemOp &op)
         else
             ++tl.stats.memReads;
         advanceInstructions(c, 1, *workload_);
-        l1.access(c, op.addr, is_write, false);
+        l1_.access(c, op.addr, is_write, false);
         schedule(c, tl.now);
         break;
       }
       case MemOp::Kind::IFetch:
         ++tl.stats.instructions;
-        l1.access(c, op.addr, false, true);
+        l1_.access(c, op.addr, false, true);
         schedule(c, tl.now);
         break;
       case MemOp::Kind::Compute:
@@ -201,8 +206,8 @@ Multicore::advanceInstructions(CoreId c, std::uint64_t n,
                                      cfg_.lineSize;
         // Fast path: a resident I-line costs nothing extra (fetch is
         // pipelined); only misses stall the core.
-        if (!protocol_->l1().touchResidentIfetch(c, addr))
-            protocol_->l1().access(c, addr, false, true, false);
+        if (!l1_.touchResidentIfetch(c, addr))
+            l1_.access(c, addr, false, true, false);
     }
 }
 
@@ -292,7 +297,7 @@ Multicore::handleLockAcquire(CoreId c, std::uint32_t id,
     if (id >= locks_.size())
         fatal("lock id %u out of range (%zu locks)", id, locks_.size());
     Tile &tl = *tiles_[c];
-    protocol_->l1().access(c, workload.lockAddr(id), true, false);
+    l1_.access(c, workload.lockAddr(id), true, false);
     const Cycle t_end = tl.now;
 
     if (locks_[id].tryAcquire(c)) {
@@ -312,7 +317,7 @@ Multicore::handleLockRelease(CoreId c, std::uint32_t id,
     Tile &tl = *tiles_[c];
     if (locks_[id].holder() != c)
         fatal("core %u releases lock %u it does not hold", c, id);
-    protocol_->l1().access(c, workload.lockAddr(id), true, false);
+    l1_.access(c, workload.lockAddr(id), true, false);
     const Cycle t_end = tl.now;
 
     LockState::Waiter w{};
@@ -335,7 +340,7 @@ Multicore::testAccess(CoreId core, Addr addr, bool is_write,
 {
     if (is_write && is_ifetch)
         fatal("testAccess: an ifetch cannot be a write");
-    protocol_->l1().access(core, addr, is_write, is_ifetch);
+    l1_.access(core, addr, is_write, is_ifetch);
     return tiles_[core]->now;
 }
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * The whole-system simulator: a tiled multicore running a pluggable
- * coherence protocol (protocol/factory.hh) on a Private-L1 Shared-L2
- * (R-NUCA) organization. The default protocol is the paper's
- * Locality-Aware Adaptive Coherence over ACKwise_p directories
- * (protocol/lacc.hh); the full-map baseline is selected via
- * SystemConfig::directoryKind (protocol/fullmap.hh).
+ * The whole-system simulator: a tiled multicore running the paper's
+ * Locality-Aware Adaptive Coherence (protocol/protocol.hh) on a
+ * Private-L1 Shared-L2 (R-NUCA) organization. The directory tracks
+ * sharers with ACKwise_p pointers by default; the full-map baseline
+ * is selected via SystemConfig::directoryKind.
  *
  * Modeling level mirrors the paper's Graphite setup (§4.1):
  * trace-driven in-order 1-IPC cores with per-core clocks (lax
@@ -21,8 +20,8 @@
  * barrier/lock synchronization, warm-up stats resets, and functional
  * checking. The coherence state machine — miss transactions,
  * invalidation fan-out, write-backs, L1/L2 fills and evictions, the
- * remote-word path — lives behind the protocol layer's
- * L1Controller/DirectoryController interfaces.
+ * remote-word path — lives in the protocol layer's L1Controller and
+ * DirectoryController, which this class owns.
  *
  * Directory transactions execute atomically in simulated-time order:
  * protocol state updates are instantaneous at transaction processing
@@ -44,7 +43,6 @@
 #include "energy/model.hh"
 #include "fault/injector.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
 #include "protocol/messages.hh"
 #include "protocol/protocol.hh"
 #include "rnuca/page_table.hh"
@@ -112,10 +110,10 @@ class Multicore
     const PageTable &pageTable() const { return pageTable_; }
     /** R-NUCA line-to-home-slice placement policy. */
     const Placement &placement() const { return placement_; }
-    /** The coherence protocol this system runs (factory-selected). */
-    CoherenceProtocol &protocol() { return *protocol_; }
+    /** The home-slice side of the protocol (homeOf, the classifier). */
+    const DirectoryController &directory() const { return dir_; }
     /** The system-wide locality classifier policy object. */
-    LocalityClassifier &classifier() { return protocol_->classifier(); }
+    LocalityClassifier &classifier() { return dir_.classifier(); }
     /** The DRAM model behind the memory controllers. */
     DramModel &dram() { return dram_; }
     /** The functional reference memory (verification oracle). */
@@ -211,6 +209,9 @@ class Multicore
     void handleLockRelease(CoreId c, std::uint32_t id,
                            Workload &workload);
 
+    /** The controllers' view of this system (built before them). */
+    ProtocolContext protocolContext();
+
     SystemConfig cfg_;
     AddressMap addr_;
 
@@ -228,17 +229,22 @@ class Multicore
     // Functional reference memory (word granularity).
     FunctionalMemory mem_;
 
-    /** Armed fault injector (null under FaultPlan none). */
+    /**
+     * Armed fault injector (null under FaultPlan none). Declared
+     * before the controllers: their ProtocolContext copies its
+     * pointer at construction.
+     */
     std::unique_ptr<FaultInjector> fault_;
+
+    /** The coherence controllers, wired to each other by reference. */
+    L1Controller l1_;
+    DirectoryController dir_;
 
     // Wall-clock watchdog (setTimeoutMs / watchdogExpired).
     double timeoutMs_ = 0.0;
     std::chrono::steady_clock::time_point watchdogDeadline_;
     std::uint32_t watchdogPoll_ = 0;
     bool watchdogFired_ = false;
-
-    /** The pluggable coherence engine (constructed after the tiles). */
-    std::unique_ptr<CoherenceProtocol> protocol_;
 
     // Event loop: the next core to step, and the workload being run
     // (set by run(), which is single-use).

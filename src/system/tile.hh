@@ -5,8 +5,8 @@
  * per-core statistics. The network router is shared infrastructure
  * (net/network.hh, a factory-built NetworkModel — 2-D mesh by
  * default); the directory state machine lives in the
- * protocol layer (protocol/base.hh), which owns every mutation of the
- * L2Meta directory entries embedded here.
+ * protocol layer's DirectoryController (protocol/protocol.hh), which
+ * owns every mutation of the L2Meta directory entries embedded here.
  */
 
 #ifndef LACC_SYSTEM_TILE_HH

@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/types.hh"
 #include "system/multicore.hh"

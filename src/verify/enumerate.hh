@@ -81,7 +81,7 @@ struct EnumOptions
 {
     std::uint32_t cores = 2;        //!< [2, 4]
     std::uint32_t lines = 2;        //!< [1, 2]
-    std::string protocol = "lacc";  //!< factory key
+    std::string protocol = "lacc";  //!< protocol name
     std::string network = "mesh";   //!< factory key
     /** Cap on distinct states, in [1, kMaxEnumStates]. The default
      * covers the default 2-core/2-line space (1,036,931 states). */

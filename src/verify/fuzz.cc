@@ -7,7 +7,7 @@
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "sim/rng.hh"
 #include "system/multicore.hh"
@@ -148,7 +148,7 @@ fuzzConfig(std::uint32_t cores)
 
 std::vector<std::string>
 checkTrace(const TraceWorkload &w, const SystemConfig &cfg,
-           bool stepwise, const std::string &evidence_path)
+           const std::string &evidence_path)
 {
     if (!evidence_path.empty())
         saveTrace(w, evidence_path, {"fuzz candidate (in flight)"});
@@ -178,7 +178,7 @@ checkTrace(const TraceWorkload &w, const SystemConfig &cfg,
     // happens to re-absorb is caught here. Lock ops replay as plain
     // writes to the lock line (any interleaving is coherence-legal);
     // compute/barrier ops are timing-only and are skipped.
-    if (stepwise) {
+    {
         Multicore m(cfg);
         const auto &streams = w.streams();
         std::vector<std::size_t> pos(streams.size(), 0);
@@ -234,7 +234,7 @@ checkTrace(const TraceWorkload &w, const SystemConfig &cfg,
 
 TraceWorkload
 shrinkTrace(const TraceWorkload &w, const SystemConfig &cfg,
-            bool stepwise, const std::string &evidence_path)
+            const std::string &evidence_path)
 {
     std::vector<std::vector<MemOp>> streams = w.streams();
 
@@ -246,7 +246,7 @@ shrinkTrace(const TraceWorkload &w, const SystemConfig &cfg,
     if (scfg.faultKind != FaultKind::None) {
         SystemConfig clean = scfg;
         clean.faultKind = FaultKind::None;
-        if (!checkTrace(w, clean, stepwise, evidence_path).empty())
+        if (!checkTrace(w, clean, evidence_path).empty())
             scfg = clean;
     }
 
@@ -261,7 +261,7 @@ shrinkTrace(const TraceWorkload &w, const SystemConfig &cfg,
             SystemConfig half = scfg;
             half.faultRate *= 0.5;
             TraceWorkload t(w.name(), streams, w.numLocks());
-            if (checkTrace(t, half, stepwise, evidence_path).empty())
+            if (checkTrace(t, half, evidence_path).empty())
                 break;
             scfg = half;
         }
@@ -301,8 +301,7 @@ shrinkTrace(const TraceWorkload &w, const SystemConfig &cfg,
                 }
                 TraceWorkload t(w.name(), std::move(cand),
                                 w.numLocks());
-                if (!checkTrace(t, scfg, stepwise, evidence_path)
-                         .empty()) {
+                if (!checkTrace(t, scfg, evidence_path).empty()) {
                     streams = t.streams();
                     reduced = true;
                 }
@@ -345,15 +344,13 @@ runFuzz(const FuzzOptions &opt)
                 if (opt.faultSeed)
                     cfg.faultSeed = *opt.faultSeed;
                 ++res.runs;
-                const auto viol =
-                    checkTrace(trace, cfg, opt.stepwise, evidence);
+                const auto viol = checkTrace(trace, cfg, evidence);
                 if (viol.empty())
                     continue;
                 ++res.failures;
-                const TraceWorkload min = shrinkTrace(
-                    trace, cfg, opt.stepwise, evidence);
-                auto min_viol =
-                    checkTrace(min, cfg, opt.stepwise, evidence);
+                const TraceWorkload min =
+                    shrinkTrace(trace, cfg, evidence);
+                auto min_viol = checkTrace(min, cfg, evidence);
                 if (min_viol.empty()) // shouldn't happen; be safe
                     min_viol = viol;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized litmus fuzzer: generate tiny sharing-heavy multi-core
- * traces, run them through every factory protocol (and a couple of
+ * traces, run them through every named protocol (and a couple of
  * fabrics), and check every protocol invariant plus the
  * sequentially-consistent reference memory (verify/invariants.hh) —
  * both after the full timed run and under a stepwise replay that
@@ -38,7 +38,7 @@ struct FuzzOptions
     std::uint32_t iters = 25;     //!< traces to generate
     std::uint32_t cores = 4;      //!< cores per trace
     std::uint32_t opsPerCore = 24;
-    /** Protocol factory key; empty = every factory protocol. */
+    /** Protocol name; empty = every name in protocolNames(). */
     std::string protocol;
     /** Network factory key; empty = {"mesh", "xbar"}. */
     std::string network;
@@ -57,8 +57,6 @@ struct FuzzOptions
     std::string faults;
     double faultRate = -1.0; //!< base fault rate; < 0 = plan default
     std::optional<std::uint64_t> faultSeed; //!< seed; unset = default
-    /** Also run the stepwise replay (invariants after every access). */
-    bool stepwise = true;
 };
 
 /** Outcome of a campaign. */
@@ -84,10 +82,10 @@ SystemConfig fuzzConfig(std::uint32_t cores);
 
 /**
  * Run @p w under @p cfg and return every violation found (empty =
- * clean): a full timed run checked with checkAll, and — with
- * @p stepwise — a round-robin replay on a fresh system that checks
- * every invariant after every individual access (catches transient
- * corruption the final state re-absorbs).
+ * clean): a full timed run checked with checkAll, and a round-robin
+ * replay on a fresh system that checks every invariant after every
+ * individual access (catches transient corruption the final state
+ * re-absorbs).
  *
  * @p evidence_path when non-empty, the trace is saved there *before*
  * running, so an uncatchable fatal()/panic() still leaves the failing
@@ -95,7 +93,6 @@ SystemConfig fuzzConfig(std::uint32_t cores);
  */
 std::vector<std::string> checkTrace(const TraceWorkload &w,
                                     const SystemConfig &cfg,
-                                    bool stepwise,
                                     const std::string &evidence_path = "");
 
 /**
@@ -103,7 +100,6 @@ std::vector<std::string> checkTrace(const TraceWorkload &w,
  * single ops (lock pairs together) while the violation persists.
  */
 TraceWorkload shrinkTrace(const TraceWorkload &w, const SystemConfig &cfg,
-                          bool stepwise,
                           const std::string &evidence_path = "");
 
 } // namespace verify

@@ -191,7 +191,7 @@ checkInvariants(Multicore &m)
             const char *which = l1 == &tl.l1d ? "L1-D" : "L1-I";
             l1->forEachValid([&](L1Cache::Entry e) {
                 const LineAddr line = e.tag();
-                const CoreId home = m.protocol().directory().homeOf(
+                const CoreId home = m.directory().homeOf(
                     line, static_cast<CoreId>(c));
                 auto he = m.tile(home).l2.find(line);
                 if (!he) {

@@ -30,7 +30,7 @@
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "system/experiment.hh"
 #include "system/multicore.hh"
 #include "system/report.hh"

@@ -15,7 +15,7 @@
 #include "core/limited_classifier.hh"
 #include "count_allocations.hh"
 #include "protocol/core_vec.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "protocol/sharer_list.hh"
 #include "system/multicore.hh"
 

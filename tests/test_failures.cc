@@ -12,7 +12,7 @@
 
 #include "fault/plan.hh"
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "system/event_queue.hh"
 #include "system/experiment.hh"

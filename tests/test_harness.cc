@@ -720,3 +720,92 @@ TEST(Sink, SweepDocumentRecordsRuns)
     EXPECT_EQ(doc.at("sim_ops").asUint(), total_ops);
     EXPECT_GE(doc.at("ops_per_sec").asDouble(), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Resume: `lacc_bench --resume` trusts only an artifact of the same sweep
+// ---------------------------------------------------------------------------
+
+namespace {
+
+SweepOptions
+litmusOpts()
+{
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.opScale = kTinyScale;
+    opts.progress = false;
+    return opts;
+}
+
+/** The litmus artifact at litmusOpts(), run once for every test. */
+const Json &
+litmusDoc()
+{
+    static const Json doc = [] {
+        std::ostringstream text;
+        return documentFor(
+            runExperiment(builtin("litmus"), litmusOpts(), text));
+    }();
+    return doc;
+}
+
+/**
+ * Write @p doc as litmus's artifact into a directory of this test's
+ * own (ctest runs tests concurrently) and @return whether a sweep
+ * with @p opts would skip it.
+ */
+bool
+skips(const Json &doc, const SweepOptions &opts)
+{
+    const std::string dir =
+        std::string("test_harness_resume_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    writeJsonFile(dir, "litmus", doc);
+    const bool skip = validArtifactExists(dir, builtin("litmus"), opts);
+    std::filesystem::remove_all(dir);
+    return skip;
+}
+
+} // namespace
+
+TEST(Resume, SameSweepIsSkipped)
+{
+    EXPECT_TRUE(skips(litmusDoc(), litmusOpts()));
+}
+
+TEST(Resume, OtherScaleReruns)
+{
+    SweepOptions opts = litmusOpts();
+    opts.opScale = 0.5;
+    EXPECT_FALSE(skips(litmusDoc(), opts));
+}
+
+TEST(Resume, ProtocolOverrideReruns)
+{
+    SweepOptions opts = litmusOpts();
+    opts.overrides.protocol = "fullmap";
+    EXPECT_FALSE(skips(litmusDoc(), opts));
+}
+
+TEST(Resume, TruncatedRunsRerun)
+{
+    Json doc = Json::object();
+    for (const auto &[key, value] : litmusDoc().items()) {
+        if (key != "runs") {
+            doc[key] = value;
+            continue;
+        }
+        Json runs = Json::array();
+        for (std::size_t i = 0; i + 1 < value.size(); ++i)
+            runs.push(value.at(i));
+        doc[key] = std::move(runs);
+    }
+    EXPECT_FALSE(skips(doc, litmusOpts()));
+}
+
+TEST(Resume, WrongSchemaVersionReruns)
+{
+    Json doc = litmusDoc();
+    doc["schema_version"] = kBenchJsonSchemaVersion + 1;
+    EXPECT_FALSE(skips(doc, litmusOpts()));
+}

@@ -562,18 +562,32 @@ TEST(Timing, SerializationAtDirectory)
 
 
 // ---------------------------------------------------------------------------
-// Protocol factory (protocol/factory.hh)
+// Protocol names (protocol/protocol.hh): a name selects the directory
+// organization, which every fill installs in the entry
 // ---------------------------------------------------------------------------
+
+/** Read kA on core 0; @return whether its home entry is full-map. */
+bool
+homeEntryIsFullMap(Multicore &m)
+{
+    m.testAccess(0, kA, false);
+    const LineAddr line = kA >> 6;
+    const auto e = m.tile(m.directory().homeOf(line, 0)).l2.find(line);
+    EXPECT_TRUE(e) << "no home entry after a read";
+    return e && sharersOf(e).isFullMap();
+}
 
 TEST(Factory, SelectsProtocolFromConfig)
 {
     Multicore ack(baselineCfg());
-    EXPECT_STREQ(ack.protocol().name(), "lacc");
+    EXPECT_STREQ(protocolNameFor(ack.config()), "lacc");
+    EXPECT_FALSE(homeEntryIsFullMap(ack));
 
     auto fm = baselineCfg();
     fm.directoryKind = DirectoryKind::FullMap;
     Multicore full(fm);
-    EXPECT_STREQ(full.protocol().name(), "fullmap");
+    EXPECT_STREQ(protocolNameFor(full.config()), "fullmap");
+    EXPECT_TRUE(homeEntryIsFullMap(full));
 }
 
 TEST(Factory, NameConfigRoundTrip)
@@ -583,7 +597,10 @@ TEST(Factory, NameConfigRoundTrip)
         applyProtocolName(cfg, name);
         EXPECT_EQ(protocolNameFor(cfg), name);
         Multicore m(cfg);
-        EXPECT_EQ(m.protocol().name(), name);
+        EXPECT_EQ(protocolNameFor(m.config()), name);
+        EXPECT_EQ(homeEntryIsFullMap(m),
+                  cfg.directoryKind == DirectoryKind::FullMap)
+            << name;
     }
 }
 

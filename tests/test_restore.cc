@@ -25,7 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "sim/rng.hh"
 #include "system/multicore.hh"

@@ -15,7 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "net/factory.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "sim/config.hh"
 #include "sim/flat_map.hh"
 #include "sim/functional.hh"

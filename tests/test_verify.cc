@@ -3,7 +3,7 @@
  * Tests for the verification layer (src/verify/): the invariant
  * checkers themselves (including their report order and that a clean
  * check allocates nothing), the litmus regression corpus in
- * tests/litmus/ replayed under every factory protocol, a fixed-seed
+ * tests/litmus/ replayed under every named protocol, a fixed-seed
  * fuzz smoke, and the bounded-state enumerator's exact state and
  * transition counts on the 1-line configs.
  */
@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "count_allocations.hh"
-#include "protocol/factory.hh"
+#include "protocol/protocol.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
 #include "verify/fuzz.hh"
@@ -231,8 +231,7 @@ TEST(LitmusCorpus, EveryTraceCleanUnderEveryProtocol)
         for (const auto &proto : protocolNames()) {
             SystemConfig cfg = fuzzConfig(w.numCores());
             applyProtocolName(cfg, proto);
-            const auto viol =
-                checkTrace(w, cfg, /*stepwise=*/true);
+            const auto viol = checkTrace(w, cfg);
             for (const auto &v : viol)
                 ADD_FAILURE() << path.filename().string() << " x "
                               << proto << ": " << v;
@@ -269,8 +268,7 @@ TEST(Fuzz, ShrinkerPreservesLockBalance)
     streams[1] = {MemOp::lockAcquire(0), MemOp::read(kA),
                   MemOp::lockRelease(0)};
     const TraceWorkload w("lockpair", streams, 1);
-    const TraceWorkload min =
-        verify::shrinkTrace(w, fuzzConfig(2), true);
+    const TraceWorkload min = verify::shrinkTrace(w, fuzzConfig(2));
     EXPECT_EQ(min.streams()[0].size(), 3u);
     EXPECT_EQ(min.streams()[1].size(), 3u);
 }
