@@ -405,6 +405,75 @@ TEST(Ackwise, FullMapNeverBroadcasts)
     EXPECT_EQ(m.stats().protocol.invalidationsSent, before + 3);
 }
 
+/** Invalidation messages one write sent: broadcasts, unicasts. */
+using WriteFanOut = std::pair<std::uint64_t, std::uint64_t>;
+
+/**
+ * ACKwise_p's overflow (§3.1), seen only through the protocol
+ * counters and checkAll: p = 2, every reader takes a private copy
+ * (AlwaysPrivate), and a 1-KB direct-mapped L1-D lets one conflicting
+ * read evict kA. @return the fan-out of each of the script's four
+ * writes to kA.
+ */
+std::vector<WriteFanOut>
+overflowScript(DirectoryKind kind)
+{
+    auto cfg = baselineCfg();
+    cfg.directoryKind = kind;
+    cfg.ackwisePointers = 2;
+    cfg.l1dSizeKB = 1; // 16 sets x 1 way
+    cfg.l1dAssoc = 1;
+    constexpr Addr kConflict = kA + 16 * 64; // kA's page and L1-D set
+    Multicore m(cfg);
+    const ProtocolStats &p = m.stats().protocol;
+    std::vector<WriteFanOut> out;
+    const auto write = [&](CoreId c) {
+        const WriteFanOut before{p.broadcastInvals, p.invalidationsSent};
+        m.testAccess(c, kA, true);
+        out.emplace_back(p.broadcastInvals - before.first,
+                         p.invalidationsSent - before.second);
+        EXPECT_TRUE(verify::checkAll(m).empty()) << "write " << out.size();
+    };
+    // Share the page first, so no R-NUCA re-home flush drops a reader.
+    m.testAccess(0, kB, false);
+    m.testAccess(1, kB, false);
+
+    // Three readers exceed p; core 0 then evicts, leaving two, yet a
+    // fourth core's write broadcasts: identities stay lost until the
+    // entry empties.
+    for (const CoreId c : {0, 1, 2})
+        m.testAccess(c, kA, false);
+    m.testAccess(0, kConflict, false);
+    write(3);
+    // That write emptied the entry, so its writer and one new reader
+    // are tracked exactly: the next write unicasts.
+    m.testAccess(0, kA, false);
+    write(1);
+    // Overflow again, now under the writer's own S copy: its upgrade
+    // broadcasts and leaves it sole holder without the entry ever
+    // emptying...
+    m.testAccess(0, kA, false);
+    m.testAccess(2, kA, false);
+    write(1);
+    // ...and that write grant restores exact tracking: the next write
+    // unicasts.
+    m.testAccess(0, kA, false);
+    write(2);
+    return out;
+}
+
+TEST(Ackwise, OverflowStaysUntilEntryEmptiesOrWriteGrant)
+{
+    EXPECT_EQ(overflowScript(DirectoryKind::Ackwise),
+              (std::vector<WriteFanOut>{{1, 0}, {0, 2}, {1, 0}, {0, 2}}));
+}
+
+TEST(Ackwise, FullMapOverflowScriptOnlyUnicasts)
+{
+    EXPECT_EQ(overflowScript(DirectoryKind::FullMap),
+              (std::vector<WriteFanOut>{{0, 2}, {0, 2}, {0, 2}, {0, 2}}));
+}
+
 // ---------------------------------------------------------------------
 // L2 / inclusion / RAT escalation through the full engine
 // ---------------------------------------------------------------------
