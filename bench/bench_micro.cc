@@ -2,7 +2,7 @@
  * @file
  * Library micro-benchmarks (google-benchmark): hot paths of the
  * simulator substrate — cache lookups/fills, mesh routing, broadcast,
- * sharer-list updates, classifier decisions, the event loop's event
+ * holder-set updates, classifier decisions, the event loop's event
  * queue, whole L1-hit, L1-miss and cold-fill transactions, and
  * workload generation throughput.
  */
@@ -18,7 +18,6 @@
 #include "dram/dram.hh"
 #include "core/limited_classifier.hh"
 #include "protocol/core_vec.hh"
-#include "protocol/sharer_list.hh"
 #include "energy/model.hh"
 #include "net/factory.hh"
 #include "net/mesh.hh"
@@ -261,20 +260,6 @@ BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, mesh, "mesh")->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, torus, "torus")->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, ring, "ring")->Arg(0)->Arg(1);
 BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
-
-void
-BM_AckwiseAddRemove(benchmark::State &state)
-{
-    SharerState st = SharerState::ackwise(4);
-    SharerList s(st, nullptr);
-    for (auto _ : state) {
-        for (CoreId c = 0; c < 8; ++c)
-            s.add(c);
-        for (CoreId c = 0; c < 8; ++c)
-            s.remove(c);
-    }
-}
-BENCHMARK(BM_AckwiseAddRemove);
 
 void
 BM_HolderVecChurn(benchmark::State &state)

@@ -4,7 +4,7 @@
  * FaultPlan, owned by the Multicore and consulted from exactly three
  * hook sites — NetworkModel::traverseLink (lossy links), the
  * transport's retransmit path (protocol/messages.hh), and the
- * directory-transaction soft-error hook (protocol/base.cc).
+ * directory-transaction soft-error hook (protocol/protocol.cc).
  *
  * Determinism argument (docs/ARCHITECTURE.md "Fault injection &
  * recovery"): every injection decision is a *pure hash* of the fault
@@ -48,7 +48,7 @@ enum class SoftFault : std::uint8_t {
 enum class FaultUnit : std::uint8_t {
     L1Data,  //!< requester's L1 line data
     L2Data,  //!< home slice's L2 line data
-    DirMeta, //!< directory metadata (L2Meta / SharerList)
+    DirMeta, //!< directory metadata (L2Meta), always protected
 };
 
 /** Runtime fault state of one Multicore; see the file header. */

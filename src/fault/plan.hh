@@ -50,9 +50,9 @@ struct FaultPlan
     double doubleBitFraction = 0.0; //!< strikes hitting two bits
 
     // ---- ECC coverage (per structure; shipped plans protect all) ------
-    bool protectL1 = true;  //!< L1 line data under SECDED
-    bool protectL2 = true;  //!< L2 line data under SECDED
-    bool protectDir = true; //!< directory metadata under SECDED
+    // Directory metadata is always under SECDED.
+    bool protectL1 = true; //!< L1 line data under SECDED
+    bool protectL2 = true; //!< L2 line data under SECDED
 
     // ---- Recovery costs ------------------------------------------------
     std::uint32_t retryBudget = 8;   //!< max send attempts per message

@@ -2,7 +2,7 @@
  * @file
  * HolderVec: the grant-ordered core-id set behind L2Meta::holders.
  *
- * A directory entry's holder oracle is typically a handful of cores
+ * A directory entry's holder set is typically a handful of cores
  * (<= the sharing degree), so up to kInlineCap ids live inline and
  * only a genuinely wide set spills to one heap buffer, which the
  * vector keeps for reuse after it shrinks or is cleared — steady-state

@@ -1,30 +1,28 @@
 /**
  * @file
  * Directory-entry metadata of an L2 slice line (Fig 6/7): the
- * directory-visible MESI summary state, the protocol's sharer list,
- * the simulator's ground-truth holder oracle, and the per-line
- * locality-classifier record. Owned and mutated exclusively by the
- * protocol layer's DirectoryController; system/Tile merely embeds the
- * L2Cache array.
+ * directory-visible MESI summary state, the holder set with its
+ * ACKwise overflow bit, and the per-line locality-classifier record.
+ * Owned and mutated exclusively by the protocol layer's
+ * DirectoryController; system/Tile merely embeds the L2Cache array.
  *
  * No directory entry owns a heap object. The fixed part (L2Meta) is a
- * plain value; the parts whose size the config decides — a full-map
- * list's bit vector and the classifier record — live in the L2 slot's
- * block of the cache's auxiliary arena, laid out by DirLayout. A
- * snapshot restore therefore copies an entry by assignment plus a
- * byte copy of that block (SetAssocCache::restoreFrom).
+ * plain value; the classifier record, whose size the config decides
+ * (LocalityClassifier::recordBytes), is the L2 slot's block of the
+ * cache's auxiliary arena. A snapshot restore therefore copies an
+ * entry by assignment plus a byte copy of that block
+ * (SetAssocCache::restoreFrom).
  */
 
 #ifndef LACC_PROTOCOL_DIR_ENTRY_HH
 #define LACC_PROTOCOL_DIR_ENTRY_HH
 
-#include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "cache/set_assoc.hh"
-#include "core/classifier.hh"
 #include "protocol/core_vec.hh"
-#include "protocol/sharer_list.hh"
+#include "sim/config.hh"
 #include "sim/types.hh"
 
 namespace lacc {
@@ -49,6 +47,18 @@ dirStateName(DirState s)
 }
 
 /**
+ * Holders an entry tracks by identity before ACKwise_p overflows
+ * (§3.1): p under ACKwise, no limit under a full map.
+ */
+inline std::uint32_t
+overflowLimit(const SystemConfig &cfg)
+{
+    return cfg.directoryKind == DirectoryKind::Ackwise
+               ? cfg.ackwisePointers
+               : std::numeric_limits<std::uint32_t>::max();
+}
+
+/**
  * Per-line metadata of an L2 slice: directory entry (Fig 6/7) plus
  * simulator bookkeeping. Every fill rewrites all of it
  * (DirectoryController::l2FindOrFill).
@@ -56,20 +66,49 @@ dirStateName(DirState s)
 struct L2Meta
 {
     /**
-     * Ground-truth holder identities (which L1s hold a copy). The
-     * protocol's sharer list may hide identities in ACKwise overflow
-     * mode; the simulator uses this oracle for invalidation *timing*
-     * (acks physically come from the actual holders) while protocol
-     * decisions (unicast vs broadcast, ack counts) use the sharer
-     * list. Kept in grant order — invalidation fan-out order is part
-     * of the modeled timing (see protocol/core_vec.hh).
+     * Which L1s hold a copy: the directory's one record of sharers.
+     * Kept in grant order — invalidation fan-out order is part of the
+     * modeled timing (see protocol/core_vec.hh).
      */
     HolderVec holders;
-    Cycle busyUntil = 0;           //!< per-line serialization window
-    SharerState sharers;           //!< inline part of the sharer list
-    CoreId owner = kInvalidCore;   //!< valid iff dstate == Exclusive
+    Cycle busyUntil = 0; //!< per-line serialization window
+    /**
+     * ACKwise_p has seen more than p holders since the set was last
+     * empty or last reduced to a writer by its write grant (§3.1):
+     * its p pointers have lost identities, so an exclusive request
+     * broadcasts, with acks still due only from the actual holders.
+     * Never set under a full map.
+     */
+    bool overflowed = false;
     DirState dstate = DirState::Uncached;
-    bool dirty = false;            //!< L2 copy newer than DRAM
+    bool dirty = false; //!< L2 copy newer than DRAM
+
+    /** The E/M holder under Exclusive, else kInvalidCore. */
+    CoreId
+    owner() const
+    {
+        return dstate == DirState::Exclusive ? holders[0] : kInvalidCore;
+    }
+
+    /**
+     * Add holder @p c (a no-op if it already holds a copy); more than
+     * @p limit holders (overflowLimit) overflow the entry.
+     */
+    void
+    addHolder(CoreId c, std::uint32_t limit)
+    {
+        if (holders.insert(c) && holders.size() > limit)
+            overflowed = true;
+    }
+
+    /** Remove holder @p c; an emptied set is exact again. */
+    void
+    dropHolder(CoreId c)
+    {
+        holders.erase(c);
+        if (holders.empty())
+            overflowed = false;
+    }
 };
 
 /**
@@ -82,51 +121,13 @@ resetCacheMeta(L2Meta &m)
 {
     m.holders.clear();
     m.busyUntil = 0;
-    m.sharers = SharerState{};
-    m.owner = kInvalidCore;
+    m.overflowed = false;
     m.dstate = DirState::Uncached;
     m.dirty = false;
 }
 
 /** L2 slice array: hashed set index (see SetAssocCache). */
 using L2Cache = SetAssocCache<L2Meta, true>;
-
-/**
- * Layout of an L2 slot's auxiliary block, derived from the config:
- * the full-map bit words first (none under ACKwise), then the
- * classifier record (LocalityClassifier::recordBytes). Each region
- * holds one type for the life of the cache, so its bytes are never
- * read through two different types.
- */
-struct DirLayout
-{
-    explicit DirLayout(const SystemConfig &cfg)
-        : sharerBytes(cfg.directoryKind == DirectoryKind::FullMap
-                          ? SharerState::fullMapWords(cfg.numCores) * 8
-                          : 0),
-          recordBytes(LocalityClassifier::recordBytes(cfg))
-    {}
-
-    /** Auxiliary bytes per L2 slot. */
-    std::uint32_t bytes() const { return sharerBytes + recordBytes; }
-
-    /** @p e's classifier record. */
-    std::byte *record(L2Cache::Entry e) const
-    {
-        return e.aux() + sharerBytes;
-    }
-
-    std::uint32_t sharerBytes;
-    std::uint32_t recordBytes;
-};
-
-/** @p e's sharer list: its SharerState bound to its full-map bits. */
-inline SharerList
-sharersOf(L2Cache::Entry e)
-{
-    return SharerList(e.meta().sharers,
-                      reinterpret_cast<std::uint64_t *>(e.aux()));
-}
 
 } // namespace lacc
 

@@ -214,7 +214,7 @@ L1Controller::dropCopy(CoreId s, LineAddr line, L2Cache::Entry entry,
         res.wasModified |= was_m;
     }
     if (!found)
-        panic("holder oracle mismatch: core %u has no copy of line"
+        panic("holder set mismatch: core %u has no copy of line"
               " %llx", s, static_cast<unsigned long long>(line));
     return res;
 }
@@ -227,7 +227,7 @@ L1Controller::downgradeCopy(CoreId owner, L2Cache::Entry entry)
     if (!e)
         e = ot.l1i.find(entry.tag());
     if (!e)
-        panic("owner oracle mismatch on line %llx",
+        panic("owner mismatch on line %llx",
               static_cast<unsigned long long>(entry.tag()));
 
     const bool was_m = e.meta().state == L1State::Modified;
@@ -267,10 +267,7 @@ L1Controller::dropOtherCopy(CoreId c, bool is_ifetch, LineAddr line)
 DirectoryController::DirectoryController(const ProtocolContext &ctx,
                                          L1Controller &l1)
     : ctx_(ctx), l1_(l1), classifier_(LocalityClassifier::create(ctx.cfg)),
-      layout_(ctx.cfg),
-      freshSharers_(ctx.cfg.directoryKind == DirectoryKind::FullMap
-                        ? SharerState::fullMap(ctx.cfg.numCores)
-                        : SharerState::ackwise(ctx.cfg.ackwisePointers))
+      overflowLimit_(overflowLimit(ctx.cfg))
 {}
 
 CoreId
@@ -323,12 +320,10 @@ DirectoryController::l2FindOrFill(CoreId home, LineAddr line,
     L2Meta &meta = victim.meta();
     meta.holders.clear();
     meta.busyUntil = t_back;
-    meta.sharers = freshSharers_;
-    meta.owner = kInvalidCore;
+    meta.overflowed = false;
     meta.dstate = DirState::Uncached;
     meta.dirty = false;
-    sharersOf(victim).clear(); // zeroes full-map bits
-    classifier_->resetRecord(layout_.record(victim));
+    classifier_->resetRecord(victim.aux());
     ctx_.dram.readLine(line, victim.words());
     ctx_.energy.addL2Line(); // fill write
     ++ctx_.stats.l2.fills;
@@ -419,10 +414,10 @@ DirectoryController::applySoftFaults(CoreId c, CoreId home,
         }
     }
 
-    // ---- Directory metadata (SharerList / L2Meta) ---------------------
+    // ---- Directory metadata (L2Meta), always under SECDED -------------
     {
         const SoftFault f = inj.rollSoft(FaultUnit::DirMeta, line, t);
-        if (f != SoftFault::None && plan.protectDir) {
+        if (f != SoftFault::None) {
             ctx_.energy.addDirAccess();
             if (f == SoftFault::Single) {
                 inj.noteCorrected();
@@ -433,17 +428,6 @@ DirectoryController::applySoftFaults(CoreId c, CoreId home,
                 inj.noteDetected();
                 inj.unrecoverable("directory metadata double-bit",
                                   line);
-            }
-        } else if (f != SoftFault::None) {
-            // Unprotected: lose one tracked sharer for real — the
-            // SharerList diverges from the holder oracle, which the
-            // invariant checker (verify/invariants.hh) reports.
-            const HolderVec &h = entry.meta().holders;
-            if (h.size() > 0) {
-                const CoreId victim =
-                    h[inj.strikeBit(line, t, h.size())];
-                sharersOf(entry).remove(victim);
-                inj.noteSilent();
             }
         }
     }
@@ -496,7 +480,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
 
     const Mode mode = upgrade
                           ? Mode::Private
-                          : classifier_->classify(layout_.record(entry), c);
+                          : classifier_->classify(entry.aux(), c);
     const RemoteAccessContext rctx{t_ready, hint.hasInvalidWay,
                                    hint.minLastAccess};
 
@@ -507,13 +491,13 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
         const std::uint64_t val = ctx_.mem.nextValue(c);
         // A write resets the remote utilization of all other remote
         // sharers (§3.2) and invalidates all private sharers.
-        classifier_->onWriteByOther(layout_.record(entry), c);
+        classifier_->onWriteByOther(entry.aux(), c);
         t_shar = invalidateHolders(home, entry, c, t_ready);
 
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(layout_.record(entry), c, rctx);
+                classifier_->onRemoteAccess(entry.aux(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -537,13 +521,12 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
             // other L1 after the write: drop it locally.
             l1_.dropOtherCopy(c, is_ifetch, line);
             ctx_.mem.write(addr, val);
-            entry.meta().holders.insert(c); // set semantics: no dup
-            SharerList sharers = sharersOf(entry);
-            sharers.clear();
-            sharers.add(c);
+            // invalidateHolders left at most c itself: the writer is
+            // now the sole holder, tracked exactly again.
+            entry.meta().holders.insert(c);
+            entry.meta().overflowed = false;
             entry.meta().dstate = DirState::Exclusive;
-            entry.meta().owner = c;
-            classifier_->onPrivateGrant(layout_.record(entry), c, t_ready);
+            classifier_->onPrivateGrant(entry.aux(), c, t_ready);
         } else {
             // Remote word write: stored at the L2 home (§3.2).
             entry.words()[word] = val;
@@ -557,19 +540,16 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
             // A remote writer keeps no private copy: its stale copy
             // in the other L1 (dual-copy line) must go too.
             if (l1_.dropOtherCopy(c, is_ifetch, line)) {
-                if (entry.meta().holders.erase(c))
-                    sharersOf(entry).remove(c);
-                if (entry.meta().holders.empty()) {
+                entry.meta().dropHolder(c);
+                if (entry.meta().holders.empty())
                     entry.meta().dstate = DirState::Uncached;
-                    entry.meta().owner = kInvalidCore;
-                }
             }
         }
     } else {
         bool promote = false;
         if (mode == Mode::Remote) {
             promote =
-                classifier_->onRemoteAccess(layout_.record(entry), c, rctx);
+                classifier_->onRemoteAccess(entry.aux(), c, rctx);
             if (promote)
                 ++ctx_.stats.protocol.promotions;
         }
@@ -577,7 +557,7 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
         if (mode == Mode::Private || promote) {
             granted = true;
             if (entry.meta().dstate == DirState::Exclusive) {
-                if (entry.meta().owner != c) {
+                if (entry.meta().owner() != c) {
                     t_shar = syncWriteback(home, entry, t_ready);
                 } else {
                     // The requester itself owns the line through its
@@ -586,7 +566,6 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
                     // before filling from the L2 copy.
                     l1_.downgradeCopy(c, entry);
                     entry.meta().dstate = DirState::Shared;
-                    entry.meta().owner = kInvalidCore;
                 }
             }
             const L1State st = entry.meta().holders.empty()
@@ -594,19 +573,12 @@ DirectoryController::request(CoreId c, Addr addr, bool is_write,
                                    : L1State::Shared;
             l1_.fill(c, is_ifetch, line, entry.words(), st, t_shar);
             ctx_.mem.checkRead(addr, entry.words()[word]);
-            // Gate the sharer count on *new* holdership: an ACKwise
-            // list in overflow mode counts blindly, and a dual-copy
-            // core is one sharer, not two.
-            if (entry.meta().holders.insert(c))
-                sharersOf(entry).add(c);
-            if (st == L1State::Exclusive) {
-                entry.meta().dstate = DirState::Exclusive;
-                entry.meta().owner = c;
-            } else {
-                entry.meta().dstate = DirState::Shared;
-                entry.meta().owner = kInvalidCore;
-            }
-            classifier_->onPrivateGrant(layout_.record(entry), c, t_ready);
+            // A dual-copy core is one holder, not two.
+            entry.meta().addHolder(c, overflowLimit_);
+            entry.meta().dstate = st == L1State::Exclusive
+                                      ? DirState::Exclusive
+                                      : DirState::Shared;
+            classifier_->onPrivateGrant(entry.aux(), c, t_ready);
             ++ctx_.stats.protocol.privateReadGrants;
             ctx_.energy.addL2Line();
             ++ctx_.stats.l2.loads;
@@ -659,7 +631,7 @@ DirectoryController::dropAndAck(CoreId s, CoreId home,
         // The locality state dies with an L2 eviction, so only a
         // protocol invalidation classifies the removal (§3.2).
         const Mode m = classifier_->onPrivateRemoval(
-            layout_.record(entry), s, dr.util, RemovalKind::Invalidation);
+            entry.aux(), s, dr.util, RemovalKind::Invalidation);
         if (m == Mode::Remote)
             ++ctx_.stats.protocol.demotions;
     }
@@ -685,7 +657,7 @@ DirectoryController::fanOutInvalidations(CoreId home, L2Cache::Entry entry,
                                          const HolderVec &targets, Cycle t)
 {
     Cycle t_end = t;
-    if (!entry.meta().sharers.overflowed) {
+    if (!entry.meta().overflowed) {
         for (const CoreId s : targets)
             t_end = std::max(t_end,
                              unicastInvalidation(s, home, entry, false, t));
@@ -723,22 +695,17 @@ DirectoryController::invalidateHolders(CoreId home,
     const Cycle t_end = fanOutInvalidations(home, entry, invalTargets_,
                                             t);
 
-    SharerList sharers = sharersOf(entry);
-    for (const CoreId s : invalTargets_)
-        sharers.remove(s);
-    const bool except_held = entry.meta().holders.contains(except);
-    entry.meta().holders.clear();
-    if (except_held)
-        entry.meta().holders.insert(except);
-
-    if (entry.meta().holders.empty()) {
-        entry.meta().dstate = DirState::Uncached;
-        entry.meta().owner = kInvalidCore;
-    } else {
+    L2Meta &meta = entry.meta();
+    const bool except_held = meta.holders.contains(except);
+    meta.holders.clear();
+    if (except_held) {
         // Only the requester's (upgrade) copy remains, in state S; the
         // caller promotes it to Exclusive.
-        entry.meta().dstate = DirState::Shared;
-        entry.meta().owner = kInvalidCore;
+        meta.holders.insert(except);
+        meta.dstate = DirState::Shared;
+    } else {
+        meta.overflowed = false;
+        meta.dstate = DirState::Uncached;
     }
     return t_end;
 }
@@ -747,7 +714,7 @@ Cycle
 DirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
                                    Cycle t)
 {
-    const CoreId o = entry.meta().owner;
+    const CoreId o = entry.meta().owner();
     if (o == kInvalidCore)
         panic("syncWriteback without an owner");
 
@@ -759,7 +726,6 @@ DirectoryController::syncWriteback(CoreId home, L2Cache::Entry entry,
     const Cycle t_ack = ctx_.net.send(ack, t_req + 1);
 
     entry.meta().dstate = DirState::Shared;
-    entry.meta().owner = kInvalidCore;
     ++ctx_.stats.protocol.syncWritebacks;
     return t_ack;
 }
@@ -777,8 +743,11 @@ DirectoryController::evictionNotice(CoreId home, CoreId c,
               " %u", static_cast<unsigned long long>(line), home);
 
     if (!still_holds) {
-        he.meta().holders.erase(c);
-        sharersOf(he).remove(c);
+        // Under Exclusive c was the sole holder, so only Shared
+        // survives a non-empty set.
+        he.meta().dropHolder(c);
+        if (he.meta().holders.empty())
+            he.meta().dstate = DirState::Uncached;
     }
     if (was_modified) {
         he.fillWords(words);
@@ -789,19 +758,9 @@ DirectoryController::evictionNotice(CoreId home, CoreId c,
         ctx_.energy.addL2TagOnly();
     }
     ctx_.energy.addDirAccess();
-    if (!still_holds) {
-        if (he.meta().owner == c)
-            he.meta().owner = kInvalidCore;
-        if (he.meta().holders.empty()) {
-            he.meta().dstate = DirState::Uncached;
-            he.meta().owner = kInvalidCore;
-        } else if (he.meta().owner == kInvalidCore) {
-            he.meta().dstate = DirState::Shared;
-        }
-    }
 
     const Mode m = classifier_->onPrivateRemoval(
-        layout_.record(he), c, util, RemovalKind::Eviction);
+        he.aux(), c, util, RemovalKind::Eviction);
     if (m == Mode::Remote)
         ++ctx_.stats.protocol.demotions;
 }
@@ -811,19 +770,13 @@ DirectoryController::l2Evict(CoreId home, L2Cache::Entry victim,
                              Cycle t)
 {
     const LineAddr line = victim.tag();
-    // Snapshot into the eviction scratch: each invalidation below
-    // consults the entry while the loop runs, and the holder set must
-    // not be mutated mid-iteration.
-    evictTargets_ = victim.meta().holders;
-    // Not fanOutInvalidations: this unicasts to each holder from the
-    // holder oracle even when an ACKwise list has overflowed, where a
-    // real ACKwise_p directory would broadcast. A modelling choice
-    // that the goldens pin (ARCHITECTURE, "Life of a memory access",
-    // step 3).
-    for (const CoreId s : evictTargets_)
+    // Not fanOutInvalidations: this unicasts to each holder even when
+    // the entry has overflowed, where a real ACKwise_p directory would
+    // broadcast. A modelling choice that the goldens pin
+    // (ARCHITECTURE, "Life of a memory access", step 3). Nothing here
+    // changes the holder set; the invalidate() below resets it.
+    for (const CoreId s : victim.meta().holders)
         unicastInvalidation(s, home, victim, true, t);
-    victim.meta().holders.clear();
-    sharersOf(victim).clear();
 
     if (victim.meta().dirty) {
         ctx_.dram.writeLine(line, victim.words());
@@ -863,8 +816,9 @@ namespace {
 
 /**
  * The single registration point: a directory organization is one
- * entry here, plus its DirectoryKind and SharerState mode. Lookup and
- * diagnostics come from the shared named-registry helpers.
+ * entry here, plus its DirectoryKind and overflow limit
+ * (overflowLimit). Lookup and diagnostics come from the shared
+ * named-registry helpers.
  */
 struct ProtocolEntry
 {

@@ -1,28 +1,28 @@
 /**
  * @file
  * The coherence controllers: the paper's locality-aware adaptive
- * protocol over a directory whose organization is a field of each
- * entry (§3).
+ * protocol over a directory whose organization is one number, the
+ * overflow limit (§3).
  *
  *  - L1Controller: the private-cache side — L1 lookups, fills,
  *    evictions (with the fire-and-forget notice), receipt of
  *    invalidations/downgrades, and forwarding misses (plus the L1-set
  *    hint that feeds the remote-access decision, §3.2/§3.3) to the
  *    directory.
- *  - DirectoryController: the home-slice side — L2Meta/SharerList
- *    ownership, the locality-classifier invocation, miss
- *    transactions, invalidation fan-out, sync write-backs, L2
- *    fills/evictions, R-NUCA re-home flushes, and DRAM traffic.
+ *  - DirectoryController: the home-slice side — L2Meta ownership,
+ *    the locality-classifier invocation, miss transactions,
+ *    invalidation fan-out, sync write-backs, L2 fills/evictions,
+ *    R-NUCA re-home flushes, and DRAM traffic.
  *
- * The two directory organizations differ only in how sharers are
- * tracked, and that is data: every fill installs the SharerState
- * SystemConfig::directoryKind selects. ACKwise_p keeps p pointers and,
- * once they overflow, an exclusive request broadcasts the
- * invalidation with acks expected only from the actual sharers
- * (§3.1); a full-map bit vector stays exact and never broadcasts. The
- * locality classifier (SystemConfig::classifierKind) is owned and
- * invoked at the directory, exactly as in the paper, and composes
- * with either organization.
+ * The two directory organizations differ only in one number, the
+ * overflow limit (overflowLimit, protocol/dir_entry.hh). Once more
+ * than p holders arrive, an ACKwise_p entry sets its sticky overflow
+ * bit, and an exclusive request then broadcasts the invalidation with
+ * acks expected only from the actual sharers (§3.1); a full map has
+ * no limit and never broadcasts. The locality classifier
+ * (SystemConfig::classifierKind) is owned and invoked at the
+ * directory, exactly as in the paper, and composes with either
+ * organization.
  *
  * Multicore owns one controller of each side, wired to each other by
  * reference. They reach the rest of the chip through Message
@@ -194,9 +194,8 @@ class DirectoryController
 {
   public:
     /**
-     * Every fill installs the SharerState @p ctx's directoryKind
-     * selects. @p l1 may still be under construction; it is only
-     * stored.
+     * @p ctx's config fixes the overflow limit. @p l1 may still be
+     * under construction; it is only stored.
      */
     DirectoryController(const ProtocolContext &ctx, L1Controller &l1);
 
@@ -233,8 +232,8 @@ class DirectoryController
   private:
     /**
      * Deliver invalidations to @p targets and collect the acks: one
-     * broadcast when the entry's ACKwise list has overflowed (never
-     * true for a full-map list), otherwise one unicast per sharer.
+     * broadcast when the entry has overflowed (never under a full
+     * map), otherwise one unicast per sharer.
      * @p targets aliases a scratch member of this controller (no
      * per-transaction allocation) and stays valid for the duration of
      * the call. @return time all acks have been collected.
@@ -284,9 +283,9 @@ class DirectoryController
      * with honest charges — @p corr accumulates SECDED correction
      * latency (billed as L2 waiting), @p scrub accumulates
      * refetch-from-next-level latency (billed as off-chip) — while
-     * unprotected structures suffer a *real* corruption for the
-     * verification oracles to catch. Detected-but-unrecoverable
-     * strikes throw RunAbort.
+     * unprotected L1/L2 data suffers a *real* corruption for the
+     * verification oracles to catch. Directory metadata is always
+     * protected. Detected-but-unrecoverable strikes throw RunAbort.
      */
     void applySoftFaults(CoreId c, CoreId home, LineAddr line,
                          L2Cache::Entry entry, Cycle t, Cycle &corr,
@@ -301,19 +300,15 @@ class DirectoryController
     ProtocolContext ctx_;
     L1Controller &l1_;
     std::unique_ptr<LocalityClassifier> classifier_;
-    const DirLayout layout_;
-    const SharerState freshSharers_;
+    const std::uint32_t overflowLimit_; //!< overflowLimit(cfg)
 
     /**
-     * Reusable target-list scratch (invalidation fan-out / L2
-     * eviction back-invalidation). Steady state is allocation-free:
-     * the inline HolderVec capacity covers typical sharer sets, and
-     * a spilled copy reuses the spill buffer.
-     * invalidateHolders and l2Evict never nest, but each gets its own
-     * scratch so the snapshot survives holder-set mutation.
+     * Reusable target-list scratch of invalidateHolders, so the
+     * snapshot survives holder-set mutation. Steady state is
+     * allocation-free: the inline HolderVec capacity covers typical
+     * sharer sets, and a spilled copy reuses the spill buffer.
      */
     HolderVec invalTargets_;
-    HolderVec evictTargets_;
     /** Reusable per-tile broadcast arrival buffer (sized numCores). */
     std::vector<Cycle> bcastArrivals_;
 };

@@ -103,10 +103,8 @@ SystemConfig::validate() const
               " bits", nRatLevels, kMaxRatLevels);
     if (classifierKind == ClassifierKind::Limited && classifierK == 0)
         fatal("Limited classifier needs k >= 1");
-    if (directoryKind == DirectoryKind::Ackwise &&
-        (ackwisePointers == 0 || ackwisePointers > kMaxAckwisePointers))
-        fatal("ACKwise pointers (%u) must be in [1, %u]", ackwisePointers,
-              kMaxAckwisePointers);
+    if (directoryKind == DirectoryKind::Ackwise && ackwisePointers == 0)
+        fatal("ACKwise needs >= 1 pointer");
     if (numMemControllers == 0 || numMemControllers > numCores)
         fatal("numMemControllers (%u) must be in [1, numCores]",
               numMemControllers);

@@ -71,13 +71,11 @@ enum class FaultKind : std::uint8_t {
  * rejects configurations outside them. Core ids are 16 bits wide with
  * kInvalidCore reserved (also the core field of an event-queue key);
  * a classifier record keeps remote utilization (saturating at RATmax)
- * in 16 bits and the RAT level in 8 (core/classifier.hh); a directory
- * entry holds its ACKwise pointers inline (protocol/sharer_list.hh).
+ * in 16 bits and the RAT level in 8 (core/classifier.hh).
  */
 constexpr std::uint32_t kMaxCores = 0xFFFF;
 constexpr std::uint32_t kMaxRatMax = 0xFFFF;
 constexpr std::uint32_t kMaxRatLevels = 0x100;
-constexpr std::uint32_t kMaxAckwisePointers = 8;
 
 /** Human-readable names for the enums above. */
 const char *classifierKindName(ClassifierKind k);

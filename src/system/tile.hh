@@ -17,6 +17,7 @@
 
 #include "cache/miss_status.hh"
 #include "cache/set_assoc.hh"
+#include "core/classifier.hh"
 #include "protocol/dir_entry.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
@@ -41,7 +42,7 @@ class Tile
           l1i(cfg.l1iSets(), cfg.l1iAssoc, cfg.wordsPerLine()),
           l1d(cfg.l1dSets(), cfg.l1dAssoc, cfg.wordsPerLine()),
           l2(cfg.l2Sets(), cfg.l2Assoc, cfg.wordsPerLine(),
-             DirLayout(cfg).bytes()),
+             LocalityClassifier::recordBytes(cfg)),
           // Pre-size the miss-taxonomy map: a small multiple of this
           // core's L1 capacity bounds the lines it loses and
           // re-misses in steady state.

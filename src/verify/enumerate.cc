@@ -200,7 +200,7 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
     const std::uint32_t rat_max = cfg.ratMax;
     const unsigned line_shift = __builtin_ctz(cfg.lineSize);
     const std::size_t l1_bytes = 2 * 2 * lines; // per core: D, I
-    const std::size_t entry_bytes = 7 + 3 * cores;
+    const std::size_t entry_bytes = 4 + 3 * cores;
 
     // Absent lines and entries are all zero bytes, so the buffer is
     // zeroed once and only resident lines are visited and written.
@@ -240,7 +240,6 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
     // plus the full per-core classifier records. An absent entry is
     // all zero bytes, a present one starts with 1.
     char *const dir_fields = base + cores * l1_bytes;
-    const DirLayout layout(cfg);
     const LocalityClassifier &classifier = m.classifier();
     for (std::uint32_t h = 0; h < cores; ++h) {
         const L2Cache &l2 = m.tile(static_cast<CoreId>(h)).l2;
@@ -254,26 +253,19 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
             const L2Meta &meta = e.meta();
             put(1);
             put(static_cast<std::uint32_t>(meta.dstate));
-            put(coreByte(meta.owner));
             // dirty is deliberately excluded: it only gates the DRAM
             // write-back on an L2 eviction, and the bounded config
             // can never evict an L2 line (<= 2 distinct lines, 4
             // sets x 8 ways), so it is decision-irrelevant here the
             // same way data words are.
-            const SharerList sharers = sharersOf(e);
-            put(sharers.count());
-            put(sharers.overflowed() ? 1 : 0);
-            std::uint32_t tracked = 0;
-            sharers.forEachTracked([&](CoreId t) { tracked |= 1u << t; });
-            put(tracked);
+            put(meta.overflowed ? 1 : 0);
             std::uint32_t holders = 0;
             for (const CoreId t : meta.holders)
                 holders |= 1u << t;
             put(holders);
             for (std::uint32_t c = 0; c < cores; ++c) {
                 const std::optional<CoreLocality> loc =
-                    classifier.peek(layout.record(e),
-                                    static_cast<CoreId>(c));
+                    classifier.peek(e.aux(), static_cast<CoreId>(c));
                 if (!loc) {
                     put(0xFF); // untracked; modes are 0 and 1
                     put(0);

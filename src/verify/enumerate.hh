@@ -36,19 +36,20 @@
  * every comparison the protocol makes is saturated, so larger values
  * are future-equivalent. Line data words are also excluded (values
  * never drive protocol decisions; the fuzzer covers value movement).
- * Everything else — L1 states, directory states, owner, sharer list
- * incl. ACKwise overflow, holder sets, per-core classifier records,
- * R-NUCA page records — is part of the canonical state, stored in
- * full (no hashing), so deduplication can never merge genuinely
- * distinct states.
+ * Everything else — L1 states, directory states, holder sets, the
+ * ACKwise overflow bit, per-core classifier records, R-NUCA page
+ * records — is part of the canonical state, stored in full (no
+ * hashing), so deduplication can never merge genuinely distinct
+ * states. (The owner is a function of the directory state and the
+ * holder set.)
  *
  * The encoding (encodeState) is fixed-width binary, one byte per
  * field, laid out per (core, L1, pool line) and per (home, pool line):
  * only pool lines are ever accessed, so this layout holds exactly the
  * information of a tag-sorted list of every valid line, and
- * encodeState panics if a line outside the pool is resident. Sharer
- * and holder sets are core bitmasks (holders in grant order matter
- * only for timing, which is excluded).
+ * encodeState panics if a line outside the pool is resident. Holder
+ * sets are core bitmasks (grant order matters only for timing, which
+ * is excluded).
  */
 
 #ifndef LACC_VERIFY_ENUMERATE_HH
@@ -111,7 +112,7 @@ EnumResult enumerate(const EnumOptions &opt);
  * 16-set L1s (the two lines are 16 lines apart — same set, so
  * evictions are reachable and replacement is deterministic), PCT =
  * RATmax = 2 so every classifier transition is a few accesses away,
- * ACKwise p=1 so pointer overflow is reachable with 2 sharers, one
+ * ACKwise p=1 so overflow is reachable with 2 sharers, one
  * cluster (unique instruction homes).
  */
 SystemConfig enumConfig(std::uint32_t cores, const std::string &protocol,

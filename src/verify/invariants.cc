@@ -65,7 +65,7 @@ checkEntry(Multicore &m, CoreId h, L2Cache::Entry e,
     const LineAddr line = e.tag();
     const unsigned long long ll = line;
 
-    // Holder oracle vs L1 residency, and per-state copy rules.
+    // Holder set vs L1 residency, and per-state copy rules.
     std::uint32_t exclusive_copies = 0;
     for (const CoreId s : meta.holders) {
         const Copies c = copiesOf(m.tile(s), line);
@@ -81,7 +81,7 @@ checkEntry(Multicore &m, CoreId h, L2Cache::Entry e,
                                    h, s));
             break;
           case DirState::Exclusive:
-            if (s == meta.owner &&
+            if (s == meta.owner() &&
                 (c.count != 1 || c.exclusiveCount != 1))
                 out.push_back(vfmt("line %llx home %u: owner %u must"
                                    " hold exactly one E/M copy (has"
@@ -116,26 +116,16 @@ checkEntry(Multicore &m, CoreId h, L2Cache::Entry e,
     // Directory-state consistency.
     switch (meta.dstate) {
       case DirState::Uncached:
-        if (meta.holders.size() != 0 || meta.owner != kInvalidCore)
+        if (meta.holders.size() != 0)
             out.push_back(vfmt("line %llx home %u: Uncached with %u"
-                               " holders (owner %d)", ll, h,
-                               meta.holders.size(),
-                               static_cast<int>(meta.owner)));
+                               " holders", ll, h, meta.holders.size()));
         break;
       case DirState::Shared:
         if (meta.holders.size() == 0)
             out.push_back(vfmt("line %llx home %u: Shared with no"
                                " holders", ll, h));
-        if (meta.owner != kInvalidCore)
-            out.push_back(vfmt("line %llx home %u: Shared with owner"
-                               " %u", ll, h, meta.owner));
         break;
       case DirState::Exclusive:
-        if (meta.owner == kInvalidCore ||
-            !meta.holders.contains(meta.owner))
-            out.push_back(vfmt("line %llx home %u: Exclusive but"
-                               " owner %d is not a holder", ll, h,
-                               static_cast<int>(meta.owner)));
         if (meta.holders.size() != 1)
             out.push_back(vfmt("line %llx home %u: Exclusive with %u"
                                " holders", ll, h,
@@ -143,28 +133,19 @@ checkEntry(Multicore &m, CoreId h, L2Cache::Entry e,
         break;
     }
 
-    // Sharer-list/holder agreement: counts always, identities when
-    // the list still tracks them (a full-map list always does; an
-    // ACKwise list only until pointer overflow).
-    const SharerList sharers = sharersOf(e);
-    if (sharers.count() != meta.holders.size())
-        out.push_back(vfmt("line %llx home %u: sharer count %u !="
-                           " holder count %u", ll, h, sharers.count(),
-                           meta.holders.size()));
-    bool tracked_ok = true;
-    std::uint32_t tracked_n = 0;
-    sharers.forEachTracked([&](CoreId s) {
-        ++tracked_n;
-        tracked_ok = tracked_ok && meta.holders.contains(s);
-    });
-    if (!tracked_ok)
-        out.push_back(vfmt("line %llx home %u: sharer list tracks a"
-                           " non-holder", ll, h));
-    else if (!sharers.overflowed() &&
-             tracked_n != meta.holders.size())
-        out.push_back(vfmt("line %llx home %u: %u tracked sharers !="
-                           " %u holders without overflow", ll, h,
-                           tracked_n, meta.holders.size()));
+    // ACKwise overflow bit: set only under ACKwise and only while
+    // someone holds the line, and always once more than p do.
+    const SystemConfig &cfg = m.config();
+    if (meta.overflowed && cfg.directoryKind != DirectoryKind::Ackwise)
+        out.push_back(vfmt("line %llx home %u: overflowed under a full"
+                           " map", ll, h));
+    if (meta.overflowed && meta.holders.empty())
+        out.push_back(vfmt("line %llx home %u: overflowed with no"
+                           " holders", ll, h));
+    if (meta.holders.size() > overflowLimit(cfg) && !meta.overflowed)
+        out.push_back(vfmt("line %llx home %u: %u holders exceed %u"
+                           " pointers without overflow", ll, h,
+                           meta.holders.size(), overflowLimit(cfg)));
 }
 
 } // namespace
@@ -183,7 +164,7 @@ checkInvariants(Multicore &m)
             });
     }
 
-    // L1 side (inclusion + oracle converse): every resident L1 line
+    // L1 side (inclusion + the converse): every resident L1 line
     // must be tracked as a holder at its home slice.
     for (std::uint32_t c = 0; c < n; ++c) {
         Tile &tl = m.tile(static_cast<CoreId>(c));
@@ -243,7 +224,7 @@ checkFinalMemory(Multicore &m)
             std::uint64_t visible = e.words()[w];
             const char *where = "L2 copy";
             if (e.meta().dstate == DirState::Exclusive) {
-                Tile &ot = m.tile(e.meta().owner);
+                Tile &ot = m.tile(e.meta().owner());
                 for (auto oc : {ot.l1d.find(line), ot.l1i.find(line)}) {
                     if (oc && oc.meta().state == L1State::Modified) {
                         visible = oc.words()[w];

@@ -12,11 +12,10 @@
  *  - single-writer: an Exclusive directory entry has exactly one
  *    holder (the owner), holding exactly one E/M copy;
  *  - directory/L1 state consistency: Uncached entries have no
- *    holders, Shared entries have only S copies and no owner;
- *  - sharer-list/holder agreement: the protocol's SharerList count
- *    matches the ground-truth holder oracle, and tracked identities
- *    match exactly when not in ACKwise overflow;
- *  - holder oracle vs L1 residency: every tracked holder really has a
+ *    holders, Shared entries have only S copies;
+ *  - ACKwise overflow: the bit is set only under ACKwise and only
+ *    with holders, and always once more than p cores hold the line;
+ *  - holder set vs L1 residency: every tracked holder really has a
  *    copy, and every L1-resident line is tracked at its home
  *    (inclusion);
  *  - no stale reads: every S/E L1 copy is word-identical to the home

@@ -7,7 +7,8 @@
  * control exactly the properties the paper's protocol reacts to:
  * spatio-temporal utilization per cache line, sharing degree,
  * read/write mix, working-set size, synchronization intensity, and
- * phase behavior. See DESIGN.md §2/§4 for the substitution argument.
+ * phase behavior. See docs/ARCHITECTURE.md "Workloads" for the
+ * substitution, and the `table2` experiment for the benchmark map.
  *
  * Archetypes:
  *  - privateHot:    small per-core working set with high reuse;

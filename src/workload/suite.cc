@@ -55,7 +55,8 @@ isBenchmark(const std::string &name)
 }
 
 /*
- * Sizing discipline (see DESIGN.md §4): run lengths are ~12k-24k data
+ * Sizing discipline (docs/ARCHITECTURE.md "Workloads"; the `table2`
+ * experiment prints each mix): run lengths are ~12k-24k data
  * accesses per core, so streamed footprints are sized for >= 2-4
  * full passes (footprint_lines <= weight * ops / (util * passes));
  * otherwise demoted lines would never be revisited and the

@@ -9,7 +9,8 @@
  * utilization-at-removal distributions of Figs 1-2, and the §5
  * behavioral call-outs (capacity-vs-sharing conversions, lock
  * intensity, Limited_1 mis-seeding direction, Adapt1-way pathology).
- * See DESIGN.md §4 for the full mapping table.
+ * `lacc_bench --filter table2` prints the full mapping table (see
+ * docs/ARCHITECTURE.md "Workloads").
  */
 
 #ifndef LACC_WORKLOAD_SUITE_HH

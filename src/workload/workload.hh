@@ -6,7 +6,8 @@
  * executed under the Graphite simulator (Table 2). This repository
  * substitutes deterministic synthetic generators whose memory-system
  * behavior is tuned to the paper's published per-benchmark
- * characteristics (see DESIGN.md §2/§4); the Workload interface also
+ * characteristics (see docs/ARCHITECTURE.md "Workloads", and the
+ * `table2` experiment for the mapping); the Workload interface also
  * supports file-based traces (trace_file.hh) and custom generators
  * (see examples/).
  */

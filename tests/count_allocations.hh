@@ -20,20 +20,42 @@ namespace {
 std::atomic<std::uint64_t> gAllocations{0};
 } // namespace
 
-// A malloc-backed replacement pair that counts every allocation; the
-// library's array and sized forms forward to these two.
+// Malloc-backed replacements that count every allocation. Every
+// plain, nothrow, array and sized form is replaced, not just the ones
+// the library forwards to the plain pair: a sanitizer runtime
+// intercepts each form it finds unreplaced, and memory from its
+// `new (std::nothrow)` (std::stable_sort's buffer) freed by this
+// `delete` is an alloc-dealloc mismatch.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
 void *
-operator new(std::size_t n)
+operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
     ++gAllocations;
-    if (void *p = std::malloc(n != 0 ? n : 1))
+    return std::malloc(n != 0 ? n : 1);
+}
+
+void *
+operator new(std::size_t n)
+{
+    if (void *p = operator new(n, std::nothrow))
         return p;
     throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return operator new(n, std::nothrow);
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return operator new(n);
 }
 
 void
@@ -44,6 +66,30 @@ operator delete(void *p) noexcept
 
 void
 operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for directory entries: ACKwise_p exact/overflow
- * semantics, the full-map baseline, the grant-ordered holder set, and
- * the entry footprint — bytes per L2 slot and no heap allocation on
- * fills, for every protocol and classifier.
+ * Unit tests for directory entries: ACKwise_p's overflow bit over the
+ * holder set, the full-map baseline's lack of one, the grant-ordered
+ * holder set, and the entry footprint — bytes per L2 slot and no heap
+ * allocation on fills, for every protocol and classifier.
  */
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,227 +17,161 @@
 #include "count_allocations.hh"
 #include "protocol/core_vec.hh"
 #include "protocol/protocol.hh"
-#include "protocol/sharer_list.hh"
 #include "system/multicore.hh"
 
 namespace lacc {
 namespace {
 
-/** A standalone sharer list: the inline state plus its bit words. */
-struct OwnedList
+/** The overflow limit of an ACKwise directory with @p pointers. */
+std::uint32_t
+ackwiseLimit(std::uint32_t pointers)
 {
-    SharerState state;
-    std::vector<std::uint64_t> bits;
-
-    SharerList list() { return SharerList(state, bits.data()); }
-};
-
-SharerList
-makeAckwise(OwnedList &o, std::uint32_t pointers)
-{
-    o.state = SharerState::ackwise(pointers);
-    return o.list();
+    SystemConfig cfg;
+    cfg.directoryKind = DirectoryKind::Ackwise;
+    cfg.ackwisePointers = pointers;
+    return overflowLimit(cfg);
 }
 
-SharerList
-makeFullMap(OwnedList &o, std::uint32_t num_cores)
+/** The overflow limit of a full-map directory. */
+std::uint32_t
+fullMapLimit()
 {
-    o.state = SharerState::fullMap(num_cores);
-    o.bits.assign(SharerState::fullMapWords(num_cores), 0);
-    return o.list();
+    SystemConfig cfg;
+    cfg.directoryKind = DirectoryKind::FullMap;
+    return overflowLimit(cfg);
 }
 
 TEST(Ackwise, ExactTrackingBelowP)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 4);
-    s.add(3);
-    s.add(7);
-    s.add(11);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_FALSE(s.overflowed());
-    EXPECT_TRUE(s.contains(3));
-    EXPECT_TRUE(s.contains(7));
-    EXPECT_TRUE(s.contains(11));
-    EXPECT_FALSE(s.contains(5));
+    L2Meta m;
+    for (const CoreId c : {3, 7, 11})
+        m.addHolder(c, ackwiseLimit(4));
+    EXPECT_FALSE(m.overflowed);
+    EXPECT_EQ(m.holders.size(), 3u);
+    EXPECT_TRUE(m.holders.contains(7));
+    EXPECT_FALSE(m.holders.contains(5));
 }
 
 TEST(Ackwise, AddIdempotent)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 4);
-    s.add(3);
-    s.add(3);
-    EXPECT_EQ(s.count(), 1u);
+    // A core already holding the line (its other L1's copy) is one
+    // holder, not two, so it cannot push the entry over p.
+    L2Meta m;
+    m.addHolder(3, ackwiseLimit(1));
+    m.addHolder(3, ackwiseLimit(1));
+    EXPECT_EQ(m.holders.size(), 1u);
+    EXPECT_FALSE(m.overflowed);
 }
 
 TEST(Ackwise, OverflowAtPPlusOne)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
-    s.add(0);
-    s.add(1);
-    EXPECT_FALSE(s.overflowed());
-    s.add(2);
-    EXPECT_TRUE(s.overflowed());
-    EXPECT_EQ(s.count(), 3u);
-    // Pointer-resident identities survive; the third is untracked.
-    EXPECT_TRUE(s.contains(0));
-    EXPECT_TRUE(s.contains(1));
-    EXPECT_FALSE(s.contains(2));
+    L2Meta m;
+    m.addHolder(0, ackwiseLimit(2));
+    m.addHolder(1, ackwiseLimit(2));
+    EXPECT_FALSE(m.overflowed);
+    m.addHolder(2, ackwiseLimit(2));
+    EXPECT_TRUE(m.overflowed);
+    EXPECT_EQ(m.holders.size(), 3u);
 }
 
 TEST(Ackwise, OverflowCountsFurtherAdds)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
+    // Identities are lost, but acks are still due from every actual
+    // holder.
+    L2Meta m;
     for (CoreId c = 0; c < 10; ++c)
-        s.add(c);
-    EXPECT_EQ(s.count(), 10u);
-    EXPECT_TRUE(s.overflowed());
+        m.addHolder(c, ackwiseLimit(2));
+    EXPECT_TRUE(m.overflowed);
+    EXPECT_EQ(m.holders.size(), 10u);
 }
 
 TEST(Ackwise, RemoveTrackedInExactMode)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 4);
-    s.add(1);
-    s.add(2);
-    s.remove(1);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_FALSE(s.contains(1));
-    EXPECT_TRUE(s.contains(2));
+    L2Meta m;
+    m.addHolder(1, ackwiseLimit(4));
+    m.addHolder(2, ackwiseLimit(4));
+    m.dropHolder(1);
+    EXPECT_EQ(m.holders.size(), 1u);
+    EXPECT_FALSE(m.holders.contains(1));
+    EXPECT_TRUE(m.holders.contains(2));
+    EXPECT_FALSE(m.overflowed);
 }
 
 TEST(Ackwise, RemoveUntrackedInOverflowDecrements)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
-    s.add(0);
-    s.add(1);
-    s.add(2); // overflow; core 2 untracked
-    s.remove(2);
-    EXPECT_EQ(s.count(), 2u);
-    EXPECT_TRUE(s.overflowed()) << "identities are lost until empty";
+    L2Meta m;
+    for (const CoreId c : {0, 1, 2})
+        m.addHolder(c, ackwiseLimit(2));
+    m.dropHolder(2);
+    EXPECT_EQ(m.holders.size(), 2u);
+    EXPECT_TRUE(m.overflowed) << "identities are lost until empty";
 }
 
 TEST(Ackwise, OverflowClearsWhenEmpty)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
-    s.add(0);
-    s.add(1);
-    s.add(2);
-    s.remove(0);
-    s.remove(1);
-    s.remove(2);
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_FALSE(s.overflowed());
+    L2Meta m;
+    for (const CoreId c : {0, 1, 2})
+        m.addHolder(c, ackwiseLimit(2));
+    for (const CoreId c : {0, 1, 2})
+        m.dropHolder(c);
+    EXPECT_TRUE(m.holders.empty());
+    EXPECT_FALSE(m.overflowed);
     // Exact mode works again.
-    s.add(9);
-    EXPECT_TRUE(s.contains(9));
-    EXPECT_FALSE(s.overflowed());
+    m.addHolder(9, ackwiseLimit(2));
+    EXPECT_FALSE(m.overflowed);
 }
 
 TEST(Ackwise, ClearResets)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
-    s.add(0);
-    s.add(1);
-    s.add(2);
-    s.clear();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_FALSE(s.overflowed());
-    EXPECT_TRUE(s.tracked().empty());
-}
-
-TEST(Ackwise, ForEachTrackedVisitsPointerResidents)
-{
-    OwnedList o;
-    auto s = makeAckwise(o, 3);
-    s.add(5);
-    s.add(9);
-    auto t = s.tracked();
-    ASSERT_EQ(t.size(), 2u);
-    EXPECT_NE(std::find(t.begin(), t.end(), 5), t.end());
-    EXPECT_NE(std::find(t.begin(), t.end(), 9), t.end());
+    // An L2 eviction's invalidate() resets the entry, overflow bit
+    // included.
+    L2Meta m;
+    for (const CoreId c : {0, 1, 2})
+        m.addHolder(c, ackwiseLimit(2));
+    m.dstate = DirState::Shared;
+    resetCacheMeta(m);
+    EXPECT_TRUE(m.holders.empty());
+    EXPECT_FALSE(m.overflowed);
+    EXPECT_EQ(m.owner(), kInvalidCore);
 }
 
 TEST(Ackwise, ReusesFreedSlot)
 {
-    OwnedList o;
-    auto s = makeAckwise(o, 2);
-    s.add(0);
-    s.add(1);
-    s.remove(0);
-    s.add(2); // slot freed by 0
-    EXPECT_FALSE(s.overflowed());
-    EXPECT_TRUE(s.contains(2));
-    EXPECT_EQ(s.count(), 2u);
+    // A holder leaving below p frees room: the next one is tracked.
+    L2Meta m;
+    m.addHolder(0, ackwiseLimit(2));
+    m.addHolder(1, ackwiseLimit(2));
+    m.dropHolder(0);
+    m.addHolder(2, ackwiseLimit(2));
+    EXPECT_FALSE(m.overflowed);
+    EXPECT_EQ(m.holders.size(), 2u);
 }
 
 TEST(FullMap, NeverOverflows)
 {
-    OwnedList o;
-    auto s = makeFullMap(o, 128);
+    L2Meta m;
     for (CoreId c = 0; c < 128; ++c)
-        s.add(c);
-    EXPECT_EQ(s.count(), 128u);
-    EXPECT_FALSE(s.overflowed());
-    for (CoreId c = 0; c < 128; ++c)
-        EXPECT_TRUE(s.contains(c));
-}
-
-TEST(FullMap, AddRemove)
-{
-    OwnedList o;
-    auto s = makeFullMap(o, 64);
-    s.add(63);
-    s.add(0);
-    s.add(63);
-    EXPECT_EQ(s.count(), 2u);
-    s.remove(63);
-    EXPECT_FALSE(s.contains(63));
-    EXPECT_TRUE(s.contains(0));
-    EXPECT_EQ(s.count(), 1u);
-}
-
-TEST(FullMap, TrackedListsAllSharers)
-{
-    OwnedList o;
-    auto s = makeFullMap(o, 70);
-    s.add(0);
-    s.add(64);
-    s.add(69);
-    auto t = s.tracked();
-    ASSERT_EQ(t.size(), 3u);
-    EXPECT_EQ(t[0], 0);
-    EXPECT_EQ(t[1], 64);
-    EXPECT_EQ(t[2], 69);
+        m.addHolder(c, fullMapLimit());
+    EXPECT_EQ(m.holders.size(), 128u);
+    EXPECT_FALSE(m.overflowed);
 }
 
 TEST(FullMap, IsFullMapFlag)
 {
-    OwnedList a, b;
-    EXPECT_TRUE(makeFullMap(a, 4).isFullMap());
-    EXPECT_FALSE(makeAckwise(b, 4).isFullMap());
+    // The directory kind alone decides whether p applies.
+    EXPECT_EQ(ackwiseLimit(4), 4u);
+    EXPECT_EQ(fullMapLimit(), std::numeric_limits<std::uint32_t>::max());
 }
 
-
-TEST(Ackwise, TrackedInIdOrder)
+TEST(DirEntry, OwnerIsTheSoleHolderUnderExclusive)
 {
-    // The pointer slots stay sorted whatever the grant order, so
-    // forEachTracked visits identities in id order, as a full-map
-    // list does.
-    OwnedList o;
-    auto s = makeAckwise(o, 4);
-    for (const CoreId c : {9, 3, 6})
-        s.add(c);
-    EXPECT_EQ(s.tracked(), (std::vector<CoreId>{3, 6, 9}));
-    s.remove(6);
-    s.add(1);
-    EXPECT_EQ(s.tracked(), (std::vector<CoreId>{1, 3, 9}));
+    L2Meta m;
+    m.addHolder(5, ackwiseLimit(4));
+    EXPECT_EQ(m.owner(), kInvalidCore);
+    m.dstate = DirState::Exclusive;
+    EXPECT_EQ(m.owner(), 5);
+    m.dstate = DirState::Shared;
+    EXPECT_EQ(m.owner(), kInvalidCore);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,12 +254,15 @@ TEST(HolderVec, OrderSurvivesSpillAndCopies)
 TEST(Footprint, DefaultEntryFitsBudget)
 {
     // ACKwise_4 + Limited_3: the whole directory entry, classifier
-    // record included, in at most 128 bytes per L2 slot.
+    // record included, is 72 of the 128 bytes allowed per L2 slot. A
+    // full map adds nothing: the slot's aux block is the classifier
+    // record alone.
     const SystemConfig cfg;
-    const DirLayout layout(cfg);
-    EXPECT_EQ(layout.sharerBytes, 0u);
-    EXPECT_EQ(layout.recordBytes, 3 * sizeof(LimitedSlot));
-    EXPECT_LE(sizeof(L2Meta) + layout.bytes(), 128u);
+    const std::uint32_t record = LocalityClassifier::recordBytes(cfg);
+    EXPECT_EQ(sizeof(L2Meta), 48u);
+    EXPECT_EQ(record, 3 * sizeof(LimitedSlot));
+    EXPECT_EQ(sizeof(L2Meta) + record, 72u);
+    EXPECT_LE(sizeof(L2Meta) + record, 128u);
 }
 
 /**

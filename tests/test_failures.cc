@@ -99,6 +99,11 @@ TEST(Failures, BadConfigsAreFatal)
     c.numMemControllers = 64; // > cores
     EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
                 "numMemControllers");
+
+    c = tinyCfg();
+    c.ackwisePointers = 0;
+    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
+                "ACKwise needs >= 1 pointer");
 }
 
 TEST(Failures, ConfigsBeyondPackedFieldsAreFatal)
@@ -121,11 +126,6 @@ TEST(Failures, ConfigsBeyondPackedFieldsAreFatal)
                 "nRATlevels \\(0\\) must be in \\[1, 256\\]");
 
     c = tinyCfg();
-    c.ackwisePointers = kMaxAckwisePointers + 1;
-    EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
-                "ACKwise pointers \\(9\\) must be in \\[1, 8\\]");
-
-    c = tinyCfg();
     c.numCores = kMaxCores + 1;
     EXPECT_EXIT(c.validate(), testing::ExitedWithCode(1),
                 "numCores \\(65536\\) must be in \\[1, 65535\\]");
@@ -134,7 +134,6 @@ TEST(Failures, ConfigsBeyondPackedFieldsAreFatal)
     c = tinyCfg();
     c.ratMax = kMaxRatMax;
     c.nRatLevels = kMaxRatLevels;
-    c.ackwisePointers = kMaxAckwisePointers;
     c.validate();
 }
 

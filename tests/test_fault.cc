@@ -116,7 +116,6 @@ TEST(FaultPlanRegistry, ShippedPlansProtectEverything)
         const FaultPlan p = makeFaultPlan(cfg);
         EXPECT_TRUE(p.protectL1) << name;
         EXPECT_TRUE(p.protectL2) << name;
-        EXPECT_TRUE(p.protectDir) << name;
     }
 }
 

@@ -131,7 +131,6 @@ TEST(Protocol, TwoReadersShareLine)
     ASSERT_TRUE(l2e);
     EXPECT_EQ(l2e.meta().dstate, DirState::Shared);
     EXPECT_EQ(l2e.meta().holders.size(), 2u);
-    EXPECT_EQ(sharersOf(l2e).count(), 2u);
 }
 
 TEST(Protocol, WriteInvalidatesReaders)
@@ -379,13 +378,12 @@ TEST(Ackwise, OverflowBroadcastsInvalidation)
     const CoreId home = m.placement().sharedHome(kA >> 6);
     const auto l2e = m.tile(home).l2.find(kA >> 6);
     ASSERT_TRUE(l2e);
-    EXPECT_TRUE(sharersOf(l2e).overflowed());
-    EXPECT_EQ(sharersOf(l2e).count(), 3u);
+    EXPECT_TRUE(l2e.meta().overflowed);
+    EXPECT_EQ(l2e.meta().holders.size(), 3u);
 
     m.testAccess(3, kA, true);
     EXPECT_EQ(m.stats().protocol.broadcastInvals, 1u);
-    EXPECT_FALSE(sharersOf(l2e).overflowed()) << "reset after inval";
-    EXPECT_EQ(sharersOf(l2e).count(), 1u);
+    EXPECT_FALSE(l2e.meta().overflowed) << "reset after inval";
     EXPECT_EQ(l2e.meta().holders.size(), 1u);
     EXPECT_EQ(l2e.meta().holders[0], 3);
 }
@@ -474,6 +472,32 @@ TEST(Ackwise, FullMapOverflowScriptOnlyUnicasts)
               (std::vector<WriteFanOut>{{0, 2}, {0, 2}, {0, 2}, {0, 2}}));
 }
 
+TEST(Ackwise, SixteenPointersTrackSixteenSharers)
+{
+    // p is not bounded by any pointer storage: 16 readers on 32 cores
+    // are tracked exactly, and the 17th holder overflows.
+    auto cfg = baselineCfg();
+    cfg.numCores = 32;
+    cfg.meshWidth = 8;
+    cfg.ackwisePointers = 16;
+    Multicore m(cfg);
+    const ProtocolStats &p = m.stats().protocol;
+    m.testAccess(0, kB, false); // share the page first
+    m.testAccess(1, kB, false);
+    for (CoreId c = 0; c < 16; ++c)
+        m.testAccess(c, kA, false);
+    const std::uint64_t sent = p.invalidationsSent;
+    m.testAccess(16, kA, true);
+    EXPECT_EQ(p.broadcastInvals, 0u);
+    EXPECT_EQ(p.invalidationsSent, sent + 16);
+
+    for (CoreId c = 0; c < 16; ++c)
+        m.testAccess(c, kA, false); // 17 holders with the writer
+    m.testAccess(17, kA, true);
+    EXPECT_EQ(p.broadcastInvals, 1u);
+    EXPECT_TRUE(verify::checkAll(m).empty());
+}
+
 // ---------------------------------------------------------------------
 // L2 / inclusion / RAT escalation through the full engine
 // ---------------------------------------------------------------------
@@ -522,7 +546,7 @@ TEST(Protocol, RatEscalatesThroughEngine)
     const auto entry = m.tile(home).l2.find(target >> 6);
     ASSERT_TRUE(entry);
     const auto rec =
-        m.classifier().peek(DirLayout(cfg).record(entry), 0);
+        m.classifier().peek(entry.aux(), 0);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->mode, Mode::Remote);
     EXPECT_EQ(rec->ratLevel, 1u);
@@ -632,31 +656,38 @@ TEST(Timing, SerializationAtDirectory)
 
 // ---------------------------------------------------------------------------
 // Protocol names (protocol/protocol.hh): a name selects the directory
-// organization, which every fill installs in the entry
+// organization, and with it whether an entry can overflow
 // ---------------------------------------------------------------------------
 
-/** Read kA on core 0; @return whether its home entry is full-map. */
+/**
+ * Two readers of kA, then a third core's write, on @p cfg's directory
+ * cut to one ACKwise pointer. @return whether that write broadcast,
+ * which only an ACKwise directory does.
+ */
 bool
-homeEntryIsFullMap(Multicore &m)
+writeBroadcastsPastOnePointer(SystemConfig cfg)
 {
+    cfg.ackwisePointers = 1;
+    Multicore m(cfg);
+    m.testAccess(0, kB, false); // share the page first
+    m.testAccess(1, kB, false);
     m.testAccess(0, kA, false);
-    const LineAddr line = kA >> 6;
-    const auto e = m.tile(m.directory().homeOf(line, 0)).l2.find(line);
-    EXPECT_TRUE(e) << "no home entry after a read";
-    return e && sharersOf(e).isFullMap();
+    m.testAccess(1, kA, false);
+    m.testAccess(2, kA, true);
+    return m.stats().protocol.broadcastInvals > 0;
 }
 
 TEST(Factory, SelectsProtocolFromConfig)
 {
     Multicore ack(baselineCfg());
     EXPECT_STREQ(protocolNameFor(ack.config()), "lacc");
-    EXPECT_FALSE(homeEntryIsFullMap(ack));
+    EXPECT_TRUE(writeBroadcastsPastOnePointer(ack.config()));
 
     auto fm = baselineCfg();
     fm.directoryKind = DirectoryKind::FullMap;
     Multicore full(fm);
     EXPECT_STREQ(protocolNameFor(full.config()), "fullmap");
-    EXPECT_TRUE(homeEntryIsFullMap(full));
+    EXPECT_FALSE(writeBroadcastsPastOnePointer(full.config()));
 }
 
 TEST(Factory, NameConfigRoundTrip)
@@ -667,8 +698,8 @@ TEST(Factory, NameConfigRoundTrip)
         EXPECT_EQ(protocolNameFor(cfg), name);
         Multicore m(cfg);
         EXPECT_EQ(protocolNameFor(m.config()), name);
-        EXPECT_EQ(homeEntryIsFullMap(m),
-                  cfg.directoryKind == DirectoryKind::FullMap)
+        EXPECT_EQ(writeBroadcastsPastOnePointer(m.config()),
+                  cfg.directoryKind == DirectoryKind::Ackwise)
             << name;
     }
 }

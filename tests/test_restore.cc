@@ -6,8 +6,8 @@
  * x classifier kind on the enumerator's config; restores into *dirty*
  * targets that held a deeper, different state; a small-L2 config where
  * L2 evictions and slot refills happen (the directory entry and its
- * auxiliary block — classifier record, full-map bits — must move
- * together); and an armed
+ * auxiliary block, the classifier record, must move together); and an
+ * armed
  * lossy-link fault plan. The comparison covers per-tile clocks and
  * CoreStats, every cache slot, classifier records, network and DRAM
  * state, the page table, the reference memory, the enumerator's
@@ -134,24 +134,18 @@ describe(Multicore &m, const std::vector<Addr> &pool)
         };
         describeCache(os, "l1d", tl.l1d, l1meta);
         describeCache(os, "l1i", tl.l1i, l1meta);
-        const DirLayout layout(cfg);
         describeCache(os, "l2", tl.l2, [&](std::ostream &o,
                                            L2Cache::Entry e) {
             const L2Meta &mt = e.meta();
-            const SharerList sharers = sharersOf(e);
-            o << " dir " << static_cast<int>(mt.dstate) << " owner "
-              << mt.owner << " sharers " << sharers.count() << '/'
-              << sharers.overflowed() << " tracked";
-            for (const CoreId t : sharers.tracked())
-                o << ' ' << t;
-            o << " holders";
+            o << " dir " << static_cast<int>(mt.dstate) << " overflowed "
+              << mt.overflowed << " holders";
             for (const CoreId h : mt.holders)
                 o << ' ' << h; // grant order: fan-out timing
             o << " busy " << mt.busyUntil << " dirty " << mt.dirty
               << " cls";
             for (std::uint32_t k = 0; k < cfg.numCores; ++k) {
                 const std::optional<CoreLocality> loc = m.classifier().peek(
-                    layout.record(e), static_cast<CoreId>(k));
+                    e.aux(), static_cast<CoreId>(k));
                 if (!loc) {
                     o << " -";
                     continue;

@@ -51,9 +51,8 @@ TEST(Invariants, CleanSystemHasNoViolations)
 
 TEST(Invariants, DetectsPhantomHolder)
 {
-    // Self-test: corrupt the holder oracle with a core that has no L1
-    // copy and the checker must flag it (and the sharer-count
-    // mismatch that comes with an untracked phantom).
+    // Self-test: corrupt the holder set with a core that has no L1
+    // copy and the checker must flag it.
     Multicore m(fuzzConfig(4));
     m.testAccess(0, kA, false);
     bool corrupted = false;
@@ -66,6 +65,53 @@ TEST(Invariants, DetectsPhantomHolder)
     }
     ASSERT_TRUE(corrupted);
     EXPECT_FALSE(checkInvariants(m).empty());
+}
+
+/** kA's home directory entry in @p m. */
+L2Cache::Entry
+homeEntryOfA(Multicore &m)
+{
+    const LineAddr line = kA >> 6;
+    return m.tile(m.directory().homeOf(line, 0)).l2.find(line);
+}
+
+/** @return whether checkInvariants reports a violation naming @p what. */
+bool
+reports(Multicore &m, const std::string &what)
+{
+    const auto v = checkInvariants(m);
+    return std::any_of(v.begin(), v.end(), [&](const std::string &s) {
+        return s.find(what) != std::string::npos;
+    });
+}
+
+TEST(Invariants, DetectsOverflowBitOutOfStep)
+{
+    // Three holders exceed fuzzConfig's two ACKwise pointers, so the
+    // overflow bit must be set; it may never be set on an emptied
+    // entry or under a full map.
+    Multicore m(fuzzConfig(4));
+    for (const CoreId c : {0, 1, 0, 2}) // core 1 re-homes the page
+        m.testAccess(c, kA, false);
+    auto e = homeEntryOfA(m);
+    ASSERT_TRUE(e);
+    ASSERT_EQ(e.meta().holders.size(), 3u);
+    EXPECT_TRUE(checkInvariants(m).empty());
+    e.meta().overflowed = false;
+    EXPECT_TRUE(reports(m, "3 holders exceed 2 pointers"));
+    e.meta().overflowed = true;
+    e.meta().holders.clear();
+    e.meta().dstate = DirState::Uncached;
+    EXPECT_TRUE(reports(m, "overflowed with no holders"));
+
+    SystemConfig cfg = fuzzConfig(4);
+    cfg.directoryKind = DirectoryKind::FullMap;
+    Multicore fm(cfg);
+    fm.testAccess(0, kA, false);
+    auto f = homeEntryOfA(fm);
+    ASSERT_TRUE(f);
+    f.meta().overflowed = true;
+    EXPECT_TRUE(reports(fm, "overflowed under a full map"));
 }
 
 TEST(Invariants, DetectsDualWriters)
@@ -288,9 +334,9 @@ struct EnumGolden
 };
 
 const EnumGolden kOneLineGoldens[] = {
-    {"lacc", 2, 1299, 7794},
+    {"lacc", 2, 815, 4890},
     {"fullmap", 2, 815, 4890},
-    {"lacc", 3, 34815, 313335},
+    {"lacc", 3, 14451, 130059},
 };
 
 void
