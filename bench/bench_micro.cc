@@ -173,16 +173,13 @@ BM_MeshBroadcast(benchmark::State &state)
 BENCHMARK(BM_MeshBroadcast);
 
 // ---------------------------------------------------------------------------
-// Table-driven network hot paths, per topology (arg 0/1 = contention
-// off/on), plus the hop-by-hop reference walkers for comparison: the
-// table path must beat its reference twin on every topology.
+// Table-driven network hot paths, per topology.
 // ---------------------------------------------------------------------------
 
 void
 BM_NetUnicast(benchmark::State &state, const char *topology)
 {
     auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
     applyNetworkName(cfg, topology);
     EnergyModel e;
     const auto net = makeNetwork(cfg, e);
@@ -194,16 +191,15 @@ BM_NetUnicast(benchmark::State &state, const char *topology)
         t += 3;
     }
 }
-BENCHMARK_CAPTURE(BM_NetUnicast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetUnicast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetUnicast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetUnicast, xbar, "xbar")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_NetUnicast, mesh, "mesh");
+BENCHMARK_CAPTURE(BM_NetUnicast, torus, "torus");
+BENCHMARK_CAPTURE(BM_NetUnicast, ring, "ring");
+BENCHMARK_CAPTURE(BM_NetUnicast, xbar, "xbar");
 
 void
 BM_NetBroadcast(benchmark::State &state, const char *topology)
 {
     auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
     applyNetworkName(cfg, topology);
     EnergyModel e;
     const auto net = makeNetwork(cfg, e);
@@ -214,52 +210,10 @@ BM_NetBroadcast(benchmark::State &state, const char *topology)
         t += 10;
     }
 }
-BENCHMARK_CAPTURE(BM_NetBroadcast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetBroadcast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetBroadcast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
-
-void
-BM_NetReferenceUnicast(benchmark::State &state, const char *topology)
-{
-    auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
-    applyNetworkName(cfg, topology);
-    EnergyModel e;
-    const auto net = makeNetwork(cfg, e);
-    Cycle t = 0;
-    CoreId dst = 1;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(net->referenceUnicast(0, dst, 9, t));
-        dst = static_cast<CoreId>((dst + 7) % 64);
-        t += 3;
-    }
-}
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceUnicast, xbar, "xbar")->Arg(0)->Arg(1);
-
-void
-BM_NetReferenceBroadcast(benchmark::State &state, const char *topology)
-{
-    auto cfg = microCfg();
-    cfg.modelContention = state.range(0) != 0;
-    applyNetworkName(cfg, topology);
-    EnergyModel e;
-    const auto net = makeNetwork(cfg, e);
-    std::vector<Cycle> arrivals;
-    Cycle t = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            net->referenceBroadcast(27, 1, t, arrivals));
-        t += 10;
-    }
-}
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, mesh, "mesh")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, torus, "torus")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, ring, "ring")->Arg(0)->Arg(1);
-BENCHMARK_CAPTURE(BM_NetReferenceBroadcast, xbar, "xbar")->Arg(0)->Arg(1);
+BENCHMARK_CAPTURE(BM_NetBroadcast, mesh, "mesh");
+BENCHMARK_CAPTURE(BM_NetBroadcast, torus, "torus");
+BENCHMARK_CAPTURE(BM_NetBroadcast, ring, "ring");
+BENCHMARK_CAPTURE(BM_NetBroadcast, xbar, "xbar");
 
 void
 BM_HolderVecChurn(benchmark::State &state)

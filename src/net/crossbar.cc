@@ -1,7 +1,5 @@
 #include "net/crossbar.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
 CrossbarNetwork::CrossbarNetwork(const SystemConfig &cfg,
@@ -37,55 +35,6 @@ CrossbarNetwork::buildBroadcastSchedule(CoreId src,
         out.push_back({dst, src, static_cast<CoreId>(dst), i});
         ++i;
     }
-}
-
-Cycle
-CrossbarNetwork::referenceUnicast(CoreId src, CoreId dst,
-                                  std::uint32_t flits, Cycle depart)
-{
-    ++stats_.unicasts;
-    stats_.flitsInjected += flits;
-    if (src == dst)
-        return depart; // local slice: no network traversal
-
-    // One switch traversal; the destination output port is the
-    // contended link.
-    const Cycle t = traverseLink(dst, depart, flits);
-    stats_.flitHops += flits;
-    energy_.addRouter(flits);
-    energy_.addLink(flits);
-    // Wormhole serialization: tail arrives flits-1 cycles after head.
-    return t + (flits > 0 ? flits - 1 : 0);
-}
-
-Cycle
-CrossbarNetwork::referenceBroadcast(CoreId src, std::uint32_t flits,
-                                    Cycle depart,
-                                    std::vector<Cycle> &arrivals)
-{
-    ++stats_.broadcasts;
-    arrivals.assign(numCores_, 0);
-    arrivals[src] = depart;
-
-    // No replication hardware: serialize one unicast per destination
-    // at the source injection port (one flit per cycle).
-    Cycle max_arrival = depart;
-    std::uint64_t i = 0;
-    for (CoreId dst = 0; dst < static_cast<CoreId>(numCores_); ++dst) {
-        if (dst == src)
-            continue;
-        const Cycle inject = depart + i * flits;
-        arrivals[dst] = referenceUnicast(src, dst, flits, inject);
-        max_arrival = std::max(max_arrival, arrivals[dst]);
-        ++i;
-    }
-    return max_arrival;
-}
-
-std::string
-CrossbarNetwork::describeLink(std::uint32_t link) const
-{
-    return "port->tile" + std::to_string(link);
 }
 
 } // namespace lacc

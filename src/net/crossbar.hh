@@ -31,21 +31,6 @@ class CrossbarNetwork : public NetworkModel
 
     bool hasNativeBroadcast() const override { return false; }
 
-    Cycle referenceUnicast(CoreId src, CoreId dst, std::uint32_t flits,
-                           Cycle depart) override;
-
-    /**
-     * Emulated broadcast: unicasts to every other tile in CoreId
-     * order, injected back-to-back at the source (the i-th copy
-     * departs i*flits cycles after depart). Counts one broadcast
-     * plus N-1 unicasts in the stats, and injects (N-1)*flits.
-     */
-    Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                             Cycle depart,
-                             std::vector<Cycle> &arrivals) override;
-
-    std::string describeLink(std::uint32_t link) const override;
-
   protected:
     void buildRoute(CoreId src, CoreId dst,
                     std::vector<std::uint32_t> &out) const override;

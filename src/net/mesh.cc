@@ -1,9 +1,5 @@
 #include "net/mesh.hh"
 
-#include <algorithm>
-
-#include "sim/log.hh"
-
 namespace lacc {
 
 MeshNetwork::MeshNetwork(const SystemConfig &cfg, EnergyModel &energy)
@@ -13,180 +9,49 @@ MeshNetwork::MeshNetwork(const SystemConfig &cfg, EnergyModel &energy)
     finalizeTables();
 }
 
-CoreId
-MeshNetwork::nextHop(CoreId at, CoreId dst, Dir &dir_out) const
-{
-    const auto ax = xOf(at), ay = yOf(at);
-    const auto dx = xOf(dst), dy = yOf(dst);
-    if (ax < dx) {
-        dir_out = East;
-        return static_cast<CoreId>(at + 1);
-    }
-    if (ax > dx) {
-        dir_out = West;
-        return static_cast<CoreId>(at - 1);
-    }
-    if (ay < dy) {
-        dir_out = South;
-        return static_cast<CoreId>(at + width_);
-    }
-    if (ay > dy) {
-        dir_out = North;
-        return static_cast<CoreId>(at - width_);
-    }
-    panic("nextHop called with at == dst");
-}
-
 void
 MeshNetwork::buildRoute(CoreId src, CoreId dst,
                         std::vector<std::uint32_t> &out) const
 {
-    // XY dimension order, exactly the walk nextHop takes.
-    CoreId at = src;
-    while (at != dst) {
-        Dir d;
-        const CoreId nxt = nextHop(at, dst, d);
-        out.push_back(linkId(at, d));
-        at = nxt;
-    }
+    // XY dimension order: the whole X leg along the source row, then
+    // the Y leg along the destination column.
+    std::uint32_t x = xOf(src);
+    std::uint32_t y = yOf(src);
+    const std::uint32_t dx = xOf(dst);
+    const std::uint32_t dy = yOf(dst);
+    for (; x < dx; ++x)
+        out.push_back(linkId(node(x, y), East));
+    for (; x > dx; --x)
+        out.push_back(linkId(node(x, y), West));
+    for (; y < dy; ++y)
+        out.push_back(linkId(node(x, y), South));
+    for (; y > dy; --y)
+        out.push_back(linkId(node(x, y), North));
 }
 
 void
 MeshNetwork::buildBroadcastSchedule(CoreId src,
                                     std::vector<TreeHop> &out) const
 {
-    // X-then-Y tree in the reference walker's traversal order: expand
-    // east then west along the source row, then every column (x
-    // ascending) south then north.
-    const auto sx = xOf(src);
-    const auto sy = yOf(src);
-    const auto at = [this](std::uint32_t x, std::uint32_t y) {
-        return static_cast<CoreId>(y * width_ + x);
-    };
-
+    // X-then-Y tree: expand east then west along the source row, then
+    // every column (x ascending) south then north. Every tree link is
+    // occupied once: (W-1) + W*(H-1) = N-1 links.
+    const std::uint32_t sx = xOf(src);
+    const std::uint32_t sy = yOf(src);
     for (std::uint32_t x = sx + 1; x < width_; ++x)
-        out.push_back({linkId(at(x - 1, sy), East), at(x - 1, sy),
-                       at(x, sy), 0});
-    for (std::int64_t x = static_cast<std::int64_t>(sx) - 1; x >= 0;
-         --x) {
-        const auto ux = static_cast<std::uint32_t>(x);
-        out.push_back({linkId(at(ux + 1, sy), West), at(ux + 1, sy),
-                       at(ux, sy), 0});
-    }
+        out.push_back({linkId(node(x - 1, sy), East), node(x - 1, sy),
+                       node(x, sy), 0});
+    for (std::uint32_t x = sx; x > 0; --x)
+        out.push_back({linkId(node(x, sy), West), node(x, sy),
+                       node(x - 1, sy), 0});
     for (std::uint32_t x = 0; x < width_; ++x) {
         for (std::uint32_t y = sy + 1; y < height_; ++y)
-            out.push_back({linkId(at(x, y - 1), South), at(x, y - 1),
-                           at(x, y), 0});
-        for (std::int64_t y = static_cast<std::int64_t>(sy) - 1; y >= 0;
-             --y) {
-            const auto uy = static_cast<std::uint32_t>(y);
-            out.push_back({linkId(at(x, uy + 1), North), at(x, uy + 1),
-                           at(x, uy), 0});
-        }
+            out.push_back({linkId(node(x, y - 1), South), node(x, y - 1),
+                           node(x, y), 0});
+        for (std::uint32_t y = sy; y > 0; --y)
+            out.push_back({linkId(node(x, y), North), node(x, y),
+                           node(x, y - 1), 0});
     }
-}
-
-Cycle
-MeshNetwork::referenceUnicast(CoreId src, CoreId dst,
-                              std::uint32_t flits, Cycle depart)
-{
-    ++stats_.unicasts;
-    stats_.flitsInjected += flits;
-    if (src == dst)
-        return depart; // local slice: no network traversal
-
-    Cycle t = depart;
-    std::uint32_t hops = 0;
-    CoreId at = src;
-    while (at != dst) {
-        Dir d;
-        const CoreId nxt = nextHop(at, dst, d);
-        t = traverseLink(linkId(at, d), t, flits);
-        at = nxt;
-        ++hops;
-    }
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * hops;
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * hops);
-    energy_.addLink(static_cast<std::uint64_t>(flits) * hops);
-    // Wormhole serialization: tail arrives flits-1 cycles after head.
-    return t + (flits > 0 ? flits - 1 : 0);
-}
-
-Cycle
-MeshNetwork::referenceBroadcast(CoreId src, std::uint32_t flits,
-                                Cycle depart,
-                                std::vector<Cycle> &arrivals)
-{
-    ++stats_.broadcasts;
-    stats_.flitsInjected += flits;
-    arrivals.assign(numCores_, 0);
-    arrivals[src] = depart;
-
-    // X-then-Y tree: the message expands east and west along the
-    // source row, and each row node forwards north and south along its
-    // column. Every tree link is traversed exactly once per broadcast.
-    std::uint64_t tree_links = 0;
-    Cycle max_arrival = depart;
-
-    const auto sx = xOf(src);
-    const auto sy = yOf(src);
-
-    // Head-flit time at each node of the source row.
-    std::vector<Cycle> row_head(width_, 0);
-    row_head[sx] = depart;
-    for (std::uint32_t x = sx + 1; x < width_; ++x) {
-        const CoreId at = static_cast<CoreId>(sy * width_ + (x - 1));
-        row_head[x] = traverseLink(linkId(at, East), row_head[x - 1],
-                                   flits);
-        ++tree_links;
-    }
-    for (std::int64_t x = static_cast<std::int64_t>(sx) - 1; x >= 0; --x) {
-        const CoreId at = static_cast<CoreId>(sy * width_ + (x + 1));
-        row_head[x] = traverseLink(linkId(at, West), row_head[x + 1],
-                                   flits);
-        ++tree_links;
-    }
-
-    for (std::uint32_t x = 0; x < width_; ++x) {
-        const CoreId row_node = static_cast<CoreId>(sy * width_ + x);
-        arrivals[row_node] = row_head[x] + (flits > 0 ? flits - 1 : 0);
-        max_arrival = std::max(max_arrival, arrivals[row_node]);
-
-        Cycle t = row_head[x];
-        for (std::uint32_t y = sy + 1; y < height_; ++y) {
-            const CoreId at = static_cast<CoreId>((y - 1) * width_ + x);
-            const CoreId to = static_cast<CoreId>(y * width_ + x);
-            t = traverseLink(linkId(at, South), t, flits);
-            ++tree_links;
-            arrivals[to] = t + (flits > 0 ? flits - 1 : 0);
-            max_arrival = std::max(max_arrival, arrivals[to]);
-        }
-        t = row_head[x];
-        for (std::int64_t y = static_cast<std::int64_t>(sy) - 1; y >= 0;
-             --y) {
-            const CoreId at = static_cast<CoreId>((y + 1) * width_ + x);
-            const CoreId to = static_cast<CoreId>(y * width_ + x);
-            t = traverseLink(linkId(at, North), t, flits);
-            ++tree_links;
-            arrivals[to] = t + (flits > 0 ? flits - 1 : 0);
-            max_arrival = std::max(max_arrival, arrivals[to]);
-        }
-    }
-
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * tree_links;
-    energy_.addLink(static_cast<std::uint64_t>(flits) * tree_links);
-    // Every router in the mesh replicates/forwards the message once.
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * numCores_);
-    return max_arrival;
-}
-
-std::string
-MeshNetwork::describeLink(std::uint32_t link) const
-{
-    static const char *dirs[4] = {"E", "W", "S", "N"};
-    const std::uint32_t node = link / 4;
-    return "tile" + std::to_string(node) + "->" +
-           dirs[link % 4];
 }
 
 } // namespace lacc

@@ -42,15 +42,6 @@ class MeshNetwork : public NetworkModel
     /** The X-then-Y tree re-delivers to the source with the tail. */
     bool selfArrivalAtTail() const override { return true; }
 
-    Cycle referenceUnicast(CoreId src, CoreId dst, std::uint32_t flits,
-                           Cycle depart) override;
-
-    Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                             Cycle depart,
-                             std::vector<Cycle> &arrivals) override;
-
-    std::string describeLink(std::uint32_t link) const override;
-
   protected:
     void buildRoute(CoreId src, CoreId dst,
                     std::vector<std::uint32_t> &out) const override;
@@ -68,8 +59,10 @@ class MeshNetwork : public NetworkModel
         return node * 4 + d;
     }
 
-    /** Next tile one hop toward dst following XY order; src != dst. */
-    CoreId nextHop(CoreId at, CoreId dst, Dir &dir_out) const;
+    CoreId node(std::uint32_t x, std::uint32_t y) const
+    {
+        return static_cast<CoreId>(y * width_ + x);
+    }
 
     std::uint32_t width_;
     std::uint32_t height_;

@@ -10,9 +10,7 @@ namespace lacc {
 NetworkModel::NetworkModel(const SystemConfig &cfg, EnergyModel &energy,
                            std::uint32_t num_links)
     : numCores_(cfg.numCores), hopLatency_(cfg.hopLatency),
-      modelContention_(cfg.modelContention), energy_(energy),
-      links_(num_links), linkQueueing_(num_links, 0),
-      linkFlits_(num_links, 0)
+      energy_(energy), links_(num_links), linkFlits_(num_links, 0)
 {
     if (hopLatency_ < 2)
         fatal("hopLatency must be >= 2 (1 router + 1 link cycle)");
@@ -114,27 +112,9 @@ NetworkModel::unicast(CoreId src, CoreId dst, std::uint32_t flits,
 
     const Route r = routes_[routeIndex(src, dst)];
     const std::uint32_t *seq = linkSeq_.data() + r.offset;
-    Cycle t;
-    if (modelContention_) {
-        t = depart;
-        for (std::uint32_t i = 0; i < r.hops; ++i)
-            t = traverseLink(seq[i], t, flits);
-    } else {
-        // No-contention fast path: per-link load still counts, but
-        // the arrival is analytic. Fault rolls use the analytic
-        // per-hop head times so the schedule matches the contention
-        // path's event identity scheme.
-        for (std::uint32_t i = 0; i < r.hops; ++i) {
-            if (fault_ != nullptr)
-                rollLinkFault(seq[i],
-                              depart +
-                                  static_cast<Cycle>(i) * hopLatency_ +
-                                  1,
-                              flits);
-            linkFlits_[seq[i]] += flits;
-        }
-        t = depart + static_cast<Cycle>(r.hops) * hopLatency_;
-    }
+    Cycle t = depart;
+    for (std::uint32_t i = 0; i < r.hops; ++i)
+        t = traverseLink(seq[i], t, flits);
     const std::uint64_t fh = static_cast<std::uint64_t>(flits) * r.hops;
     stats_.flitHops += fh;
     energy_.addRouter(fh);
@@ -159,40 +139,18 @@ NetworkModel::broadcast(CoreId src, std::uint32_t flits, Cycle depart,
     Cycle max_arrival = arrivals[src];
     const TreeHop *hops = treeHops_.data() + treeOffsets_[src];
     const std::uint32_t n = treeOffsets_[src + 1] - treeOffsets_[src];
-    if (modelContention_) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const TreeHop &h = hops[i];
-            const Cycle head = traverseLink(
-                h.link,
-                headScratch_[h.parent] +
-                    static_cast<Cycle>(h.delayFactor) * flits,
-                flits);
-            headScratch_[h.child] = head;
-            const Cycle a = head + tail;
-            arrivals[h.child] = a;
-            if (a > max_arrival)
-                max_arrival = a;
-        }
-    } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const TreeHop &h = hops[i];
-            if (fault_ != nullptr)
-                rollLinkFault(h.link,
-                              headScratch_[h.parent] +
-                                  static_cast<Cycle>(h.delayFactor) *
-                                      flits +
-                                  1,
-                              flits);
-            linkFlits_[h.link] += flits;
-            const Cycle head =
-                headScratch_[h.parent] +
-                static_cast<Cycle>(h.delayFactor) * flits + hopLatency_;
-            headScratch_[h.child] = head;
-            const Cycle a = head + tail;
-            arrivals[h.child] = a;
-            if (a > max_arrival)
-                max_arrival = a;
-        }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const TreeHop &h = hops[i];
+        const Cycle head = traverseLink(
+            h.link,
+            headScratch_[h.parent] +
+                static_cast<Cycle>(h.delayFactor) * flits,
+            flits);
+        headScratch_[h.child] = head;
+        const Cycle a = head + tail;
+        arrivals[h.child] = a;
+        if (a > max_arrival)
+            max_arrival = a;
     }
 
     stats_.flitHops +=
@@ -201,6 +159,67 @@ NetworkModel::broadcast(CoreId src, std::uint32_t flits, Cycle depart,
                     bmeta_.linkEnergyFactor);
     energy_.addRouter(static_cast<std::uint64_t>(flits) *
                       bmeta_.routerEnergyFactor);
+    return max_arrival;
+}
+
+Cycle
+NetworkModel::referenceUnicast(CoreId src, CoreId dst,
+                               std::uint32_t flits, Cycle depart)
+{
+    ++stats_.unicasts;
+    stats_.flitsInjected += flits;
+    if (src == dst)
+        return depart; // local slice: no network traversal
+
+    std::vector<std::uint32_t> route;
+    buildRoute(src, dst, route);
+    Cycle t = depart;
+    for (const std::uint32_t link : route) {
+        t = traverseLink(link, t, flits);
+        stats_.flitHops += flits;
+        energy_.addRouter(flits);
+        energy_.addLink(flits);
+    }
+    return t + (flits > 0 ? flits - 1 : 0);
+}
+
+Cycle
+NetworkModel::referenceBroadcast(CoreId src, std::uint32_t flits,
+                                 Cycle depart,
+                                 std::vector<Cycle> &arrivals)
+{
+    ++stats_.broadcasts;
+    const bool native = hasNativeBroadcast();
+    if (native) {
+        // One injection, replicated first by the source router.
+        stats_.flitsInjected += flits;
+        energy_.addRouter(flits);
+    }
+    const Cycle tail = flits > 0 ? flits - 1 : 0;
+    std::vector<TreeHop> tree;
+    buildBroadcastSchedule(src, tree);
+    std::vector<Cycle> head(numCores_, 0);
+    head[src] = depart;
+    arrivals.assign(numCores_, 0);
+    arrivals[src] = depart + (selfArrivalAtTail() ? tail : 0);
+
+    Cycle max_arrival = arrivals[src];
+    for (const TreeHop &h : tree) {
+        const Cycle leave =
+            head[h.parent] + static_cast<Cycle>(h.delayFactor) * flits;
+        if (native) {
+            head[h.child] = traverseLink(h.link, leave, flits);
+            arrivals[h.child] = head[h.child] + tail;
+            stats_.flitHops += flits;
+            energy_.addLink(flits);
+            energy_.addRouter(flits);
+        } else {
+            arrivals[h.child] =
+                referenceUnicast(h.parent, h.child, flits, leave);
+            head[h.child] = arrivals[h.child] - tail;
+        }
+        max_arrival = std::max(max_arrival, arrivals[h.child]);
+    }
     return max_arrival;
 }
 
@@ -219,7 +238,6 @@ void
 NetworkModel::reset()
 {
     std::fill(links_.begin(), links_.end(), LinkState{});
-    std::fill(linkQueueing_.begin(), linkQueueing_.end(), 0);
     std::fill(linkFlits_.begin(), linkFlits_.end(), 0);
     stats_ = NetworkStats{};
 }
@@ -231,36 +249,10 @@ NetworkModel::restoreFrom(const NetworkModel &o)
         panic("NetworkModel::restoreFrom: %s and %s differ in shape",
               name(), o.name());
     links_ = o.links_;
-    linkQueueing_ = o.linkQueueing_;
     linkFlits_ = o.linkFlits_;
     stats_ = o.stats_;
     faultPending_ = o.faultPending_;
     faultDrop_ = o.faultDrop_;
-}
-
-std::vector<std::pair<std::uint32_t, std::uint64_t>>
-NetworkModel::topCongestedLinks(std::size_t n) const
-{
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> v;
-    for (std::uint32_t l = 0; l < linkQueueing_.size(); ++l)
-        if (linkQueueing_[l] > 0)
-            v.emplace_back(l, linkQueueing_[l]);
-    // Deterministic total order: queueing desc, link id asc — equal
-    // queueing must not reorder across runs or sort implementations.
-    std::sort(v.begin(), v.end(), [](const auto &a, const auto &b) {
-        if (a.second != b.second)
-            return a.second > b.second;
-        return a.first < b.first;
-    });
-    if (v.size() > n)
-        v.resize(n);
-    return v;
-}
-
-std::string
-NetworkModel::describeLink(std::uint32_t link) const
-{
-    return "link" + std::to_string(link);
 }
 
 std::size_t

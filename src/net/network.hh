@@ -19,39 +19,38 @@
  *  - wormhole serialization: a message of F flits arrives F-1 cycles
  *    after its head flit;
  *  - contention is modeled on directed links only, with infinite
- *    input buffers: each link carries one flit per cycle. Queueing
- *    uses a windowed backlog model (like Graphite's
- *    lax-synchronization queue models): each link tracks the flit
- *    backlog accumulated in the current time window, drains it at
- *    link rate, and delays a message by the undrained backlog ahead
- *    of it. Unlike an absolute next-free-cycle booking, this
- *    tolerates the small timestamp reordering inherent to per-core
- *    clocks: a message from a slightly lagging core sees the same
- *    backlog instead of paying the whole clock skew as phantom
- *    queueing.
+ *    input buffers (Table 1, "link contention only"): each link
+ *    carries one flit per cycle. Queueing uses a windowed backlog
+ *    model (like Graphite's lax-synchronization queue models): each
+ *    link tracks the flit backlog accumulated in the current time
+ *    window, drains it at link rate, and delays a message by the
+ *    undrained backlog ahead of it. Unlike an absolute
+ *    next-free-cycle booking, this tolerates the small timestamp
+ *    reordering inherent to per-core clocks: a message from a
+ *    slightly lagging core sees the same backlog instead of paying
+ *    the whole clock skew as phantom queueing.
  *
- * The hot path is table-driven (docs/ARCHITECTURE.md "Route tables &
- * broadcast schedules"): at construction every topology enumerates
- * its routes once into a flat RouteTable — for each (src, dst) pair a
- * contiguous span of directed link ids plus the hop count — and one
- * BroadcastTree schedule per source: a topologically-ordered list of
- * (link, parent, child) hops whose head-flit times chain through a
- * reusable scratch array. unicast()/broadcast()/hopCount() are
- * therefore non-virtual base-class loops with no per-hop coordinate
- * math, no per-call allocation, and per-message (not per-hop)
- * stats/energy accumulation; with modelContention off, arrival times
- * come straight from the precomputed hop counts. The original
- * hop-by-hop walkers survive as the virtual reference*() debug path,
- * and tests/test_net.cc pins the two paths to identical timing and
- * link-flit accounting on every topology.
+ * A topology states each route once, in two construction-time hooks:
+ * buildRoute (the directed links of one src -> dst unicast) and
+ * buildBroadcastSchedule (the (link, parent, child) hops of one
+ * source's broadcast tree). finalizeTables enumerates them into a
+ * flat RouteTable — for each (src, dst) pair a contiguous span of
+ * link ids plus the hop count — and one topologically-ordered
+ * schedule per source whose head-flit times chain through a reusable
+ * scratch array (docs/ARCHITECTURE.md "Route tables & broadcast
+ * schedules"). unicast()/broadcast()/hopCount() are therefore
+ * non-virtual base-class loops with no per-hop coordinate math, no
+ * per-call allocation, and per-message (not per-hop) stats/energy
+ * accumulation. referenceUnicast()/referenceBroadcast() replay the
+ * same hooks hop by hop with per-hop accounting; tests/test_net.cc
+ * pins the tables, the scratch-head walk and the batched broadcast
+ * accounting to that replay on every topology.
  */
 
 #ifndef LACC_NET_NETWORK_HH
 #define LACC_NET_NETWORK_HH
 
 #include <cstdint>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "energy/model.hh"
@@ -68,9 +67,8 @@ class FaultInjector;
  * topologies enumerate their routing (buildRoute) and broadcast trees
  * (buildBroadcastSchedule) once at construction; the base class owns
  * the precomputed tables, the directed-link contention state, traffic
- * statistics, energy charging, and the congestion diagnostics, so
- * every topology accounts traffic the same way and pays the same
- * (table-driven) per-message cost.
+ * statistics and energy charging, so every topology accounts traffic
+ * the same way and pays the same (table-driven) per-message cost.
  */
 class NetworkModel
 {
@@ -94,11 +92,10 @@ class NetworkModel
     };
 
     /**
-     * @param cfg       system configuration (geometry, flit widths,
-     *                  hop latency, contention flag)
+     * @param cfg       system configuration (geometry, hop latency)
      * @param energy    whole-system energy accumulator
-     * @param num_links directed links (contention/diagnostic slots)
-     *                  this topology models
+     * @param num_links directed links (contention slots) this
+     *                  topology models
      */
     NetworkModel(const SystemConfig &cfg, EnergyModel &energy,
                  std::uint32_t num_links);
@@ -109,8 +106,8 @@ class NetworkModel
 
     /**
      * Routing distance between two tiles in links traversed
-     * (0 for src == dst). Drives Message::hops and idealLatency().
-     * Table lookup — no virtual dispatch, no coordinate math.
+     * (0 for src == dst). Drives idealLatency(). Table lookup — no
+     * virtual dispatch, no coordinate math.
      */
     std::uint32_t hopCount(CoreId src, CoreId dst) const
     {
@@ -121,8 +118,7 @@ class NetworkModel
      * Send a unicast message and return its arrival time (time the
      * last flit is ejected at @p dst). Accounts link contention and
      * router/link energy. Table-driven: walks the precomputed link
-     * span; with modelContention off the arrival is computed
-     * analytically from the hop count.
+     * span.
      *
      * @param src    source tile
      * @param dst    destination tile
@@ -164,21 +160,25 @@ class NetworkModel
     virtual bool selfArrivalAtTail() const { return false; }
 
     /**
-     * Debug reference path: the original hop-by-hop unicast walker
-     * (per-hop coordinate math / virtual dispatch). Mutates the same
-     * contention/stats state as unicast(); tests drive a second,
-     * identically-configured instance through this path and assert
-     * bit-identical timing and accounting against the table-driven
-     * one. Not used on the simulation hot path.
+     * Test reference for unicast(): rebuilds the route through
+     * buildRoute and crosses it one traverseLink at a time, charging
+     * stats and energy per hop. Mutates the same state as unicast();
+     * tests drive a second, identically-configured instance through
+     * this path and assert bit-identical timing and accounting against
+     * the tables. Allocates per call; not for the simulation path.
      */
-    virtual Cycle referenceUnicast(CoreId src, CoreId dst,
-                                   std::uint32_t flits,
-                                   Cycle depart) = 0;
+    Cycle referenceUnicast(CoreId src, CoreId dst, std::uint32_t flits,
+                           Cycle depart);
 
-    /** Debug reference path for broadcast(); see referenceUnicast. */
-    virtual Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                                     Cycle depart,
-                                     std::vector<Cycle> &arrivals) = 0;
+    /**
+     * Test reference for broadcast(): rebuilds the schedule through
+     * buildBroadcastSchedule and crosses it hop by hop. A native
+     * broadcast is one injection, replicated by the source router and
+     * then by one router per hop; an emulated one is one
+     * referenceUnicast per hop. See referenceUnicast.
+     */
+    Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
+                             Cycle depart, std::vector<Cycle> &arrivals);
 
     /**
      * Contention-free latency of a unicast (test/analysis helper):
@@ -196,12 +196,9 @@ class NetworkModel
     /** Reset traffic counters and link state (tables persist). */
     void reset();
 
-    /** Reset traffic counters only (links stay occupied). */
-    void resetStats() { stats_ = NetworkStats{}; }
-
     /**
      * Become an exact copy of @p o's mutable state — link backlogs,
-     * per-link diagnostics, traffic stats, the latched fault — for a
+     * per-link flit loads, traffic stats, the latched fault — for a
      * network of the same config (Multicore::restoreFrom). The tables
      * are config-derived and stay. Topologies keep no mutable state of
      * their own; one that adds some must copy it here too.
@@ -215,18 +212,7 @@ class NetworkModel
         return static_cast<std::uint32_t>(links_.size());
     }
 
-    /**
-     * Diagnostic: (link id, queueing cycles) of the worst links,
-     * ordered by (queueing desc, link id asc) — a deterministic total
-     * order, so equal-queueing links never reorder across runs.
-     */
-    std::vector<std::pair<std::uint32_t, std::uint64_t>>
-    topCongestedLinks(std::size_t n) const;
-
-    /** Diagnostic: describe a directed link id as text. */
-    virtual std::string describeLink(std::uint32_t link) const;
-
-    /** Diagnostic: flits carried by a directed link. */
+    /** Flits carried by a directed link. */
     std::uint64_t linkFlits(std::uint32_t link) const
     {
         return linkFlits_[link];
@@ -267,6 +253,37 @@ class NetworkModel
 
   protected:
     /**
+     * Topology hook: append the directed link ids of the src -> dst
+     * route, in traversal order. Called by finalizeTables and by
+     * referenceUnicast; never with src == dst.
+     */
+    virtual void buildRoute(CoreId src, CoreId dst,
+                            std::vector<std::uint32_t> &out) const = 0;
+
+    /**
+     * Topology hook: append the broadcast schedule rooted at @p src,
+     * in traversal order (contention-state updates are
+     * order-sensitive, so the order is part of the timing model).
+     * Called by finalizeTables and by referenceBroadcast. Every
+     * non-source tile must appear exactly once as a child, and every
+     * parent must be the source or an earlier child.
+     */
+    virtual void
+    buildBroadcastSchedule(CoreId src,
+                           std::vector<TreeHop> &out) const = 0;
+
+    /**
+     * Build the route table and broadcast schedules from the topology
+     * hooks, validate them, and derive the per-broadcast batched
+     * stat/energy factors. MUST be called at the end of every
+     * concrete topology's constructor (the hooks are virtual).
+     */
+    void finalizeTables();
+
+    std::uint32_t numCores_;
+
+  private:
+    /**
      * Route one message across a single directed link, applying the
      * windowed-backlog contention model (see the file header).
      * Header-inline so the table-driven span loop compiles to a tight
@@ -288,63 +305,27 @@ class NetworkModel
         // branch; the roll itself is out-of-line.
         if (fault_ != nullptr)
             rollLinkFault(link, head_at_link, flits);
-        if (modelContention_) {
-            LinkState &ls = links_[link];
-            const Cycle w = head_at_link / kWindow;
-            if (w > ls.windowId) {
-                // The link drains one flit per cycle between windows.
-                const std::uint64_t drained =
-                    (w - ls.windowId) * kWindow;
-                ls.backlog = ls.backlog > drained
-                                 ? ls.backlog - drained
-                                 : 0;
-                ls.windowId = w;
-            }
-            // Work queued ahead minus what drained since window
-            // start; messages from slightly lagging clocks
-            // (w < windowId) see the current backlog without paying
-            // the skew itself.
-            const Cycle elapsed =
-                w >= ls.windowId ? head_at_link % kWindow : 0;
-            if (ls.backlog > elapsed) {
-                const Cycle wait = ls.backlog - elapsed;
-                stats_.contentionCycles += wait;
-                linkQueueing_[link] += wait;
-                head_at_link += wait;
-            }
-            ls.backlog += flits;
+        LinkState &ls = links_[link];
+        const Cycle w = head_at_link / kWindow;
+        if (w > ls.windowId) {
+            // The link drains one flit per cycle between windows.
+            const std::uint64_t drained = (w - ls.windowId) * kWindow;
+            ls.backlog = ls.backlog > drained ? ls.backlog - drained : 0;
+            ls.windowId = w;
         }
+        // Work queued ahead minus what drained since window start;
+        // messages from slightly lagging clocks (w < windowId) see the
+        // current backlog without paying the skew itself.
+        const Cycle elapsed = w >= ls.windowId ? head_at_link % kWindow : 0;
+        if (ls.backlog > elapsed) {
+            const Cycle wait = ls.backlog - elapsed;
+            stats_.contentionCycles += wait;
+            head_at_link += wait;
+        }
+        ls.backlog += flits;
         linkFlits_[link] += flits;
         return head_at_link + (hopLatency_ - 1);
     }
-
-    /**
-     * Topology hook (construction time only): append the directed
-     * link ids of the src -> dst route, in traversal order. Never
-     * called with src == dst.
-     */
-    virtual void buildRoute(CoreId src, CoreId dst,
-                            std::vector<std::uint32_t> &out) const = 0;
-
-    /**
-     * Topology hook (construction time only): append the broadcast
-     * schedule rooted at @p src, in the exact traversal order of the
-     * reference walker (contention-state updates are order-sensitive,
-     * and the equivalence tests hold the two paths bit-identical).
-     * Every non-source tile must appear exactly once as a child, and
-     * every parent must be the source or an earlier child.
-     */
-    virtual void
-    buildBroadcastSchedule(CoreId src,
-                           std::vector<TreeHop> &out) const = 0;
-
-    /**
-     * Build the route table and broadcast schedules from the topology
-     * hooks, validate them, and derive the per-broadcast batched
-     * stat/energy factors. MUST be called at the end of every
-     * concrete topology's constructor (the hooks are virtual).
-     */
-    void finalizeTables();
 
     /**
      * Roll the seeded per-link Bernoulli fault process for one
@@ -357,20 +338,6 @@ class NetworkModel
     void rollLinkFault(std::uint32_t link, Cycle t,
                        std::uint32_t flits);
 
-    std::uint32_t numCores_;
-    std::uint32_t hopLatency_;
-    bool modelContention_;
-
-    EnergyModel &energy_;
-    NetworkStats stats_;
-
-    // Fault-injection hook state (a run's traversals all happen on
-    // its one event-loop thread).
-    FaultInjector *fault_ = nullptr;
-    bool faultPending_ = false;
-    bool faultDrop_ = false;
-
-  private:
     /** One (src, dst) route: a span of linkSeq_ plus its length. */
     struct Route
     {
@@ -410,9 +377,18 @@ class NetworkModel
     /** Window length in cycles (power of two; also the drain rate). */
     static constexpr Cycle kWindow = 64;
 
+    std::uint32_t hopLatency_;
+    EnergyModel &energy_;
+    NetworkStats stats_;
+
+    // Fault-injection hook state (a run's traversals all happen on
+    // its one event-loop thread).
+    FaultInjector *fault_ = nullptr;
+    bool faultPending_ = false;
+    bool faultDrop_ = false;
+
     std::vector<LinkState> links_;
-    std::vector<std::uint64_t> linkQueueing_; //!< per-link diagnostics
-    std::vector<std::uint64_t> linkFlits_;    //!< per-link load
+    std::vector<std::uint64_t> linkFlits_; //!< per-link load
 
     // ---- Precomputed tables (finalizeTables) --------------------------
     std::vector<Route> routes_;            //!< numCores^2, src-major

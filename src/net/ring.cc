@@ -1,7 +1,5 @@
 #include "net/ring.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
 RingNetwork::RingNetwork(const SystemConfig &cfg, EnergyModel &energy)
@@ -14,7 +12,7 @@ void
 RingNetwork::buildRoute(CoreId src, CoreId dst,
                         std::vector<std::uint32_t> &out) const
 {
-    // Shorter arc; ties go clockwise — the reference walker's order.
+    // Shorter arc; ties go clockwise.
     const std::uint32_t cw = cwDist(src, dst);
     const bool clockwise = cw <= numCores_ - cw;
     CoreId at = src;
@@ -30,8 +28,9 @@ void
 RingNetwork::buildBroadcastSchedule(CoreId src,
                                     std::vector<TreeHop> &out) const
 {
-    // Two arcs in the reference walker's order: clockwise covers N/2
-    // nodes, counter-clockwise the rest.
+    // One injection expands both ways around the ring: the clockwise
+    // arc covers N/2 nodes, the counter-clockwise arc the rest (N-1
+    // arc links in all).
     const std::uint32_t cw_cnt = numCores_ / 2;
     CoreId at = src;
     for (std::uint32_t i = 0; i < cw_cnt; ++i) {
@@ -46,93 +45,6 @@ RingNetwork::buildBroadcastSchedule(CoreId src,
         out.push_back({linkId(at, CounterCw), at, nxt, 0});
         at = nxt;
     }
-}
-
-Cycle
-RingNetwork::referenceUnicast(CoreId src, CoreId dst,
-                              std::uint32_t flits, Cycle depart)
-{
-    ++stats_.unicasts;
-    stats_.flitsInjected += flits;
-    if (src == dst)
-        return depart; // local slice: no network traversal
-
-    // Shorter arc; ties go clockwise.
-    const std::uint32_t cw = cwDist(src, dst);
-    const bool clockwise = cw <= numCores_ - cw;
-    Cycle t = depart;
-    std::uint32_t hops = 0;
-    CoreId at = src;
-    while (at != dst) {
-        const CoreId nxt = static_cast<CoreId>(
-            clockwise ? (at + 1) % numCores_
-                      : (at + numCores_ - 1) % numCores_);
-        t = traverseLink(linkId(at, clockwise ? Clockwise : CounterCw),
-                         t, flits);
-        at = nxt;
-        ++hops;
-    }
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * hops;
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * hops);
-    energy_.addLink(static_cast<std::uint64_t>(flits) * hops);
-    // Wormhole serialization: tail arrives flits-1 cycles after head.
-    return t + (flits > 0 ? flits - 1 : 0);
-}
-
-Cycle
-RingNetwork::referenceBroadcast(CoreId src, std::uint32_t flits,
-                                Cycle depart,
-                                std::vector<Cycle> &arrivals)
-{
-    ++stats_.broadcasts;
-    stats_.flitsInjected += flits;
-    arrivals.assign(numCores_, 0);
-    arrivals[src] = depart;
-
-    // One injection expands both ways around the ring: the clockwise
-    // arc covers N/2 nodes, the counter-clockwise arc the rest; every
-    // arc link is occupied once (N-1 tree links total).
-    std::uint64_t tree_links = 0;
-    Cycle max_arrival = depart;
-    const auto tail = [flits](Cycle head) {
-        return head + (flits > 0 ? flits - 1 : 0);
-    };
-
-    const std::uint32_t cw_cnt = numCores_ / 2;
-    Cycle t = depart;
-    CoreId at = src;
-    for (std::uint32_t i = 0; i < cw_cnt; ++i) {
-        const CoreId nxt = static_cast<CoreId>((at + 1) % numCores_);
-        t = traverseLink(linkId(at, Clockwise), t, flits);
-        ++tree_links;
-        arrivals[nxt] = tail(t);
-        max_arrival = std::max(max_arrival, arrivals[nxt]);
-        at = nxt;
-    }
-    t = depart;
-    at = src;
-    for (std::uint32_t i = 0; i + 1 + cw_cnt < numCores_; ++i) {
-        const CoreId nxt =
-            static_cast<CoreId>((at + numCores_ - 1) % numCores_);
-        t = traverseLink(linkId(at, CounterCw), t, flits);
-        ++tree_links;
-        arrivals[nxt] = tail(t);
-        max_arrival = std::max(max_arrival, arrivals[nxt]);
-        at = nxt;
-    }
-
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * tree_links;
-    energy_.addLink(static_cast<std::uint64_t>(flits) * tree_links);
-    // Every router on the two arcs forwards the message once.
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * numCores_);
-    return max_arrival;
-}
-
-std::string
-RingNetwork::describeLink(std::uint32_t link) const
-{
-    return "tile" + std::to_string(link / 2) +
-           (link % 2 == Clockwise ? "->cw" : "->ccw");
 }
 
 } // namespace lacc

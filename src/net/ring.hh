@@ -25,15 +25,6 @@ class RingNetwork : public NetworkModel
 
     bool hasNativeBroadcast() const override { return true; }
 
-    Cycle referenceUnicast(CoreId src, CoreId dst, std::uint32_t flits,
-                           Cycle depart) override;
-
-    Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                             Cycle depart,
-                             std::vector<Cycle> &arrivals) override;
-
-    std::string describeLink(std::uint32_t link) const override;
-
   protected:
     void buildRoute(CoreId src, CoreId dst,
                     std::vector<std::uint32_t> &out) const override;

@@ -1,7 +1,5 @@
 #include "net/torus.hh"
 
-#include <algorithm>
-
 namespace lacc {
 
 TorusNetwork::TorusNetwork(const SystemConfig &cfg, EnergyModel &energy)
@@ -16,7 +14,7 @@ TorusNetwork::buildRoute(CoreId src, CoreId dst,
                          std::vector<std::uint32_t> &out) const
 {
     // X ring first, shorter way around (ties go East), then Y ring
-    // (ties go South) — the reference walker's exact link order.
+    // (ties go South).
     std::uint32_t x = xOf(src);
     const std::uint32_t dx = xOf(dst);
     const std::uint32_t sy = yOf(src);
@@ -44,9 +42,11 @@ void
 TorusNetwork::buildBroadcastSchedule(CoreId src,
                                      std::vector<TreeHop> &out) const
 {
-    // X-then-Y tree over the rings in the reference walker's order:
-    // East covers width/2 row nodes, West the rest; then every column
-    // (x ascending) expands South (height/2 nodes) then North.
+    // X-then-Y tree over the rings: East covers width/2 row nodes,
+    // West the rest; then every column (x ascending) expands South
+    // (height/2 nodes) then North. Every tree link is occupied once:
+    // (W-1) + W*(H-1) = N-1 links, like the mesh tree but with half
+    // the diameter.
     const std::uint32_t sx = xOf(src);
     const std::uint32_t sy = yOf(src);
 
@@ -80,141 +80,6 @@ TorusNetwork::buildBroadcastSchedule(CoreId src,
             y = nxt;
         }
     }
-}
-
-Cycle
-TorusNetwork::referenceUnicast(CoreId src, CoreId dst,
-                               std::uint32_t flits, Cycle depart)
-{
-    ++stats_.unicasts;
-    stats_.flitsInjected += flits;
-    if (src == dst)
-        return depart; // local slice: no network traversal
-
-    Cycle t = depart;
-    std::uint32_t hops = 0;
-
-    // X ring first, shorter way around (ties go East), then Y ring.
-    std::uint32_t x = xOf(src);
-    const std::uint32_t dx = xOf(dst);
-    const std::uint32_t sy = yOf(src);
-    {
-        const std::uint32_t fwd = fwdDist(x, dx, width_);
-        const bool east = fwd <= width_ - fwd;
-        while (x != dx) {
-            const std::uint32_t nxt =
-                east ? (x + 1) % width_ : (x + width_ - 1) % width_;
-            t = traverseLink(linkId(node(x, sy), east ? East : West),
-                             t, flits);
-            x = nxt;
-            ++hops;
-        }
-    }
-    {
-        std::uint32_t y = sy;
-        const std::uint32_t dy = yOf(dst);
-        const std::uint32_t fwd = fwdDist(y, dy, height_);
-        const bool south = fwd <= height_ - fwd;
-        while (y != dy) {
-            const std::uint32_t nxt = south
-                                          ? (y + 1) % height_
-                                          : (y + height_ - 1) % height_;
-            t = traverseLink(linkId(node(x, y), south ? South : North),
-                             t, flits);
-            y = nxt;
-            ++hops;
-        }
-    }
-
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * hops;
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * hops);
-    energy_.addLink(static_cast<std::uint64_t>(flits) * hops);
-    // Wormhole serialization: tail arrives flits-1 cycles after head.
-    return t + (flits > 0 ? flits - 1 : 0);
-}
-
-Cycle
-TorusNetwork::referenceBroadcast(CoreId src, std::uint32_t flits,
-                                 Cycle depart,
-                                 std::vector<Cycle> &arrivals)
-{
-    ++stats_.broadcasts;
-    stats_.flitsInjected += flits;
-    arrivals.assign(numCores_, 0);
-    arrivals[src] = depart;
-
-    // X-then-Y tree over the rings: the message expands both ways
-    // around the source row (East covers width/2 nodes, West the
-    // rest), and each row node forwards both ways around its column.
-    // Every tree link is traversed exactly once: (W-1) + W*(H-1) =
-    // N-1 links, like the mesh tree but with half the diameter.
-    std::uint64_t tree_links = 0;
-    Cycle max_arrival = depart;
-
-    const std::uint32_t sx = xOf(src);
-    const std::uint32_t sy = yOf(src);
-    const auto tail = [flits](Cycle head) {
-        return head + (flits > 0 ? flits - 1 : 0);
-    };
-
-    // Head-flit time at each node of the source row.
-    std::vector<Cycle> row_head(width_, 0);
-    row_head[sx] = depart;
-    const std::uint32_t east_cnt = width_ / 2;
-    for (std::uint32_t i = 0, x = sx; i < east_cnt; ++i) {
-        const std::uint32_t nxt = (x + 1) % width_;
-        row_head[nxt] = traverseLink(linkId(node(x, sy), East),
-                                     row_head[x], flits);
-        ++tree_links;
-        x = nxt;
-    }
-    for (std::uint32_t i = 0, x = sx; i + 1 + east_cnt < width_; ++i) {
-        const std::uint32_t nxt = (x + width_ - 1) % width_;
-        row_head[nxt] = traverseLink(linkId(node(x, sy), West),
-                                     row_head[x], flits);
-        ++tree_links;
-        x = nxt;
-    }
-
-    const std::uint32_t south_cnt = height_ / 2;
-    for (std::uint32_t x = 0; x < width_; ++x) {
-        arrivals[node(x, sy)] = tail(row_head[x]);
-        max_arrival = std::max(max_arrival, arrivals[node(x, sy)]);
-
-        Cycle t = row_head[x];
-        for (std::uint32_t i = 0, y = sy; i < south_cnt; ++i) {
-            const std::uint32_t nxt = (y + 1) % height_;
-            t = traverseLink(linkId(node(x, y), South), t, flits);
-            ++tree_links;
-            arrivals[node(x, nxt)] = tail(t);
-            max_arrival = std::max(max_arrival, arrivals[node(x, nxt)]);
-            y = nxt;
-        }
-        t = row_head[x];
-        for (std::uint32_t i = 0, y = sy; i + 1 + south_cnt < height_;
-             ++i) {
-            const std::uint32_t nxt = (y + height_ - 1) % height_;
-            t = traverseLink(linkId(node(x, y), North), t, flits);
-            ++tree_links;
-            arrivals[node(x, nxt)] = tail(t);
-            max_arrival = std::max(max_arrival, arrivals[node(x, nxt)]);
-            y = nxt;
-        }
-    }
-
-    stats_.flitHops += static_cast<std::uint64_t>(flits) * tree_links;
-    energy_.addLink(static_cast<std::uint64_t>(flits) * tree_links);
-    // Every router replicates/forwards the message once.
-    energy_.addRouter(static_cast<std::uint64_t>(flits) * numCores_);
-    return max_arrival;
-}
-
-std::string
-TorusNetwork::describeLink(std::uint32_t link) const
-{
-    static const char *dirs[4] = {"E", "W", "S", "N"};
-    const std::uint32_t nd = link / 4;
-    return "tile" + std::to_string(nd) + "~>" + dirs[link % 4];
 }
 
 } // namespace lacc

@@ -34,15 +34,6 @@ class TorusNetwork : public NetworkModel
     /** The X-then-Y ring tree re-delivers to the source with the tail. */
     bool selfArrivalAtTail() const override { return true; }
 
-    Cycle referenceUnicast(CoreId src, CoreId dst, std::uint32_t flits,
-                           Cycle depart) override;
-
-    Cycle referenceBroadcast(CoreId src, std::uint32_t flits,
-                             Cycle depart,
-                             std::vector<Cycle> &arrivals) override;
-
-    std::string describeLink(std::uint32_t link) const override;
-
   protected:
     void buildRoute(CoreId src, CoreId dst,
                     std::vector<std::uint32_t> &out) const override;
@@ -65,14 +56,6 @@ class TorusNetwork : public NetworkModel
     fwdDist(std::uint32_t a, std::uint32_t b, std::uint32_t n)
     {
         return b >= a ? b - a : b + n - a;
-    }
-
-    /** Shorter of the two ring directions (ties go forward). */
-    static std::uint32_t
-    ringDist(std::uint32_t a, std::uint32_t b, std::uint32_t n)
-    {
-        const std::uint32_t f = fwdDist(a, b, n);
-        return f <= n - f ? f : n - f;
     }
 
     CoreId node(std::uint32_t x, std::uint32_t y) const

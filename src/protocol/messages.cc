@@ -49,7 +49,6 @@ msgKindName(MsgKind k)
 Cycle
 MessageTransport::sendWithRetry(Message &m, Cycle depart)
 {
-    m.seq = ++seq_;
     const FaultPlan &plan = fault_->plan();
     Cycle t = depart;
     for (std::uint32_t attempt = 0;; ++attempt) {
@@ -67,8 +66,6 @@ MessageTransport::sendWithRetry(Message &m, Cycle depart)
             nack.dst = m.src;
             nack.payload = MsgPayload::None;
             nack.flits = flitsOf(nack);
-            nack.hops = net_.hopCount(nack.src, nack.dst);
-            nack.seq = m.seq;
             const Cycle nack_arr =
                 net_.unicast(nack.src, nack.dst, nack.flits, arr);
             bool nack_drop = false;
@@ -93,7 +90,6 @@ Cycle
 MessageTransport::broadcastWithRetry(Message &m, Cycle depart,
                                      std::vector<Cycle> &arrivals)
 {
-    m.seq = ++seq_;
     const FaultPlan &plan = fault_->plan();
     Cycle t = depart;
     for (std::uint32_t attempt = 0;; ++attempt) {

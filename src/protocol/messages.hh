@@ -8,9 +8,9 @@
  * source/destination tile, and a payload class (none / one word / one
  * line). The MessageTransport turns the description into interconnect
  * traffic: it derives the flit count from the configured header and
- * payload widths, records the hop count, and charges router/link
- * energy through the NetworkModel (net/network.hh — mesh by default,
- * any factory-built topology in general). Timing and energy
+ * payload widths and charges router/link energy through the
+ * NetworkModel (net/network.hh — mesh by default, any factory-built
+ * topology in general). Timing and energy
  * accounting are therefore driven by the message description, not by
  * ad-hoc flit arithmetic at each protocol call site.
  */
@@ -74,8 +74,8 @@ const char *msgKindName(MsgKind k);
 
 /**
  * One coherence message. Built by a controller with kind, endpoints,
- * and payload; flit count and hop count are filled by the transport
- * when the message is sent.
+ * and payload; the flit count is filled by the transport when the
+ * message is sent.
  */
 struct Message
 {
@@ -85,15 +85,6 @@ struct Message
     MsgPayload payload = MsgPayload::None;
 
     std::uint32_t flits = 0; //!< header + payload; set by the transport
-    std::uint32_t hops = 0;  //!< route length; set by the transport
-
-    /**
-     * Transport-assigned sequence id, used by the retransmit machinery
-     * to label resends of the same logical message. Pure modeling
-     * metadata: never an input to a fault roll, so the schedule stays
-     * independent of send ordering.
-     */
-    std::uint64_t seq = 0;
 };
 
 /**
@@ -128,8 +119,8 @@ class MessageTransport
     }
 
     /**
-     * Send @p m as a unicast departing at @p depart; fills in flit and
-     * hop counts. @return arrival time of the last flit at m.dst.
+     * Send @p m as a unicast departing at @p depart; fills in the flit
+     * count. @return arrival time of the last flit at m.dst.
      *
      * Under FaultPlan none the entire fault-layer cost is the one
      * untaken branch below (pinned by bench_micro); with faults armed
@@ -139,7 +130,6 @@ class MessageTransport
     send(Message &m, Cycle depart)
     {
         m.flits = flitsOf(m);
-        m.hops = net_.hopCount(m.src, m.dst);
         if (fault_ == nullptr)
             return net_.unicast(m.src, m.dst, m.flits, depart);
         return sendWithRetry(m, depart);
@@ -156,7 +146,6 @@ class MessageTransport
     broadcast(Message &m, Cycle depart, std::vector<Cycle> &arrivals)
     {
         m.flits = flitsOf(m);
-        m.hops = 0; // delivery tree: no single route length
         if (fault_ == nullptr)
             return net_.broadcast(m.src, m.flits, depart, arrivals);
         return broadcastWithRetry(m, depart, arrivals);
@@ -164,11 +153,6 @@ class MessageTransport
 
     /** Arm the lossy-link recovery path (Multicore wiring). */
     void setFaultInjector(FaultInjector *fi) { fault_ = fi; }
-
-    /** Copy @p o's sequence counter (Multicore::restoreFrom). */
-    void restoreFrom(const MessageTransport &o) { seq_ = o.seq_; }
-
-    NetworkModel &network() { return net_; }
 
   private:
     Cycle sendWithRetry(Message &m, Cycle depart);
@@ -178,7 +162,6 @@ class MessageTransport
     const SystemConfig &cfg_;
     NetworkModel &net_;
     FaultInjector *fault_ = nullptr; //!< null under FaultPlan none
-    std::uint64_t seq_ = 0;          //!< next Message::seq to assign
 };
 
 } // namespace lacc

@@ -126,10 +126,10 @@ configFields(const SystemConfig &c)
         c.l2SizeKB, c.l2Assoc, c.l2Latency, c.numMemControllers,
         c.dramBandwidthGBps, c.dramLatency, c.networkKind, c.hopLatency,
         c.flitWidthBits, c.headerFlits, c.wordFlits, c.lineFlits,
-        c.modelContention, c.directoryKind, c.ackwisePointers,
-        c.protocolKind, c.classifierKind, c.pct, c.ratMax, c.nRatLevels,
-        c.classifierK, c.completeLearningShortcut, c.rnucaEnabled,
-        c.faultKind, c.faultRate, c.faultSeed, c.seed);
+        c.directoryKind, c.ackwisePointers, c.protocolKind,
+        c.classifierKind, c.pct, c.ratMax, c.nRatLevels, c.classifierK,
+        c.completeLearningShortcut, c.rnucaEnabled, c.faultKind,
+        c.faultRate, c.faultSeed, c.seed);
 }
 
 } // namespace

@@ -122,7 +122,6 @@ struct SystemConfig
     std::uint32_t headerFlits = 1;     //!< src, dest, addr, type
     std::uint32_t wordFlits = 1;       //!< 64-bit word payload
     std::uint32_t lineFlits = 8;       //!< 512-bit line payload
-    bool modelContention = true;       //!< link contention only (Table 1)
 
     // ---- Directory -----------------------------------------------------
     DirectoryKind directoryKind = DirectoryKind::Ackwise;

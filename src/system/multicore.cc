@@ -357,7 +357,6 @@ Multicore::restoreFrom(const Multicore &o)
               " neither restored nor restored from");
     energy_.restoreFrom(o.energy_);
     network_->restoreFrom(*o.network_);
-    net_.restoreFrom(o.net_);
     dram_.restoreFrom(o.dram_);
     pageTable_.restoreFrom(o.pageTable_);
     for (std::size_t c = 0; c < tiles_.size(); ++c)

@@ -143,8 +143,8 @@ class Multicore
      * reset.
      *
      * Copied: per tile the caches, miss tracker, clock, status,
-     * injected ops, ifetch walker and stats; the network's link state
-     * and stats and the transport's sequence counter; DRAM, the page
+     * injected ops, ifetch walker and stats; the network's link state,
+     * per-link loads and stats; DRAM, the page
      * table, energy tallies, the functional reference memory and its
      * checking mode, SystemStats; barrier and lock state; and the
      * fault counters when a plan is armed. Not copied: the watchdog

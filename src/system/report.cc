@@ -170,7 +170,6 @@ toJson(const SystemConfig &cfg)
     j["header_flits"] = cfg.headerFlits;
     j["word_flits"] = cfg.wordFlits;
     j["line_flits"] = cfg.lineFlits;
-    j["model_contention"] = cfg.modelContention;
     j["directory"] = directoryKindName(cfg.directoryKind);
     j["ackwise_pointers"] = cfg.ackwisePointers;
     j["protocol"] = protocolKindName(cfg.protocolKind);

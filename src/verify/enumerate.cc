@@ -253,11 +253,17 @@ encodeState(Multicore &m, std::uint32_t lines, std::string &out)
             const L2Meta &meta = e.meta();
             put(1);
             put(static_cast<std::uint32_t>(meta.dstate));
-            // dirty is deliberately excluded: it only gates the DRAM
-            // write-back on an L2 eviction, and the bounded config
-            // can never evict an L2 line (<= 2 distinct lines, 4
-            // sets x 8 ways), so it is decision-irrelevant here the
-            // same way data words are.
+            // dirty is deliberately excluded, for the same reason as
+            // the data words: it only decides where a line's value
+            // lives. An L2 eviction or an R-NUCA re-home flush
+            // (flushPage -> l2Evict) writes a dirty line back to DRAM
+            // and drops a clean one, whose DRAM image is already
+            // current, so the next fill reads the same value either
+            // way; the write-back's timing and energy are left out
+            // like all timing. No protocol decision reads the bit
+            // while faults are off (only applySoftFaults' double-bit
+            // policy does), and the functional reference check
+            // catches a clean-marked line whose DRAM image is stale.
             put(meta.overflowed ? 1 : 0);
             std::uint32_t holders = 0;
             for (const CoreId t : meta.holders)

@@ -85,7 +85,7 @@ struct EnumOptions
     std::string protocol = "lacc";  //!< protocol name
     std::string network = "mesh";   //!< factory key
     /** Cap on distinct states, in [1, kMaxEnumStates]. The default
-     * covers the default 2-core/2-line space (1,036,931 states). */
+     * covers the default 2-core/2-line space (362,795 states). */
     std::uint64_t maxStates = 2000000;
 };
 

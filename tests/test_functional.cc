@@ -8,6 +8,7 @@
  * runs (§4.1) — and all accounting invariants must hold.
  */
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -140,9 +141,8 @@ struct FuzzParam
 };
 
 std::string
-paramName(const testing::TestParamInfo<FuzzParam> &info)
+describe(const FuzzParam &p)
 {
-    const auto &p = info.param;
     std::string s = classifierKindName(p.classifier);
     s += p.protocol == ProtocolKind::AdaptOneWay ? "_1way" : "_2way";
     s += p.directory == DirectoryKind::FullMap ? "_fullmap" : "_ackwise";
@@ -150,6 +150,23 @@ paramName(const testing::TestParamInfo<FuzzParam> &info)
     s += "_c" + std::to_string(p.cores);
     s += "_s" + std::to_string(p.seed);
     return s;
+}
+
+std::string
+paramName(const testing::TestParamInfo<FuzzParam> &info)
+{
+    return describe(info.param);
+}
+
+/**
+ * gtest prints a parameter into the listed test name; without this a
+ * FuzzParam prints as a byte dump of the struct, padding included,
+ * which differs from build to build.
+ */
+void
+PrintTo(const FuzzParam &p, std::ostream *os)
+{
+    *os << describe(p);
 }
 
 class FunctionalFuzz : public testing::TestWithParam<FuzzParam>

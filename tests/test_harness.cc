@@ -587,7 +587,7 @@ TEST(Reports, DigestsOfFabricatedSweepsArePinned)
         {"fig12", 0x1f9453be4e5d89e7ull},
         {"fig13", 0x86a54c7478f16ff3ull},
         {"fig14", 0x74bbb4e4a6aaa73aull},
-        {"table1", 0x2dded2c30389a198ull},
+        {"table1", 0xb1914461285cbabfull},
         {"table2", 0x1f164748191a2c86ull},
         {"ablation", 0xfbfaad8f9dcad588ull},
         {"ackwise", 0xf5456612b3790ca7ull},

@@ -8,6 +8,8 @@
  * network factory.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "energy/model.hh"
@@ -29,6 +31,28 @@ meshCfg(std::uint32_t cores, std::uint32_t width)
     cfg.clusterSize = cores >= 4 ? 4 : 1;
     cfg.numMemControllers = cores >= 8 ? 8 : 1;
     return cfg;
+}
+
+/** Directed link id on a mesh or torus: node*4 + {E=0, W=1, S=2, N=3}. */
+std::uint32_t
+gridLink(CoreId node, std::uint32_t dir)
+{
+    return node * 4 + dir;
+}
+
+/**
+ * Every link in @p want carried exactly one flit and every other link
+ * none: the route or tree crossed exactly these links, once each.
+ */
+void
+expectOccupiesExactly(const NetworkModel &net,
+                      const std::vector<std::uint32_t> &want)
+{
+    for (std::uint32_t l = 0; l < net.numLinks(); ++l) {
+        const bool wanted =
+            std::find(want.begin(), want.end(), l) != want.end();
+        EXPECT_EQ(net.linkFlits(l), wanted ? 1u : 0u) << "link " << l;
+    }
 }
 
 TEST(Mesh, Coordinates)
@@ -90,18 +114,6 @@ TEST(Mesh, ContentionDelaysSecondMessage)
     EXPECT_EQ(a, net.idealLatency(0, 1, 8));
     EXPECT_GT(b, a);
     EXPECT_GE(net.stats().contentionCycles, 7u);
-}
-
-TEST(Mesh, ContentionDisabledWhenConfigured)
-{
-    auto cfg = meshCfg(4, 2);
-    cfg.modelContention = false;
-    EnergyModel e;
-    MeshNetwork net(cfg, e);
-    const Cycle a = net.unicast(0, 1, 8, 0);
-    const Cycle b = net.unicast(0, 1, 8, 0);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(net.stats().contentionCycles, 0u);
 }
 
 TEST(Mesh, DisjointPathsNoContention)
@@ -209,21 +221,18 @@ TEST(Mesh, BroadcastOccupiesXThenYTreeLinks)
     std::vector<Cycle> arrivals;
     net.broadcast(5, 1, 0, arrivals);
 
-    const auto link = [](CoreId node, std::uint32_t dir) {
-        return node * 4 + dir;
-    };
     // Row expansion: 5->6->7 east, 5->4 west.
-    EXPECT_EQ(net.linkFlits(link(5, 0)), 1u);
-    EXPECT_EQ(net.linkFlits(link(6, 0)), 1u);
-    EXPECT_EQ(net.linkFlits(link(7, 0)), 0u); // east edge: no wrap
-    EXPECT_EQ(net.linkFlits(link(5, 1)), 1u);
-    EXPECT_EQ(net.linkFlits(link(4, 1)), 0u); // west edge: no wrap
+    EXPECT_EQ(net.linkFlits(gridLink(5, 0)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(6, 0)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(7, 0)), 0u); // east edge: no wrap
+    EXPECT_EQ(net.linkFlits(gridLink(5, 1)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(4, 1)), 0u); // west edge: no wrap
     // Column expansion from every row-1 node: south two rows, north
     // one row (e.g. column 2: 6->10->14 south, 6->2 north).
-    EXPECT_EQ(net.linkFlits(link(6, 2)), 1u);
-    EXPECT_EQ(net.linkFlits(link(10, 2)), 1u);
-    EXPECT_EQ(net.linkFlits(link(6, 3)), 1u);
-    EXPECT_EQ(net.linkFlits(link(2, 3)), 0u); // north edge
+    EXPECT_EQ(net.linkFlits(gridLink(6, 2)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(10, 2)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(6, 3)), 1u);
+    EXPECT_EQ(net.linkFlits(gridLink(2, 3)), 0u); // north edge
     // The tree occupies exactly N-1 directed links, once each.
     std::uint64_t occupied = 0;
     for (std::uint32_t l = 0; l < 16 * 4; ++l) {
@@ -294,6 +303,48 @@ TEST(Torus, BroadcastReachesAllOverSpanningTree)
     EXPECT_EQ(net.stats().broadcasts, 1u);
 }
 
+TEST(Torus, HalfRowTieGoesEast)
+{
+    // 4x4 torus: (1,0) -> (3,0) is two hops either way around row 0;
+    // the tie goes East (1->2->3), not West (1->0->3).
+    EnergyModel e;
+    TorusNetwork net(meshCfg(16, 4), e);
+    net.unicast(1, 3, 1, 0);
+    expectOccupiesExactly(net, {gridLink(1, 0), gridLink(2, 0)});
+}
+
+TEST(Torus, HalfColumnTieGoesSouth)
+{
+    // 4x4 torus: (1,0) -> (1,2) is two hops either way around column
+    // 1; the tie goes South (1->5->9), not North (1->13->9).
+    EnergyModel e;
+    TorusNetwork net(meshCfg(16, 4), e);
+    net.unicast(1, 9, 1, 0);
+    expectOccupiesExactly(net, {gridLink(1, 2), gridLink(5, 2)});
+}
+
+TEST(Torus, BroadcastOccupiesRingTreeLinks)
+{
+    // 4x4 torus, broadcast from tile 5 = (x=1, y=1). Along row 1, East
+    // covers width/2 = 2 nodes (5->6->7) and West the rest (5->4);
+    // then every column expands South over height/2 = 2 rows
+    // ((x,1)->(x,2)->(x,3)) and North over the rest ((x,1)->(x,0)).
+    EnergyModel e;
+    TorusNetwork net(meshCfg(16, 4), e);
+    std::vector<Cycle> arrivals;
+    net.broadcast(5, 1, 0, arrivals);
+
+    std::vector<std::uint32_t> tree = {gridLink(5, 0), gridLink(6, 0),
+                                       gridLink(5, 1)};
+    for (CoreId x = 0; x < 4; ++x) {
+        tree.push_back(gridLink(4 + x, 2));
+        tree.push_back(gridLink(8 + x, 2));
+        tree.push_back(gridLink(4 + x, 3));
+    }
+    ASSERT_EQ(tree.size(), 15u); // N-1 tree links
+    expectOccupiesExactly(net, tree);
+}
+
 // ---------------------------------------------------------------------------
 // Ring
 // ---------------------------------------------------------------------------
@@ -337,6 +388,19 @@ TEST(Ring, BroadcastExpandsBothArcs)
     EXPECT_EQ(net.stats().flitHops, 15u);
     EXPECT_EQ(net.stats().flitsInjected, 1u);
     EXPECT_EQ(max_t, 100 + net.idealLatency(3, 11, 1));
+}
+
+TEST(Ring, HalfRingTieGoesClockwise)
+{
+    // 16-node ring: 3 -> 11 is N/2 = 8 hops either way; the tie goes
+    // clockwise (3->4->...->11). Link ids are node*2 + {CW=0, CCW=1}.
+    EnergyModel e;
+    RingNetwork net(meshCfg(16, 4), e);
+    net.unicast(3, 11, 1, 0);
+    std::vector<std::uint32_t> arc;
+    for (CoreId at = 3; at < 11; ++at)
+        arc.push_back(at * 2);
+    expectOccupiesExactly(net, arc);
 }
 
 TEST(Ring, HigherDiameterThanMesh)
@@ -429,43 +493,7 @@ TEST(Crossbar, EmulatedBroadcastCostsMoreThanMeshTree)
 }
 
 // ---------------------------------------------------------------------------
-// Congestion diagnostics
-// ---------------------------------------------------------------------------
-
-TEST(Congestion, TopLinksTieBreakIsDeterministic)
-{
-    // Three congested links: 1->0 (link 5) queues more than 0->1
-    // (link 0) and 2->3 (link 8), which queue exactly the same amount.
-    // The order must be (queueing desc, link id asc) — equal-queueing
-    // links may not reorder across runs or sort implementations.
-    EnergyModel e;
-    MeshNetwork net(meshCfg(4, 2), e);
-    net.unicast(0, 1, 8, 0);
-    net.unicast(0, 1, 8, 0); // queues 7 cycles on link 0
-    net.unicast(2, 3, 8, 0);
-    net.unicast(2, 3, 8, 0); // queues 7 cycles on link 8
-    net.unicast(1, 0, 8, 0);
-    net.unicast(1, 0, 8, 0);
-    net.unicast(1, 0, 8, 0); // queues 7 + 15 cycles on link 5
-
-    const auto top = net.topCongestedLinks(8);
-    ASSERT_EQ(top.size(), 3u);
-    EXPECT_EQ(top[0].first, 5u);
-    EXPECT_EQ(top[0].second, 22u);
-    EXPECT_EQ(top[1].first, 0u);   // ties: lower link id first
-    EXPECT_EQ(top[1].second, 7u);
-    EXPECT_EQ(top[2].first, 8u);
-    EXPECT_EQ(top[2].second, 7u);
-
-    // Truncation keeps the same order.
-    const auto top2 = net.topCongestedLinks(2);
-    ASSERT_EQ(top2.size(), 2u);
-    EXPECT_EQ(top2[0].first, 5u);
-    EXPECT_EQ(top2[1].first, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Table-driven path == reference walker (all topologies)
+// Table-driven path == hop-by-hop reference replay (all topologies)
 // ---------------------------------------------------------------------------
 
 /** Deterministic 64-bit LCG (tests must not depend on libstdc++). */
@@ -483,9 +511,10 @@ struct Lcg
 /**
  * Drive two identically-configured instances of one topology through
  * the same randomized (src, dst, flits, depart) message sequence —
- * `table` via the table-driven hot path, `ref` via the hop-by-hop
- * reference walker — and require bit-identical timing, arrivals,
- * traffic stats, energy, and per-link flit/congestion accounting.
+ * `table` via the table-driven hot path, `ref` via the reference
+ * replay that rebuilds each route and schedule through the topology
+ * hooks and accounts per hop — and require bit-identical timing,
+ * arrivals, traffic stats, and per-link flit accounting.
  */
 void
 expectPathsEquivalent(NetworkModel &table, NetworkModel &ref,
@@ -523,7 +552,6 @@ expectPathsEquivalent(NetworkModel &table, NetworkModel &ref,
               ref.stats().contentionCycles);
     for (std::uint32_t l = 0; l < links; ++l)
         ASSERT_EQ(table.linkFlits(l), ref.linkFlits(l)) << "link " << l;
-    EXPECT_EQ(table.topCongestedLinks(16), ref.topCongestedLinks(16));
 }
 
 /** links-per-core of each factory topology (mesh/torus 4, ring 2,
@@ -550,29 +578,9 @@ TEST(TableEquivalence, AllTopologiesWithContention)
         expectPathsEquivalent(*table, *ref, cfg.numCores,
                               cfg.numCores * linksPerCore(name),
                               seed++);
-        EXPECT_DOUBLE_EQ(e1.breakdown().link, e2.breakdown().link)
+        EXPECT_EQ(e1.counts().linkFlits, e2.counts().linkFlits) << name;
+        EXPECT_EQ(e1.counts().routerFlits, e2.counts().routerFlits)
             << name;
-        EXPECT_DOUBLE_EQ(e1.breakdown().router, e2.breakdown().router)
-            << name;
-    }
-}
-
-TEST(TableEquivalence, AllTopologiesWithoutContention)
-{
-    // The no-contention fast path computes arrivals analytically; it
-    // must agree with the reference walker's hop-by-hop times and
-    // still account per-link flit loads identically.
-    std::uint64_t seed = 99;
-    for (const auto &name : networkNames()) {
-        SystemConfig cfg = meshCfg(16, 4);
-        cfg.modelContention = false;
-        applyNetworkName(cfg, name);
-        EnergyModel e1, e2;
-        const auto table = makeNetwork(cfg, e1);
-        const auto ref = makeNetwork(cfg, e2);
-        expectPathsEquivalent(*table, *ref, cfg.numCores,
-                              cfg.numCores * linksPerCore(name),
-                              seed++);
     }
 }
 

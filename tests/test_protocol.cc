@@ -818,7 +818,6 @@ TEST(Messages, FlitsFollowPayloadClass)
 
     const Cycle t = net.send(m, 0);
     EXPECT_EQ(m.flits, cfg.headerFlits + cfg.lineFlits);
-    EXPECT_EQ(m.hops, mesh.hopCount(0, 1));
     EXPECT_EQ(t, mesh.idealLatency(0, 1, m.flits)); // empty mesh
 
     EXPECT_STREQ(msgKindName(MsgKind::ShReq), "ShReq");

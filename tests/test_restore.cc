@@ -161,9 +161,6 @@ describe(Multicore &m, const std::vector<Addr> &pool)
     os << "links";
     for (std::uint32_t l = 0; l < net.numLinks(); ++l)
         os << ' ' << net.linkFlits(l);
-    os << "\nqueueing";
-    for (const auto &[link, q] : net.topCongestedLinks(net.numLinks()))
-        os << ' ' << link << ':' << q;
     os << '\n';
 
     DramModel &dram = m.dram();

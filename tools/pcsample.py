@@ -4,9 +4,11 @@
     python3 tools/pcsample.py [--lib PATH] [--out DIR] -- COMMAND [ARGS...]
 
 Runs COMMAND with the sampler library (CMake target `pcsample`, built
-from tools/pcsample.cc) preloaded: it records the interrupted PC at a
-fixed 1 kHz of process CPU time and writes one file per process into
-DIR (a fresh temporary directory unless --out is given).
+from tools/pcsample.cc) preloaded: it records the interrupted PC on a
+timer of process CPU time (1 kHz requested; the kernel may deliver
+fewer) and writes one file per process into DIR (a fresh temporary
+directory unless --out is given). Each file also holds the CPU seconds
+its process used, so the header reports the rate actually measured.
 
 Each PC is mapped to the object it falls in through the process's
 /proc/self/maps (pc - mapping start + file offset, then the ELF
@@ -42,8 +44,9 @@ FUNC_ROWS = 40
 
 
 def parse_dump(path):
-    """@return (maps, pcs, dropped); maps = [(start, end, offset, name)]."""
-    maps, pcs, dropped, section = [], [], 0, None
+    """@return (maps, pcs, dropped, cpu_s);
+    maps = [(start, end, offset, name)]."""
+    maps, pcs, dropped, cpu_s, section = [], [], 0, 0.0, None
     with open(path) as f:
         for line in f:
             line = line.rstrip("\n")
@@ -51,6 +54,8 @@ def parse_dump(path):
                 section = line
             elif section is None and line.startswith("dropped "):
                 dropped = int(line.split()[1])
+            elif section is None and line.startswith("cpu_s "):
+                cpu_s = float(line.split()[1])
             elif section == "maps":
                 parts = line.split(None, 5)
                 if len(parts) < 5 or "x" not in parts[1]:
@@ -61,7 +66,7 @@ def parse_dump(path):
             elif section == "pcs" and line:
                 pcs.append(int(line, 16))
     maps.sort()
-    return maps, pcs, dropped
+    return maps, pcs, dropped, cpu_s
 
 
 def load_segments(path):
@@ -135,13 +140,16 @@ def attribute(frames, obj_name):
 
 
 def tally(dump_dir):
-    """@return (Counter by layer, Counter by func, samples, dropped)."""
+    """@return (Counter by layer, Counter by func, samples, dropped,
+    CPU seconds over all processes)."""
     by_layer, by_func = Counter(), Counter()
     total = dropped = 0
+    cpu_s = 0.0
     segments = {}
     for entry in sorted(os.listdir(dump_dir)):
-        maps, pcs, lost = parse_dump(os.path.join(dump_dir, entry))
+        maps, pcs, lost, cpu = parse_dump(os.path.join(dump_dir, entry))
         dropped += lost
+        cpu_s += cpu
         total += len(pcs)
         starts = [m[0] for m in maps]
         per_obj = {}
@@ -170,7 +178,7 @@ def tally(dump_dir):
                 layer, func = got if got else (UNRESOLVED, UNRESOLVED)
                 by_layer[layer] += 1
                 by_func[func] += 1
-    return by_layer, by_func, total, dropped
+    return by_layer, by_func, total, dropped, cpu_s
 
 
 def report(counts, total, limit, heading):
@@ -216,11 +224,12 @@ def main():
     if code != 0:
         sys.exit(f"pcsample.py: command exited with code {code}")
 
-    by_layer, by_func, total, dropped = tally(out)
+    by_layer, by_func, total, dropped, cpu_s = tally(out)
     if total == 0:
         sys.exit(f"pcsample.py: no samples in {out}")
-    print(f"pcsample: {total} samples at 1 kHz of CPU"
-          f" ({total / 1000.0:.2f} s), dumps in {out}"
+    rate = f"{(total + dropped) / cpu_s:.0f} Hz" if cpu_s > 0 else "? Hz"
+    print(f"pcsample: {total} samples over {cpu_s:.2f} s of CPU ({rate}),"
+          f" dumps in {out}"
           + (f", {dropped} dropped" if dropped else ""))
     report(by_layer, total, None, "layer or object")
     print()
