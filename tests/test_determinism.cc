@@ -216,7 +216,9 @@ TEST(Determinism, TopologiesProduceDistinctTraffic)
 // Golden digests per directory organization. Every golden above has
 // zero ACKwise broadcasts, so lacc and fullmap agree on all of them;
 // here one ACKwise pointer makes the mix overflow it. xbar has no
-// native broadcast, so it drives the serialized-unicast emulation.
+// native broadcast, so it drives the serialized-unicast emulation;
+// the torus and ring rows pin their wrapping broadcast trees (the
+// split of each row and column between its two directions).
 // Regenerate like the classifier goldens.
 struct ProtocolGolden
 {
@@ -232,6 +234,8 @@ const ProtocolGolden kProtocolGoldens[] = {
     {"lacc", "xbar", ProtocolKind::Adaptive, 0xaacdea687524a674ULL},
     {"fullmap", "xbar", ProtocolKind::Adaptive, 0x5e9137e28be7ecb7ULL},
     {"lacc", "mesh", ProtocolKind::AdaptOneWay, 0x552deafe3298e267ULL},
+    {"lacc", "torus", ProtocolKind::Adaptive, 0x409957716d32db58ULL},
+    {"lacc", "ring", ProtocolKind::Adaptive, 0x770a156d18d402a7ULL},
 };
 
 TEST(Determinism, GoldenHashPerProtocol)

@@ -242,6 +242,22 @@ TEST(Mesh, BroadcastOccupiesXThenYTreeLinks)
     EXPECT_EQ(occupied, 15u);
 }
 
+TEST(Mesh, OneRowRoutesAndBroadcastsAlongTheRow)
+{
+    // A 5x1 mesh (meshWidth = numCores, the enumerator's and the
+    // fuzzer's shape): every route and tree stays on the one row.
+    EnergyModel e;
+    MeshNetwork net(meshCfg(5, 5), e);
+    net.unicast(4, 1, 1, 0);
+    expectOccupiesExactly(net, {gridLink(4, 1), gridLink(3, 1),
+                                gridLink(2, 1)});
+    net.reset();
+    std::vector<Cycle> arrivals;
+    net.broadcast(1, 1, 0, arrivals);
+    expectOccupiesExactly(net, {gridLink(1, 0), gridLink(2, 0),
+                                gridLink(3, 0), gridLink(1, 1)});
+}
+
 // ---------------------------------------------------------------------------
 // Torus
 // ---------------------------------------------------------------------------
@@ -401,6 +417,24 @@ TEST(Ring, HalfRingTieGoesClockwise)
     for (CoreId at = 3; at < 11; ++at)
         arc.push_back(at * 2);
     expectOccupiesExactly(net, arc);
+}
+
+TEST(Ring, BroadcastOccupiesBothArcs)
+{
+    // 16-node ring, broadcast from node 3: the clockwise arc covers
+    // N/2 = 8 nodes (3->4->...->11, links node*2) and the
+    // counter-clockwise arc the other 7 (3->2->...->0->15->...->12,
+    // links node*2 + 1).
+    EnergyModel e;
+    RingNetwork net(meshCfg(16, 4), e);
+    std::vector<Cycle> arrivals;
+    net.broadcast(3, 1, 0, arrivals);
+    std::vector<std::uint32_t> arcs;
+    for (CoreId at = 3; at < 11; ++at)
+        arcs.push_back(at * 2);
+    for (std::uint32_t i = 0; i < 7; ++i)
+        arcs.push_back((3 + 16 - i) % 16 * 2 + 1);
+    expectOccupiesExactly(net, arcs);
 }
 
 TEST(Ring, HigherDiameterThanMesh)
