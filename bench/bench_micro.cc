@@ -19,8 +19,7 @@
 #include "core/limited_classifier.hh"
 #include "protocol/core_vec.hh"
 #include "energy/model.hh"
-#include "net/factory.hh"
-#include "net/mesh.hh"
+#include "net/network.hh"
 #include "system/multicore.hh"
 #include "verify/enumerate.hh"
 #include "verify/invariants.hh"
@@ -147,7 +146,7 @@ void
 BM_MeshUnicast(benchmark::State &state)
 {
     EnergyModel e;
-    MeshNetwork net(microCfg(), e);
+    NetworkModel net(microCfg(), e);
     Cycle t = 0;
     CoreId dst = 1;
     for (auto _ : state) {
@@ -162,7 +161,7 @@ void
 BM_MeshBroadcast(benchmark::State &state)
 {
     EnergyModel e;
-    MeshNetwork net(microCfg(), e);
+    NetworkModel net(microCfg(), e);
     std::vector<Cycle> arrivals;
     Cycle t = 0;
     for (auto _ : state) {
@@ -182,11 +181,11 @@ BM_NetUnicast(benchmark::State &state, const char *topology)
     auto cfg = microCfg();
     applyNetworkName(cfg, topology);
     EnergyModel e;
-    const auto net = makeNetwork(cfg, e);
+    NetworkModel net(cfg, e);
     Cycle t = 0;
     CoreId dst = 1;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(net->unicast(0, dst, 9, t));
+        benchmark::DoNotOptimize(net.unicast(0, dst, 9, t));
         dst = static_cast<CoreId>((dst + 7) % 64);
         t += 3;
     }
@@ -202,11 +201,11 @@ BM_NetBroadcast(benchmark::State &state, const char *topology)
     auto cfg = microCfg();
     applyNetworkName(cfg, topology);
     EnergyModel e;
-    const auto net = makeNetwork(cfg, e);
+    NetworkModel net(cfg, e);
     std::vector<Cycle> arrivals;
     Cycle t = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(net->broadcast(27, 1, t, arrivals));
+        benchmark::DoNotOptimize(net.broadcast(27, 1, t, arrivals));
         t += 10;
     }
 }

@@ -27,7 +27,7 @@
 #include "harness/registry.hh"
 #include "harness/runner.hh"
 #include "harness/sink.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/overrides.hh"

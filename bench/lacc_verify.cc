@@ -4,7 +4,7 @@
  * exhaustive bounded-state enumerator, sharing the protocol-invariant
  * library. Command-line conventions mirror lacc_bench: strict
  * full-token numeric parsing (a partial or garbage value exits 2 and
- * prints the valid range), factory-name validation up front, exit 0
+ * prints the valid range), name-table validation up front, exit 0
  * only when verification is clean.
  *
  * Usage:
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "fault/plan.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/overrides.hh"

@@ -1,8 +1,8 @@
 /**
  * @file
  * Config-keyed fault-plan registry — the fault layer's analogue of
- * net/factory.hh and of the protocol name table in
- * protocol/protocol.hh, built on the shared named-registry helpers
+ * the fabric table in net/network.hh and of the protocol name table
+ * in protocol/protocol.hh, built on the shared named-registry helpers
  * (sim/named_registry.hh).
  *
  * A FaultPlan resolves the SystemConfig's (faultKind, faultRate,

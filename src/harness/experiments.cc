@@ -19,7 +19,7 @@
 #include "core/storage_model.hh"
 #include "fault/plan.hh"
 #include "harness/registry.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "system/report.hh"
 #include "workload/litmus.hh"
@@ -888,7 +888,7 @@ networkExperiment()
         "ring/xbar";
     e.tag = "network";
     // Every directory on every fabric, fabrics in networkNames() order,
-    // which leads with "mesh" (the factory's default). The full-map
+    // which leads with "mesh" (the default fabric). The full-map
     // directory comes last: it never broadcasts, so it anchors the
     // broadcast-cost comparison.
     SystemConfig ackwise2 = defaultConfig();

@@ -4,25 +4,93 @@
 
 #include "fault/injector.hh"
 #include "sim/log.hh"
+#include "sim/named_registry.hh"
 
 namespace lacc {
 
-NetworkModel::NetworkModel(const SystemConfig &cfg, EnergyModel &energy,
-                           std::uint32_t num_links)
-    : numCores_(cfg.numCores), hopLatency_(cfg.hopLatency),
-      energy_(energy), links_(num_links), linkFlits_(num_links, 0)
+/**
+ * One fabric: how its tiles are wired and how it broadcasts. Adding a
+ * fabric means adding a row here (plus its NetworkKind); lookup and
+ * diagnostics come from the shared named-registry helpers.
+ */
+struct NetworkEntry
+{
+    const char *name;
+    NetworkKind kind;
+    /**
+     * Directed links per tile. 4: a meshWidth x meshHeight grid with
+     * East, West, South and North links. 2: a numCores x 1 grid, one
+     * row with East and West links only. 1: not a grid but a
+     * crossbar, whose one link per tile is its output port.
+     */
+    std::uint32_t linksPerTile;
+    /** Whether each grid dimension wraps around. */
+    bool wraps;
+    /**
+     * Whether one injection reaches every tile (router replication);
+     * otherwise a broadcast is one serialized unicast per destination.
+     */
+    bool nativeBroadcast;
+    /**
+     * Whether the source's own broadcast copy arrives with the tail
+     * flit (depart + flits - 1) instead of at depart: the X-then-Y
+     * trees re-deliver through the source router after serializing
+     * the payload, while the ring's arcs and the crossbar's ports hand
+     * the source its copy at injection time.
+     */
+    bool srcHearsTail;
+};
+
+namespace {
+
+const NetworkEntry kNetworks[] = {
+    {"mesh", NetworkKind::Mesh, 4, false, true, true},
+    {"torus", NetworkKind::Torus, 4, true, true, true},
+    {"ring", NetworkKind::Ring, 2, true, true, false},
+    {"xbar", NetworkKind::Crossbar, 1, false, false, false},
+};
+
+/** Grid link directions: tile t's links are t * linksPerTile + Dir. */
+enum Dir : std::uint32_t { East = 0, West = 1, South = 2, North = 3 };
+
+/**
+ * Whether the way from @p a to @p b along a grid dimension of @p n
+ * tiles goes up (East/South): the shorter way round when the
+ * dimension wraps, ties going up.
+ */
+bool
+goesUp(std::uint32_t a, std::uint32_t b, std::uint32_t n, bool wraps)
+{
+    if (!wraps)
+        return b > a;
+    const std::uint32_t up = b >= a ? b - a : b + n - a;
+    return up <= n - up;
+}
+
+/** The coordinate one step up or down from @p a, modulo @p n. */
+std::uint32_t
+step(std::uint32_t a, bool up, std::uint32_t n)
+{
+    return up ? (a + 1) % n : (a + n - 1) % n;
+}
+
+} // namespace
+
+NetworkModel::NetworkModel(const SystemConfig &cfg, EnergyModel &energy)
+    : fabric_(registry::entryForKind(kNetworks, cfg.networkKind,
+                                     "network")),
+      numCores_(cfg.numCores),
+      width_(fabric_.linksPerTile == 2 ? cfg.numCores : cfg.meshWidth),
+      height_(cfg.numCores / width_), hopLatency_(cfg.hopLatency),
+      energy_(energy), links_(cfg.numCores * fabric_.linksPerTile),
+      linkFlits_(links_.size(), 0)
 {
     if (hopLatency_ < 2)
         fatal("hopLatency must be >= 2 (1 router + 1 link cycle)");
-}
 
-void
-NetworkModel::finalizeTables()
-{
     // ---- Route table: one link-id span per ordered (src, dst) pair.
     routes_.assign(static_cast<std::size_t>(numCores_) * numCores_,
                    Route{});
-    linkSeq_.clear();
     std::vector<std::uint32_t> span;
     for (std::uint32_t src = 0; src < numCores_; ++src) {
         for (std::uint32_t dst = 0; dst < numCores_; ++dst) {
@@ -49,7 +117,6 @@ NetworkModel::finalizeTables()
     // per source, validated to cover every non-source tile exactly
     // once with parents defined before use.
     treeOffsets_.assign(numCores_ + 1, 0);
-    treeHops_.clear();
     std::vector<TreeHop> tree;
     std::vector<std::uint8_t> reached(numCores_, 0);
     for (std::uint32_t src = 0; src < numCores_; ++src) {
@@ -87,7 +154,7 @@ NetworkModel::finalizeTables()
     const std::uint64_t entries = numCores_ > 0 ? numCores_ - 1 : 0;
     bmeta_.flitHopFactor = entries;
     bmeta_.linkEnergyFactor = entries;
-    if (hasNativeBroadcast()) {
+    if (fabric_.nativeBroadcast) {
         bmeta_.routerEnergyFactor = numCores_;
         bmeta_.injectedFactor = 1;
         bmeta_.extraUnicasts = 0;
@@ -96,9 +163,89 @@ NetworkModel::finalizeTables()
         bmeta_.injectedFactor = entries;
         bmeta_.extraUnicasts = entries;
     }
-    bmeta_.srcHearsTail = selfArrivalAtTail();
 
     headScratch_.assign(numCores_, 0);
+}
+
+const char *
+NetworkModel::name() const
+{
+    return fabric_.name;
+}
+
+bool
+NetworkModel::hasNativeBroadcast() const
+{
+    return fabric_.nativeBroadcast;
+}
+
+void
+NetworkModel::buildRoute(CoreId src, CoreId dst,
+                         std::vector<std::uint32_t> &out) const
+{
+    if (fabric_.linksPerTile == 1) {
+        // Crossbar: one switch traversal; the destination's output
+        // port is the contended link.
+        out.push_back(dst);
+        return;
+    }
+    // Dimension order: the whole X leg along the source row, then the
+    // Y leg along the destination column.
+    const std::uint32_t lpt = fabric_.linksPerTile;
+    std::uint32_t x = src % width_;
+    std::uint32_t y = src / width_;
+    const std::uint32_t dx = dst % width_;
+    const std::uint32_t dy = dst / width_;
+    const bool east = goesUp(x, dx, width_, fabric_.wraps);
+    for (; x != dx; x = step(x, east, width_))
+        out.push_back((y * width_ + x) * lpt + (east ? East : West));
+    const bool south = goesUp(y, dy, height_, fabric_.wraps);
+    for (; y != dy; y = step(y, south, height_))
+        out.push_back((y * width_ + x) * lpt + (south ? South : North));
+}
+
+void
+NetworkModel::buildBroadcastSchedule(CoreId src,
+                                     std::vector<TreeHop> &out) const
+{
+    if (fabric_.linksPerTile == 1) {
+        // Crossbar: one serialized unicast per destination in CoreId
+        // order; every hop hangs off the source, the i-th delayed by
+        // i*flits injection cycles.
+        std::uint32_t i = 0;
+        for (std::uint32_t dst = 0; dst < numCores_; ++dst)
+            if (dst != src)
+                out.push_back({dst, src, static_cast<CoreId>(dst), i++});
+        return;
+    }
+    // X-then-Y tree: the source row expands East then West, then every
+    // column, x ascending, South then North. An open dimension expands
+    // to its edges; a wrapping one sends n/2 tiles up (East/South) and
+    // the rest down. Every tree link is occupied once:
+    // (W-1) + W*(H-1) = N-1 links.
+    const auto chain = [&](std::uint32_t x, std::uint32_t y, Dir d,
+                           std::uint32_t count) {
+        for (; count > 0; --count) {
+            const auto from = static_cast<CoreId>(y * width_ + x);
+            if (d == East || d == West)
+                x = step(x, d == East, width_);
+            else
+                y = step(y, d == South, height_);
+            out.push_back({from * fabric_.linksPerTile + d, from,
+                           static_cast<CoreId>(y * width_ + x), 0});
+        }
+    };
+    const std::uint32_t sx = src % width_;
+    const std::uint32_t sy = src / width_;
+    const std::uint32_t east = fabric_.wraps ? width_ / 2 : width_ - 1 - sx;
+    chain(sx, sy, East, east);
+    chain(sx, sy, West, width_ - 1 - east);
+    const std::uint32_t south =
+        fabric_.wraps ? height_ / 2 : height_ - 1 - sy;
+    for (std::uint32_t x = 0; x < width_; ++x) {
+        chain(x, sy, South, south);
+        chain(x, sy, North, height_ - 1 - south);
+    }
 }
 
 Cycle
@@ -133,7 +280,7 @@ NetworkModel::broadcast(CoreId src, std::uint32_t flits, Cycle depart,
         static_cast<std::uint64_t>(flits) * bmeta_.injectedFactor;
     const Cycle tail = flits > 0 ? flits - 1 : 0;
     arrivals.assign(numCores_, 0);
-    arrivals[src] = depart + (bmeta_.srcHearsTail ? tail : 0);
+    arrivals[src] = depart + (fabric_.srcHearsTail ? tail : 0);
     headScratch_[src] = depart;
 
     Cycle max_arrival = arrivals[src];
@@ -189,7 +336,7 @@ NetworkModel::referenceBroadcast(CoreId src, std::uint32_t flits,
                                  std::vector<Cycle> &arrivals)
 {
     ++stats_.broadcasts;
-    const bool native = hasNativeBroadcast();
+    const bool native = fabric_.nativeBroadcast;
     if (native) {
         // One injection, replicated first by the source router.
         stats_.flitsInjected += flits;
@@ -201,7 +348,7 @@ NetworkModel::referenceBroadcast(CoreId src, std::uint32_t flits,
     std::vector<Cycle> head(numCores_, 0);
     head[src] = depart;
     arrivals.assign(numCores_, 0);
-    arrivals[src] = depart + (selfArrivalAtTail() ? tail : 0);
+    arrivals[src] = depart + (fabric_.srcHearsTail ? tail : 0);
 
     Cycle max_arrival = arrivals[src];
     for (const TreeHop &h : tree) {
@@ -263,6 +410,28 @@ NetworkModel::tableFootprintBytes() const
            treeOffsets_.size() * sizeof(std::uint32_t) +
            treeHops_.size() * sizeof(TreeHop) +
            headScratch_.size() * sizeof(Cycle);
+}
+
+const std::vector<std::string> &
+networkNames()
+{
+    static const std::vector<std::string> names =
+        registry::entryNames(kNetworks);
+    return names;
+}
+
+const char *
+networkNameFor(const SystemConfig &cfg)
+{
+    return registry::entryForKind(kNetworks, cfg.networkKind, "network")
+        .name;
+}
+
+void
+applyNetworkName(SystemConfig &cfg, const std::string &name)
+{
+    cfg.networkKind =
+        registry::entryForNameOrFatal(kNetworks, "network", name).kind;
 }
 
 } // namespace lacc

@@ -1,19 +1,23 @@
 /**
  * @file
- * The pluggable on-chip interconnect layer.
+ * The on-chip interconnect.
  *
  * The paper evaluates LACC on one fabric — an electrical 2-D mesh
  * with native broadcast support (§3.1, Table 1) — but the protocol's
  * headline mechanism (ACKwise_p falling back to broadcast on pointer
  * overflow) is exactly the part whose cost depends on what the
- * network makes cheap. NetworkModel abstracts the fabric: unicast and
+ * network makes cheap. NetworkModel is that fabric: unicast and
  * broadcast timing, hop/distance accounting, per-message energy
- * charging, and contention bookkeeping all live behind this
- * interface, and concrete topologies (net/mesh.hh, net/torus.hh,
- * net/ring.hh, net/crossbar.hh) are built by a config-keyed factory
- * (net/factory.hh).
+ * charging, and contention bookkeeping. SystemConfig::networkKind
+ * picks one row of the fabric table in net/network.cc:
+ *  - mesh:  a meshWidth x meshHeight grid, XY routing;
+ *  - torus: the same grid with both dimensions wrapping around;
+ *  - ring:  a numCores x 1 grid that wraps (one clockwise and one
+ *           counter-clockwise link per tile);
+ *  - xbar:  a crossbar, one switch traversal per unicast and no
+ *           native broadcast.
  *
- * Shared timing model (all link-based topologies):
+ * Shared timing model (every fabric):
  *  - hop latency hopLatency cycles: 1 router + 1 link pipeline stage
  *    per hop;
  *  - wormhole serialization: a message of F flits arrives F-1 cycles
@@ -30,27 +34,29 @@
  *    slightly lagging core sees the same backlog instead of paying
  *    the whole clock skew as phantom queueing.
  *
- * A topology states each route once, in two construction-time hooks:
- * buildRoute (the directed links of one src -> dst unicast) and
+ * Each route is stated once, in two functions: buildRoute (the
+ * directed links of one src -> dst unicast) and
  * buildBroadcastSchedule (the (link, parent, child) hops of one
- * source's broadcast tree). finalizeTables enumerates them into a
- * flat RouteTable — for each (src, dst) pair a contiguous span of
- * link ids plus the hop count — and one topologically-ordered
- * schedule per source whose head-flit times chain through a reusable
- * scratch array (docs/ARCHITECTURE.md "Route tables & broadcast
- * schedules"). unicast()/broadcast()/hopCount() are therefore
- * non-virtual base-class loops with no per-hop coordinate math, no
+ * source's broadcast tree). On a grid both are dimension order: X
+ * along the source row, then Y along the destination column. The
+ * constructor enumerates them into a flat RouteTable — for each
+ * (src, dst) pair a contiguous span of link ids plus the hop count —
+ * and one topologically-ordered schedule per source whose head-flit
+ * times chain through a reusable scratch array (docs/ARCHITECTURE.md
+ * "Route tables & broadcast schedules"). unicast()/broadcast()/
+ * hopCount() are therefore loops with no per-hop coordinate math, no
  * per-call allocation, and per-message (not per-hop) stats/energy
  * accumulation. referenceUnicast()/referenceBroadcast() replay the
- * same hooks hop by hop with per-hop accounting; tests/test_net.cc
- * pins the tables, the scratch-head walk and the batched broadcast
- * accounting to that replay on every topology.
+ * same two functions hop by hop with per-hop accounting;
+ * tests/test_net.cc pins the tables, the scratch-head walk and the
+ * batched broadcast accounting to that replay on every fabric.
  */
 
 #ifndef LACC_NET_NETWORK_HH
 #define LACC_NET_NETWORK_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "energy/model.hh"
@@ -61,13 +67,14 @@
 namespace lacc {
 
 class FaultInjector;
+struct NetworkEntry;
 
 /**
- * Abstract interconnect shared by all tiles of a Multicore. Concrete
- * topologies enumerate their routing (buildRoute) and broadcast trees
- * (buildBroadcastSchedule) once at construction; the base class owns
- * the precomputed tables, the directed-link contention state, traffic
- * statistics and energy charging, so every topology accounts traffic
+ * The interconnect shared by all tiles of a Multicore. The
+ * constructor enumerates the fabric's routing (buildRoute) and
+ * broadcast trees (buildBroadcastSchedule) once; the model owns the
+ * precomputed tables, the directed-link contention state, traffic
+ * statistics and energy charging, so every fabric accounts traffic
  * the same way and pays the same (table-driven) per-message cost.
  */
 class NetworkModel
@@ -92,22 +99,30 @@ class NetworkModel
     };
 
     /**
-     * @param cfg       system configuration (geometry, hop latency)
-     * @param energy    whole-system energy accumulator
-     * @param num_links directed links (contention slots) this
-     *                  topology models
+     * Build the fabric @p cfg.networkKind selects, with its route
+     * table and broadcast schedules; fatal() on a bad hop latency or
+     * a route or tree that leaves the fabric.
+     *
+     * @param cfg    system configuration (fabric, geometry, hop latency)
+     * @param energy whole-system energy accumulator; must outlive
+     *               the model
      */
-    NetworkModel(const SystemConfig &cfg, EnergyModel &energy,
-                 std::uint32_t num_links);
-    virtual ~NetworkModel() = default;
+    NetworkModel(const SystemConfig &cfg, EnergyModel &energy);
 
-    /** Factory key of this topology, e.g. "mesh" or "xbar". */
-    virtual const char *name() const = 0;
+    /** Name of this fabric, e.g. "mesh" or "xbar". */
+    const char *name() const;
+
+    /**
+     * Whether one injection reaches every tile (router replication,
+     * §3.1). When false, every broadcast pays one serialized unicast
+     * per destination — ACKwise overflow actually hurts.
+     */
+    bool hasNativeBroadcast() const;
 
     /**
      * Routing distance between two tiles in links traversed
      * (0 for src == dst). Drives idealLatency(). Table lookup — no
-     * virtual dispatch, no coordinate math.
+     * coordinate math.
      */
     std::uint32_t hopCount(CoreId src, CoreId dst) const
     {
@@ -131,33 +146,17 @@ class NetworkModel
     /**
      * Broadcast from @p src to all tiles. Arrival times (last flit)
      * per tile are written to @p arrivals (indexed by CoreId; the
-     * source receives its copy at depart, or with the tail flit when
-     * selfArrivalAtTail()). Topologies with native
-     * broadcast (hasNativeBroadcast()) deliver with a single
-     * injection along a spanning tree; others emulate it (e.g. the
-     * crossbar serializes one unicast per destination). Table-driven:
-     * one pass over the per-source BroadcastTree schedule.
+     * source receives its copy at depart, or with the tail flit on
+     * the fabrics whose X-then-Y tree re-delivers through the source
+     * router). A native broadcast (hasNativeBroadcast()) is a single
+     * injection along a spanning tree; the crossbar emulates it with
+     * one serialized unicast per destination. Table-driven: one pass
+     * over the per-source schedule.
      *
      * @return the maximum arrival time over all tiles.
      */
     Cycle broadcast(CoreId src, std::uint32_t flits, Cycle depart,
                     std::vector<Cycle> &arrivals);
-
-    /**
-     * Whether one injection reaches every tile (router replication,
-     * §3.1). When false, every broadcast pays one serialized unicast
-     * per destination — ACKwise overflow actually hurts.
-     */
-    virtual bool hasNativeBroadcast() const = 0;
-
-    /**
-     * Whether the source's own broadcast copy arrives with the tail
-     * flit (depart + flits - 1) instead of at depart. The X-then-Y
-     * trees (mesh/torus) re-deliver through the source router after
-     * serializing the payload; the ring arcs and crossbar ports hand
-     * the source its copy at injection time.
-     */
-    virtual bool selfArrivalAtTail() const { return false; }
 
     /**
      * Test reference for unicast(): rebuilds the route through
@@ -200,12 +199,11 @@ class NetworkModel
      * Become an exact copy of @p o's mutable state — link backlogs,
      * per-link flit loads, traffic stats, the latched fault — for a
      * network of the same config (Multicore::restoreFrom). The tables
-     * are config-derived and stay. Topologies keep no mutable state of
-     * their own; one that adds some must copy it here too.
+     * are config-derived and stay.
      */
     void restoreFrom(const NetworkModel &o);
 
-    /** Directed links this topology models. */
+    /** Directed links this fabric models. */
     std::uint32_t
     numLinks() const
     {
@@ -221,7 +219,7 @@ class NetworkModel
     /**
      * Bytes held by the precomputed route table and broadcast
      * schedules (docs/ARCHITECTURE.md discusses the footprint scaling
-     * per topology; tests sanity-check it).
+     * per fabric; tests sanity-check it).
      */
     std::size_t tableFootprintBytes() const;
 
@@ -251,38 +249,26 @@ class NetworkModel
         return true;
     }
 
-  protected:
+  private:
     /**
-     * Topology hook: append the directed link ids of the src -> dst
-     * route, in traversal order. Called by finalizeTables and by
+     * Append the directed link ids of the src -> dst route, in
+     * traversal order. Called by the constructor and by
      * referenceUnicast; never with src == dst.
      */
-    virtual void buildRoute(CoreId src, CoreId dst,
-                            std::vector<std::uint32_t> &out) const = 0;
+    void buildRoute(CoreId src, CoreId dst,
+                    std::vector<std::uint32_t> &out) const;
 
     /**
-     * Topology hook: append the broadcast schedule rooted at @p src,
-     * in traversal order (contention-state updates are
-     * order-sensitive, so the order is part of the timing model).
-     * Called by finalizeTables and by referenceBroadcast. Every
-     * non-source tile must appear exactly once as a child, and every
-     * parent must be the source or an earlier child.
+     * Append the broadcast schedule rooted at @p src, in traversal
+     * order (contention-state updates are order-sensitive, so the
+     * order is part of the timing model). Called by the constructor
+     * and by referenceBroadcast. Every non-source tile appears
+     * exactly once as a child, and every parent is the source or an
+     * earlier child.
      */
-    virtual void
-    buildBroadcastSchedule(CoreId src,
-                           std::vector<TreeHop> &out) const = 0;
+    void buildBroadcastSchedule(CoreId src,
+                                std::vector<TreeHop> &out) const;
 
-    /**
-     * Build the route table and broadcast schedules from the topology
-     * hooks, validate them, and derive the per-broadcast batched
-     * stat/energy factors. MUST be called at the end of every
-     * concrete topology's constructor (the hooks are virtual).
-     */
-    void finalizeTables();
-
-    std::uint32_t numCores_;
-
-  private:
     /**
      * Route one message across a single directed link, applying the
      * windowed-backlog contention model (see the file header).
@@ -358,7 +344,6 @@ class NetworkModel
         std::uint64_t routerEnergyFactor = 0;//!< x flits -> router energy
         std::uint64_t injectedFactor = 0;    //!< x flits -> flitsInjected
         std::uint64_t extraUnicasts = 0;     //!< unicast count (emulated)
-        bool srcHearsTail = false;           //!< selfArrivalAtTail()
     };
 
     std::size_t
@@ -377,6 +362,11 @@ class NetworkModel
     /** Window length in cycles (power of two; also the drain rate). */
     static constexpr Cycle kWindow = 64;
 
+    /** This fabric's row of the table in net/network.cc. */
+    const NetworkEntry &fabric_;
+    std::uint32_t numCores_;
+    std::uint32_t width_;  //!< grid columns (the row length)
+    std::uint32_t height_; //!< grid rows
     std::uint32_t hopLatency_;
     EnergyModel &energy_;
     NetworkStats stats_;
@@ -390,7 +380,7 @@ class NetworkModel
     std::vector<LinkState> links_;
     std::vector<std::uint64_t> linkFlits_; //!< per-link load
 
-    // ---- Precomputed tables (finalizeTables) --------------------------
+    // ---- Precomputed tables (constructor) -----------------------------
     std::vector<Route> routes_;            //!< numCores^2, src-major
     std::vector<std::uint32_t> linkSeq_;   //!< concatenated route spans
     std::vector<std::uint32_t> treeOffsets_; //!< per-source, size N+1
@@ -398,6 +388,21 @@ class NetworkModel
     BroadcastMeta bmeta_;
     std::vector<Cycle> headScratch_;       //!< per-node head-flit times
 };
+
+/**
+ * Registered fabric names, in table order:
+ * {"mesh", "torus", "ring", "xbar"}.
+ */
+const std::vector<std::string> &networkNames();
+
+/** Name of the fabric @p cfg selects. */
+const char *networkNameFor(const SystemConfig &cfg);
+
+/**
+ * Reconfigure @p cfg to select the named fabric (harness sweeps by
+ * name). fatal() on an unknown name, listing the valid ones.
+ */
+void applyNetworkName(SystemConfig &cfg, const std::string &name);
 
 } // namespace lacc
 

@@ -9,8 +9,8 @@
  * line). The MessageTransport turns the description into interconnect
  * traffic: it derives the flit count from the configured header and
  * payload widths and charges router/link energy through the
- * NetworkModel (net/network.hh — mesh by default, any factory-built
- * topology in general). Timing and energy
+ * NetworkModel (net/network.hh — the mesh by default, or whichever
+ * fabric SystemConfig::networkKind selects). Timing and energy
  * accounting are therefore driven by the message description, not by
  * ad-hoc flit arithmetic at each protocol call site.
  */

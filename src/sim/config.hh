@@ -42,7 +42,7 @@ enum class DirectoryKind : std::uint8_t {
     FullMap,
 };
 
-/** On-chip interconnect topology (net/factory.hh builds the model). */
+/** On-chip interconnect fabric (a row of the table in net/network.cc). */
 enum class NetworkKind : std::uint8_t {
     /** Electrical 2-D mesh, XY routing, native broadcast (Table 1). */
     Mesh,

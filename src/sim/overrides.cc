@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "fault/plan.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/config.hh"
 #include "sim/named_registry.hh"

@@ -21,7 +21,7 @@ validated(const SystemConfig &cfg)
 
 Multicore::Multicore(const SystemConfig &cfg)
     : cfg_(validated(cfg)), addr_(cfg_), energy_(),
-      network_(makeNetwork(cfg_, energy_)), net_(cfg_, *network_),
+      network_(cfg_, energy_), net_(cfg_, network_),
       dram_(cfg_),
       // Pre-size the page table for the aggregate L2 footprint in
       // pages (the steady-state hot set R-NUCA classifies).
@@ -44,7 +44,7 @@ Multicore::Multicore(const SystemConfig &cfg)
                                                 cfg_));
     stats_.perCore.resize(cfg_.numCores);
     mem_.setCores(cfg_.numCores);
-    network_->setFaultInjector(fault_.get());
+    network_.setFaultInjector(fault_.get());
     net_.setFaultInjector(fault_.get());
 }
 
@@ -279,7 +279,7 @@ Multicore::resetStatsForMeasurement(Cycle t)
     // Links also restart clean: every core resumes on one aligned
     // clock at the boundary, and carrying saturated warm-up bookings
     // into the measured epoch would charge phantom queueing.
-    network_->reset();
+    network_.reset();
     energy_.reset();
     // Fault counters are deliberately NOT reset here: the resilience
     // ledger is whole-run. Warm-up traffic is simulated traffic — a
@@ -356,7 +356,7 @@ Multicore::restoreFrom(const Multicore &o)
         fatal("Multicore::restoreFrom: a system that has run() can be"
               " neither restored nor restored from");
     energy_.restoreFrom(o.energy_);
-    network_->restoreFrom(*o.network_);
+    network_.restoreFrom(o.network_);
     dram_.restoreFrom(o.dram_);
     pageTable_.restoreFrom(o.pageTable_);
     for (std::size_t c = 0; c < tiles_.size(); ++c)
@@ -377,7 +377,7 @@ Multicore::finalizeStats(Workload &workload)
     (void)workload;
     for (std::uint32_t c = 0; c < cfg_.numCores; ++c)
         stats_.perCore[c] = tiles_[c]->stats;
-    stats_.network = network_->stats();
+    stats_.network = network_.stats();
     stats_.energy = energy_.breakdown();
     if (fault_)
         stats_.faults = fault_->stats();

@@ -9,7 +9,7 @@
  * Modeling level mirrors the paper's Graphite setup (§4.1):
  * trace-driven in-order 1-IPC cores with per-core clocks (lax
  * synchronization), analytical interconnect timing with link
- * contention (net/factory.hh — 2-D mesh by default),
+ * contention (net/network.hh — 2-D mesh by default),
  * per-line transaction serialization at the directory, and functional
  * data movement through the protocol (values really travel via L1
  * copies, word accesses, write-backs, and DRAM, and can be checked
@@ -42,7 +42,7 @@
 #include "dram/dram.hh"
 #include "energy/model.hh"
 #include "fault/injector.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/messages.hh"
 #include "protocol/protocol.hh"
 #include "rnuca/page_table.hh"
@@ -105,7 +105,7 @@ class Multicore
     Tile &tile(CoreId c) { return *tiles_[c]; }
     const Tile &tile(CoreId c) const { return *tiles_[c]; }
     /** The interconnect model (link utilization inspection). */
-    NetworkModel &network() { return *network_; }
+    NetworkModel &network() { return network_; }
     /** R-NUCA page classification state (first-touch records). */
     const PageTable &pageTable() const { return pageTable_; }
     /** R-NUCA line-to-home-slice placement policy. */
@@ -216,8 +216,8 @@ class Multicore
     AddressMap addr_;
 
     EnergyModel energy_;
-    /** Factory-built interconnect (SystemConfig::networkKind). */
-    std::unique_ptr<NetworkModel> network_;
+    /** The interconnect SystemConfig::networkKind selects. */
+    NetworkModel network_;
     MessageTransport net_;
     DramModel dram_;
     PageTable pageTable_;

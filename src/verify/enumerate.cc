@@ -6,7 +6,7 @@
 #include <memory>
 #include <optional>
 
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/log.hh"
 #include "sim/types.hh"

@@ -83,7 +83,7 @@ struct EnumOptions
     std::uint32_t cores = 2;        //!< [2, 4]
     std::uint32_t lines = 2;        //!< [1, 2]
     std::string protocol = "lacc";  //!< protocol name
-    std::string network = "mesh";   //!< factory key
+    std::string network = "mesh";   //!< fabric name
     /** Cap on distinct states, in [1, kMaxEnumStates]. The default
      * covers the default 2-core/2-line space (362,795 states). */
     std::uint64_t maxStates = 2000000;

@@ -6,7 +6,7 @@
 #include <fstream>
 
 #include "fault/plan.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "sim/rng.hh"

@@ -40,7 +40,7 @@ struct FuzzOptions
     std::uint32_t opsPerCore = 24;
     /** Protocol name; empty = every name in protocolNames(). */
     std::string protocol;
-    /** Network factory key; empty = {"mesh", "xbar"}. */
+    /** Fabric name; empty = {"mesh", "xbar"}. */
     std::string network;
     /** Where to write shrunk repro traces; empty = don't write. */
     std::string reproDir;

@@ -29,7 +29,7 @@
 
 #include "harness/registry.hh"
 #include "harness/runner.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "system/experiment.hh"
 #include "system/multicore.hh"
@@ -203,7 +203,8 @@ TEST(Determinism, GoldenHash64CoresPerNetworkTopology)
 TEST(Determinism, TopologiesProduceDistinctTraffic)
 {
     // The fabrics must actually differ: identical digests would mean
-    // a factory wiring bug silently running everything on one model.
+    // a fabric-table wiring bug silently running everything on one
+    // model.
     SystemConfig mesh = cfg8(ClassifierKind::Limited);
     SystemConfig ring = mesh, xbar = mesh;
     applyNetworkName(ring, "ring");

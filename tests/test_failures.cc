@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/plan.hh"
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "system/event_queue.hh"
@@ -320,9 +320,9 @@ TEST(Failures, MissingTraceFileIsFatal)
 
 TEST(Failures, NetworkFactoryRoundTripsEveryName)
 {
-    // applyNetworkName -> networkNameFor -> makeNetwork must agree
-    // for every registered topology, and a system must construct and
-    // run on each (the harness sweeps rely on this round-trip).
+    // applyNetworkName -> networkNameFor -> NetworkModel::name must
+    // agree for every registered fabric, and a system must construct
+    // on each (the harness sweeps rely on this round-trip).
     for (const auto &name : networkNames()) {
         SystemConfig cfg = tinyCfg(4);
         cfg.meshWidth = 2;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Unit tests for the interconnect layer: the 2-D mesh (XY distances,
+ * Unit tests for the interconnect: the 2-D mesh (XY distances,
  * wormhole serialization, link contention, broadcast tree coverage,
- * energy/traffic accounting) plus the torus/ring/crossbar topologies
- * behind the NetworkModel interface (wraparound distances, broadcast
- * arc/tree link occupancy, serialized-broadcast emulation) and the
- * network factory.
+ * energy/traffic accounting), the torus, ring and crossbar rows of the
+ * fabric table (wraparound distances, broadcast arc/tree link
+ * occupancy, serialized-broadcast emulation), the route tables against
+ * the hop-by-hop reference replay, and the fabric name table.
  */
 
 #include <algorithm>
@@ -13,23 +13,21 @@
 #include <gtest/gtest.h>
 
 #include "energy/model.hh"
-#include "net/crossbar.hh"
-#include "net/factory.hh"
-#include "net/mesh.hh"
-#include "net/ring.hh"
-#include "net/torus.hh"
+#include "net/network.hh"
 
 namespace lacc {
 namespace {
 
 SystemConfig
-meshCfg(std::uint32_t cores, std::uint32_t width)
+netCfg(std::uint32_t cores, std::uint32_t width,
+       const char *network = "mesh")
 {
     SystemConfig cfg;
     cfg.numCores = cores;
     cfg.meshWidth = width;
     cfg.clusterSize = cores >= 4 ? 4 : 1;
     cfg.numMemControllers = cores >= 8 ? 8 : 1;
+    applyNetworkName(cfg, network);
     return cfg;
 }
 
@@ -55,22 +53,10 @@ expectOccupiesExactly(const NetworkModel &net,
     }
 }
 
-TEST(Mesh, Coordinates)
-{
-    EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
-    EXPECT_EQ(net.xOf(0), 0u);
-    EXPECT_EQ(net.yOf(0), 0u);
-    EXPECT_EQ(net.xOf(9), 1u);
-    EXPECT_EQ(net.yOf(9), 1u);
-    EXPECT_EQ(net.xOf(63), 7u);
-    EXPECT_EQ(net.yOf(63), 7u);
-}
-
 TEST(Mesh, HopCountManhattan)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     EXPECT_EQ(net.hopCount(0, 0), 0u);
     EXPECT_EQ(net.hopCount(0, 7), 7u);
     EXPECT_EQ(net.hopCount(0, 63), 14u);
@@ -80,7 +66,7 @@ TEST(Mesh, HopCountManhattan)
 TEST(Mesh, IdealLatency)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     // hops * 2 + (flits - 1)
     EXPECT_EQ(net.idealLatency(0, 1, 1), 2u);
     EXPECT_EQ(net.idealLatency(0, 1, 9), 10u);
@@ -90,7 +76,7 @@ TEST(Mesh, IdealLatency)
 TEST(Mesh, UnicastMatchesIdealWithoutContention)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     const Cycle t = net.unicast(0, 63, 9, 1000);
     EXPECT_EQ(t, 1000 + net.idealLatency(0, 63, 9));
 }
@@ -98,7 +84,7 @@ TEST(Mesh, UnicastMatchesIdealWithoutContention)
 TEST(Mesh, LocalDeliveryIsFree)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     EXPECT_EQ(net.unicast(5, 5, 9, 123), 123u);
     EXPECT_EQ(net.stats().flitHops, 0u);
     EXPECT_DOUBLE_EQ(e.breakdown().link, 0.0);
@@ -107,7 +93,7 @@ TEST(Mesh, LocalDeliveryIsFree)
 TEST(Mesh, ContentionDelaysSecondMessage)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(4, 2), e);
+    NetworkModel net(netCfg(4, 2), e);
     // Two 8-flit messages over the same single link 0->1 at t=0.
     const Cycle a = net.unicast(0, 1, 8, 0);
     const Cycle b = net.unicast(0, 1, 8, 0);
@@ -119,7 +105,7 @@ TEST(Mesh, ContentionDelaysSecondMessage)
 TEST(Mesh, DisjointPathsNoContention)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     const Cycle a = net.unicast(0, 7, 8, 0);
     const Cycle b = net.unicast(56, 63, 8, 0); // different row
     EXPECT_EQ(a, b);
@@ -131,7 +117,7 @@ TEST(Mesh, XYRoutingOrder)
     // A's X-leg (row 0) and B's Y-leg share no link under XY routing
     // even though their paths cross at tile 3.
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     net.unicast(0, 7, 8, 0);   // row 0 eastward
     net.unicast(3, 59, 8, 0);  // straight down column 3
     EXPECT_EQ(net.stats().contentionCycles, 0u);
@@ -140,7 +126,7 @@ TEST(Mesh, XYRoutingOrder)
 TEST(Mesh, BroadcastReachesAll)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     std::vector<Cycle> arrivals;
     const Cycle max_t = net.broadcast(27, 1, 500, arrivals);
     ASSERT_EQ(arrivals.size(), 64u);
@@ -158,7 +144,7 @@ TEST(Mesh, BroadcastReachesAll)
 TEST(Mesh, BroadcastUsesSpanningTreeLinks)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     std::vector<Cycle> arrivals;
     net.broadcast(0, 1, 0, arrivals);
     // N-1 tree links, 1 flit each.
@@ -169,8 +155,8 @@ TEST(Mesh, BroadcastUsesSpanningTreeLinks)
 TEST(Mesh, BroadcastCheaperThanUnicastStorm)
 {
     EnergyModel e1, e2;
-    MeshNetwork a(meshCfg(64, 8), e1);
-    MeshNetwork b(meshCfg(64, 8), e2);
+    NetworkModel a(netCfg(64, 8), e1);
+    NetworkModel b(netCfg(64, 8), e2);
     std::vector<Cycle> arrivals;
     a.broadcast(0, 1, 0, arrivals);
     for (CoreId c = 1; c < 64; ++c)
@@ -183,7 +169,7 @@ TEST(Mesh, EnergyLinkExceedsRouterPerDefaults)
 {
     // 11nm trend (§5.1.1): links cost more than routers.
     EnergyModel e;
-    MeshNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8), e);
     net.unicast(0, 63, 8, 0);
     EXPECT_GT(e.breakdown().link, e.breakdown().router);
 }
@@ -191,7 +177,7 @@ TEST(Mesh, EnergyLinkExceedsRouterPerDefaults)
 TEST(Mesh, StatsAccumulateAndReset)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4), e);
     net.unicast(0, 15, 2, 0);
     EXPECT_EQ(net.stats().unicasts, 1u);
     EXPECT_EQ(net.stats().flitsInjected, 2u);
@@ -204,7 +190,7 @@ TEST(Mesh, StatsAccumulateAndReset)
 TEST(Mesh, NonSquareMesh)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(8, 4), e); // 4x2 mesh
+    NetworkModel net(netCfg(8, 4), e); // 4x2 mesh
     EXPECT_EQ(net.hopCount(0, 7), 4u);
     std::vector<Cycle> arrivals;
     net.broadcast(5, 1, 0, arrivals);
@@ -217,7 +203,7 @@ TEST(Mesh, BroadcastOccupiesXThenYTreeLinks)
     // expands east/west along row 1 and north/south along every
     // column; directed link ids are node*4 + {E=0, W=1, S=2, N=3}.
     EnergyModel e;
-    MeshNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4), e);
     std::vector<Cycle> arrivals;
     net.broadcast(5, 1, 0, arrivals);
 
@@ -247,7 +233,7 @@ TEST(Mesh, OneRowRoutesAndBroadcastsAlongTheRow)
     // A 5x1 mesh (meshWidth = numCores, the enumerator's and the
     // fuzzer's shape): every route and tree stays on the one row.
     EnergyModel e;
-    MeshNetwork net(meshCfg(5, 5), e);
+    NetworkModel net(netCfg(5, 5), e);
     net.unicast(4, 1, 1, 0);
     expectOccupiesExactly(net, {gridLink(4, 1), gridLink(3, 1),
                                 gridLink(2, 1)});
@@ -265,7 +251,7 @@ TEST(Mesh, OneRowRoutesAndBroadcastsAlongTheRow)
 TEST(Torus, WraparoundHopCounts)
 {
     EnergyModel e;
-    TorusNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8, "torus"), e);
     EXPECT_EQ(net.hopCount(0, 0), 0u);
     EXPECT_EQ(net.hopCount(0, 7), 1u);   // row wrap: 7 on the mesh
     EXPECT_EQ(net.hopCount(0, 56), 1u);  // column wrap
@@ -279,8 +265,8 @@ TEST(Torus, WraparoundHopCounts)
 TEST(Torus, NeverWorseThanMesh)
 {
     EnergyModel e1, e2;
-    MeshNetwork mesh(meshCfg(64, 8), e1);
-    TorusNetwork torus(meshCfg(64, 8), e2);
+    NetworkModel mesh(netCfg(64, 8), e1);
+    NetworkModel torus(netCfg(64, 8, "torus"), e2);
     for (CoreId s = 0; s < 64; s += 7)
         for (CoreId d = 0; d < 64; ++d)
             EXPECT_LE(torus.hopCount(s, d), mesh.hopCount(s, d))
@@ -290,7 +276,7 @@ TEST(Torus, NeverWorseThanMesh)
 TEST(Torus, UnicastMatchesIdealWithoutContention)
 {
     EnergyModel e;
-    TorusNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8, "torus"), e);
     const Cycle t = net.unicast(0, 63, 9, 1000);
     EXPECT_EQ(t, 1000 + net.idealLatency(0, 63, 9));
     EXPECT_EQ(net.stats().flitHops, 9u * 2);
@@ -300,7 +286,7 @@ TEST(Torus, UnicastMatchesIdealWithoutContention)
 TEST(Torus, BroadcastReachesAllOverSpanningTree)
 {
     EnergyModel e;
-    TorusNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8, "torus"), e);
     std::vector<Cycle> arrivals;
     const Cycle max_t = net.broadcast(27, 1, 500, arrivals);
     ASSERT_EQ(arrivals.size(), 64u);
@@ -324,7 +310,7 @@ TEST(Torus, HalfRowTieGoesEast)
     // 4x4 torus: (1,0) -> (3,0) is two hops either way around row 0;
     // the tie goes East (1->2->3), not West (1->0->3).
     EnergyModel e;
-    TorusNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "torus"), e);
     net.unicast(1, 3, 1, 0);
     expectOccupiesExactly(net, {gridLink(1, 0), gridLink(2, 0)});
 }
@@ -334,7 +320,7 @@ TEST(Torus, HalfColumnTieGoesSouth)
     // 4x4 torus: (1,0) -> (1,2) is two hops either way around column
     // 1; the tie goes South (1->5->9), not North (1->13->9).
     EnergyModel e;
-    TorusNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "torus"), e);
     net.unicast(1, 9, 1, 0);
     expectOccupiesExactly(net, {gridLink(1, 2), gridLink(5, 2)});
 }
@@ -346,7 +332,7 @@ TEST(Torus, BroadcastOccupiesRingTreeLinks)
     // then every column expands South over height/2 = 2 rows
     // ((x,1)->(x,2)->(x,3)) and North over the rest ((x,1)->(x,0)).
     EnergyModel e;
-    TorusNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "torus"), e);
     std::vector<Cycle> arrivals;
     net.broadcast(5, 1, 0, arrivals);
 
@@ -368,7 +354,7 @@ TEST(Torus, BroadcastOccupiesRingTreeLinks)
 TEST(Ring, ShorterArcHopCounts)
 {
     EnergyModel e;
-    RingNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "ring"), e);
     EXPECT_EQ(net.hopCount(0, 0), 0u);
     EXPECT_EQ(net.hopCount(0, 15), 1u); // wraparound edge
     EXPECT_EQ(net.hopCount(15, 0), 1u);
@@ -380,7 +366,7 @@ TEST(Ring, ShorterArcHopCounts)
 TEST(Ring, UnicastMatchesIdealWithoutContention)
 {
     EnergyModel e;
-    RingNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "ring"), e);
     const Cycle t = net.unicast(0, 15, 9, 1000);
     EXPECT_EQ(t, 1000 + net.idealLatency(0, 15, 9));
     EXPECT_EQ(net.stats().flitHops, 9u); // one wraparound hop
@@ -389,7 +375,7 @@ TEST(Ring, UnicastMatchesIdealWithoutContention)
 TEST(Ring, BroadcastExpandsBothArcs)
 {
     EnergyModel e;
-    RingNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "ring"), e);
     std::vector<Cycle> arrivals;
     const Cycle max_t = net.broadcast(3, 1, 100, arrivals);
     ASSERT_EQ(arrivals.size(), 16u);
@@ -411,7 +397,7 @@ TEST(Ring, HalfRingTieGoesClockwise)
     // 16-node ring: 3 -> 11 is N/2 = 8 hops either way; the tie goes
     // clockwise (3->4->...->11). Link ids are node*2 + {CW=0, CCW=1}.
     EnergyModel e;
-    RingNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "ring"), e);
     net.unicast(3, 11, 1, 0);
     std::vector<std::uint32_t> arc;
     for (CoreId at = 3; at < 11; ++at)
@@ -426,7 +412,7 @@ TEST(Ring, BroadcastOccupiesBothArcs)
     // counter-clockwise arc the other 7 (3->2->...->0->15->...->12,
     // links node*2 + 1).
     EnergyModel e;
-    RingNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "ring"), e);
     std::vector<Cycle> arrivals;
     net.broadcast(3, 1, 0, arrivals);
     std::vector<std::uint32_t> arcs;
@@ -440,8 +426,8 @@ TEST(Ring, BroadcastOccupiesBothArcs)
 TEST(Ring, HigherDiameterThanMesh)
 {
     EnergyModel e1, e2;
-    MeshNetwork mesh(meshCfg(64, 8), e1);
-    RingNetwork ring(meshCfg(64, 8), e2);
+    NetworkModel mesh(netCfg(64, 8), e1);
+    NetworkModel ring(netCfg(64, 8, "ring"), e2);
     EXPECT_EQ(ring.hopCount(0, 32), 32u);  // ring diameter: N/2
     EXPECT_EQ(mesh.hopCount(0, 32), 4u);
 }
@@ -453,7 +439,7 @@ TEST(Ring, HigherDiameterThanMesh)
 TEST(Crossbar, UniformSingleHopLatency)
 {
     EnergyModel e;
-    CrossbarNetwork net(meshCfg(64, 8), e);
+    NetworkModel net(netCfg(64, 8, "xbar"), e);
     EXPECT_EQ(net.hopCount(0, 1), 1u);
     EXPECT_EQ(net.hopCount(0, 63), 1u);
     EXPECT_EQ(net.hopCount(5, 5), 0u);
@@ -467,7 +453,7 @@ TEST(Crossbar, UniformSingleHopLatency)
 TEST(Crossbar, OutputPortContention)
 {
     EnergyModel e;
-    CrossbarNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "xbar"), e);
     // Two senders to the same destination contend on its output port;
     // two senders to different destinations do not.
     const Cycle a = net.unicast(0, 5, 8, 0);
@@ -475,7 +461,7 @@ TEST(Crossbar, OutputPortContention)
     EXPECT_GT(b, a);
     EXPECT_GE(net.stats().contentionCycles, 7u);
     EnergyModel e2;
-    CrossbarNetwork clean(meshCfg(16, 4), e2);
+    NetworkModel clean(netCfg(16, 4, "xbar"), e2);
     EXPECT_EQ(clean.unicast(0, 5, 8, 0), clean.unicast(1, 6, 8, 0));
     EXPECT_EQ(clean.stats().contentionCycles, 0u);
 }
@@ -483,7 +469,7 @@ TEST(Crossbar, OutputPortContention)
 TEST(Crossbar, BroadcastSerializesUnicasts)
 {
     EnergyModel e;
-    CrossbarNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4, "xbar"), e);
     EXPECT_FALSE(net.hasNativeBroadcast());
     std::vector<Cycle> arrivals;
     const std::uint32_t flits = 4;
@@ -517,8 +503,8 @@ TEST(Crossbar, BroadcastSerializesUnicasts)
 TEST(Crossbar, EmulatedBroadcastCostsMoreThanMeshTree)
 {
     EnergyModel e1, e2;
-    MeshNetwork mesh(meshCfg(64, 8), e1);
-    CrossbarNetwork xbar(meshCfg(64, 8), e2);
+    NetworkModel mesh(netCfg(64, 8), e1);
+    NetworkModel xbar(netCfg(64, 8, "xbar"), e2);
     std::vector<Cycle> arrivals;
     mesh.broadcast(0, 8, 0, arrivals);
     xbar.broadcast(0, 8, 0, arrivals);
@@ -527,7 +513,7 @@ TEST(Crossbar, EmulatedBroadcastCostsMoreThanMeshTree)
 }
 
 // ---------------------------------------------------------------------------
-// Table-driven path == hop-by-hop reference replay (all topologies)
+// Table-driven path == hop-by-hop reference replay (every fabric)
 // ---------------------------------------------------------------------------
 
 /** Deterministic 64-bit LCG (tests must not depend on libstdc++). */
@@ -543,17 +529,17 @@ struct Lcg
 };
 
 /**
- * Drive two identically-configured instances of one topology through
+ * Drive two identically-configured instances of one fabric through
  * the same randomized (src, dst, flits, depart) message sequence —
  * `table` via the table-driven hot path, `ref` via the reference
- * replay that rebuilds each route and schedule through the topology
- * hooks and accounts per hop — and require bit-identical timing,
- * arrivals, traffic stats, and per-link flit accounting.
+ * replay that rebuilds each route and schedule through buildRoute and
+ * buildBroadcastSchedule and accounts per hop — and require
+ * bit-identical timing, arrivals, traffic stats, and per-link flit
+ * accounting.
  */
 void
 expectPathsEquivalent(NetworkModel &table, NetworkModel &ref,
-                      std::uint32_t cores, std::uint32_t links,
-                      std::uint64_t seed)
+                      std::uint32_t cores, std::uint64_t seed)
 {
     Lcg rng{seed};
     std::vector<Cycle> arr_table, arr_ref;
@@ -584,34 +570,18 @@ expectPathsEquivalent(NetworkModel &table, NetworkModel &ref,
     EXPECT_EQ(table.stats().flitHops, ref.stats().flitHops);
     EXPECT_EQ(table.stats().contentionCycles,
               ref.stats().contentionCycles);
-    for (std::uint32_t l = 0; l < links; ++l)
+    for (std::uint32_t l = 0; l < table.numLinks(); ++l)
         ASSERT_EQ(table.linkFlits(l), ref.linkFlits(l)) << "link " << l;
-}
-
-/** links-per-core of each factory topology (mesh/torus 4, ring 2,
- *  crossbar 1). */
-std::uint32_t
-linksPerCore(const std::string &name)
-{
-    if (name == "ring")
-        return 2;
-    if (name == "xbar")
-        return 1;
-    return 4;
 }
 
 TEST(TableEquivalence, AllTopologiesWithContention)
 {
     std::uint64_t seed = 1;
     for (const auto &name : networkNames()) {
-        SystemConfig cfg = meshCfg(16, 4);
-        applyNetworkName(cfg, name);
+        const SystemConfig cfg = netCfg(16, 4, name.c_str());
         EnergyModel e1, e2;
-        const auto table = makeNetwork(cfg, e1);
-        const auto ref = makeNetwork(cfg, e2);
-        expectPathsEquivalent(*table, *ref, cfg.numCores,
-                              cfg.numCores * linksPerCore(name),
-                              seed++);
+        NetworkModel table(cfg, e1), ref(cfg, e2);
+        expectPathsEquivalent(table, ref, cfg.numCores, seed++);
         EXPECT_EQ(e1.counts().linkFlits, e2.counts().linkFlits) << name;
         EXPECT_EQ(e1.counts().routerFlits, e2.counts().routerFlits)
             << name;
@@ -623,21 +593,18 @@ TEST(TableEquivalence, NonSquareMeshAndTorus)
     // Rectangular geometry exercises the distinct row/column chain
     // lengths of the broadcast schedules.
     std::uint64_t seed = 7;
-    for (const std::string name : {"mesh", "torus"}) {
-        SystemConfig cfg = meshCfg(8, 4); // 4x2
-        applyNetworkName(cfg, name);
+    for (const char *name : {"mesh", "torus"}) {
+        const SystemConfig cfg = netCfg(8, 4, name); // 4x2
         EnergyModel e1, e2;
-        const auto table = makeNetwork(cfg, e1);
-        const auto ref = makeNetwork(cfg, e2);
-        expectPathsEquivalent(*table, *ref, cfg.numCores,
-                              cfg.numCores * 4, seed++);
+        NetworkModel table(cfg, e1), ref(cfg, e2);
+        expectPathsEquivalent(table, ref, cfg.numCores, seed++);
     }
 }
 
 TEST(TableEquivalence, TableFootprintIsReported)
 {
     EnergyModel e;
-    MeshNetwork net(meshCfg(16, 4), e);
+    NetworkModel net(netCfg(16, 4), e);
     // 16 cores: 256 routes + their link spans + 16 broadcast
     // schedules of 15 hops each — nonzero and well under a megabyte.
     EXPECT_GT(net.tableFootprintBytes(), 0u);
@@ -645,7 +612,7 @@ TEST(TableEquivalence, TableFootprintIsReported)
 }
 
 // ---------------------------------------------------------------------------
-// Factory
+// Fabric name table
 // ---------------------------------------------------------------------------
 
 TEST(NetFactory, BuildsEveryRegisteredTopology)
@@ -654,18 +621,16 @@ TEST(NetFactory, BuildsEveryRegisteredTopology)
               (std::vector<std::string>{"mesh", "torus", "ring",
                                         "xbar"}));
     for (const auto &name : networkNames()) {
-        SystemConfig cfg = meshCfg(16, 4);
-        applyNetworkName(cfg, name);
+        const SystemConfig cfg = netCfg(16, 4, name.c_str());
         EXPECT_STREQ(networkNameFor(cfg), name.c_str());
         EnergyModel e;
-        const auto net = makeNetwork(cfg, e);
-        ASSERT_NE(net, nullptr);
-        EXPECT_STREQ(net->name(), name.c_str());
-        // Polymorphic sanity: local delivery is free everywhere and
-        // distinct tiles are at least one hop apart.
-        EXPECT_EQ(net->hopCount(2, 2), 0u);
-        EXPECT_GE(net->hopCount(0, 9), 1u);
-        EXPECT_EQ(net->unicast(2, 2, 4, 77), 77u);
+        NetworkModel net(cfg, e);
+        EXPECT_STREQ(net.name(), name.c_str());
+        // Sanity on every row: local delivery is free and distinct
+        // tiles are at least one hop apart.
+        EXPECT_EQ(net.hopCount(2, 2), 0u);
+        EXPECT_GE(net.hopCount(0, 9), 1u);
+        EXPECT_EQ(net.unicast(2, 2, 4, 77), 77u);
     }
 }
 

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/mesh.hh"
+#include "net/network.hh"
 #include "system/multicore.hh"
 #include "verify/invariants.hh"
 #include "workload/trace_file.hh"
@@ -805,7 +805,7 @@ TEST(Messages, FlitsFollowPayloadClass)
 {
     const SystemConfig cfg = smallCfg();
     EnergyModel e;
-    MeshNetwork mesh(cfg, e);
+    NetworkModel mesh(cfg, e);
     MessageTransport net(cfg, mesh);
 
     Message m{MsgKind::ShReq, 0, 1, MsgPayload::None};

@@ -24,7 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/abort.hh"
 #include "sim/rng.hh"

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/factory.hh"
+#include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/config.hh"
 #include "sim/flat_map.hh"
