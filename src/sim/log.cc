@@ -71,6 +71,17 @@ inform(const char *fmt, ...)
     va_end(args);
 }
 
+std::string
+vfmt(const char *fmt, ...)
+{
+    char buf[512];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof buf, fmt, ap);
+    va_end(ap);
+    return std::string(buf);
+}
+
 void
 setVerbose(bool verbose)
 {

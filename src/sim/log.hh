@@ -35,6 +35,13 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message to stderr and continue. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/**
+ * printf into a std::string, truncated to 511 characters (the
+ * verifier's violation and trace names).
+ */
+std::string vfmt(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /** Enable/disable inform() output (benches silence it). */
 void setVerbose(bool verbose);
 

@@ -1,7 +1,5 @@
 #include "verify/fuzz.hh"
 
-#include <cstdarg>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
@@ -9,6 +7,7 @@
 #include "net/network.hh"
 #include "protocol/protocol.hh"
 #include "sim/abort.hh"
+#include "sim/log.hh"
 #include "sim/rng.hh"
 #include "system/multicore.hh"
 #include "verify/invariants.hh"
@@ -17,17 +16,6 @@ namespace lacc {
 namespace verify {
 
 namespace {
-
-std::string
-vfmt(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof buf, fmt, ap);
-    va_end(ap);
-    return std::string(buf);
-}
 
 /**
  * The shared-data address pool: a handful of lines chosen so a few

@@ -1,12 +1,11 @@
 #include "verify/invariants.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
 #include "protocol/dir_entry.hh"
 #include "sim/addr_map.hh"
+#include "sim/log.hh"
 #include "system/multicore.hh"
 #include "system/tile.hh"
 
@@ -14,17 +13,6 @@ namespace lacc {
 namespace verify {
 
 namespace {
-
-std::string
-vfmt(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof buf, fmt, ap);
-    va_end(ap);
-    return std::string(buf);
-}
 
 /** One core's L1 copies of a line (a core can hold both an I and a
  * D copy of the same line). */
