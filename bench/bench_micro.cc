@@ -142,35 +142,6 @@ BM_DramSlabColdRead(benchmark::State &state)
 }
 BENCHMARK(BM_DramSlabColdRead);
 
-void
-BM_MeshUnicast(benchmark::State &state)
-{
-    EnergyModel e;
-    NetworkModel net(microCfg(), e);
-    Cycle t = 0;
-    CoreId dst = 1;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(net.unicast(0, dst, 9, t));
-        dst = static_cast<CoreId>((dst + 7) % 64);
-        t += 3;
-    }
-}
-BENCHMARK(BM_MeshUnicast);
-
-void
-BM_MeshBroadcast(benchmark::State &state)
-{
-    EnergyModel e;
-    NetworkModel net(microCfg(), e);
-    std::vector<Cycle> arrivals;
-    Cycle t = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(net.broadcast(27, 1, t, arrivals));
-        t += 10;
-    }
-}
-BENCHMARK(BM_MeshBroadcast);
-
 // ---------------------------------------------------------------------------
 // Table-driven network hot paths, per topology.
 // ---------------------------------------------------------------------------

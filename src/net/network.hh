@@ -81,24 +81,6 @@ class NetworkModel
 {
   public:
     /**
-     * One hop of a broadcast-tree schedule: the head flit leaves
-     * @p parent (plus delayFactor * flits injection-serialization
-     * cycles, used by emulated broadcasts) and crosses directed link
-     * @p link to @p child. Schedules are topologically ordered: a
-     * hop's parent head time is always computed by an earlier entry
-     * (or is the source's departure time).
-     */
-    struct TreeHop
-    {
-        std::uint32_t link = 0;
-        CoreId parent = 0;
-        CoreId child = 0;
-        /** Injection serialization: head departs parent_head +
-         *  delayFactor * flits (0 for native broadcast trees). */
-        std::uint32_t delayFactor = 0;
-    };
-
-    /**
      * Build the fabric @p cfg.networkKind selects, with its route
      * table and broadcast schedules; fatal() on a bad hop latency or
      * a route or tree that leaves the fabric.
@@ -250,6 +232,24 @@ class NetworkModel
     }
 
   private:
+    /**
+     * One hop of a broadcast-tree schedule: the head flit leaves
+     * @p parent (plus delayFactor * flits injection-serialization
+     * cycles, used by emulated broadcasts) and crosses directed link
+     * @p link to @p child. Schedules are topologically ordered: a
+     * hop's parent head time is always computed by an earlier entry
+     * (or is the source's departure time).
+     */
+    struct TreeHop
+    {
+        std::uint32_t link = 0;
+        CoreId parent = 0;
+        CoreId child = 0;
+        /** Injection serialization: head departs parent_head +
+         *  delayFactor * flits (0 for native broadcast trees). */
+        std::uint32_t delayFactor = 0;
+    };
+
     /**
      * Append the directed link ids of the src -> dst route, in
      * traversal order. Called by the constructor and by
