@@ -71,7 +71,9 @@ goesUp(std::uint32_t a, std::uint32_t b, std::uint32_t n, bool wraps)
 std::uint32_t
 step(std::uint32_t a, bool up, std::uint32_t n)
 {
-    return up ? (a + 1) % n : (a + n - 1) % n;
+    if (up)
+        return a + 1 == n ? 0 : a + 1;
+    return a == 0 ? n - 1 : a - 1;
 }
 
 } // namespace
